@@ -5,19 +5,19 @@ transports applied as post-processing maps."""
 
 __version__ = "0.1.0"
 
-from .barycenter_lp import BarycenterSolution, LpInstance, build_lp, fixed_target_cost, solve
+from .barycenter_lp import BarycenterSolution, LpInstance, build_lp, solve
 from .data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                       split_train_test)
 from .dp_estimation import (PrivacyParams, PrivateGroupDists, empirical_joint,
                             estimate_private_dists, group_weights, privatize_joint,
                             renormalize_cdf, sample_laplace)
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
-from .grid import Grid, discretize, discretize_many, make_grid
+from .grid import Grid, discretize_many, make_grid
 from .metrics import (ks_distance, l1_distance, linf_distance, monotone_coupling, mse,
                       statistical_parity_gap, w2sq_monotone)
 from .pipeline import FairPostprocessor, fit, load
 from .sweep import SweepConfig, SweepRow, lower_envelope, run_sweep
-from .transport import TransportKernels, apply_sample, extract_kernels, push_forward
+from .transport import TransportKernels, extract_kernels, push_forward, sample_bins
 
 __all__ = [
     "__version__",
@@ -25,11 +25,10 @@ __all__ = [
     "DatasetSchema", "FairPostprocessor", "Grid", "GroupedSamples", "LpInstance",
     "PrivacyParams", "PrivateGroupDists", "SolverFailure", "SweepConfig", "SweepRow",
     "TransportKernels", "UnknownGroupError",
-    "apply_sample", "build_lp", "discretize", "discretize_many", "empirical_joint",
-    "estimate_private_dists", "extract_kernels", "fit", "fixed_target_cost",
-    "group_weights", "ks_distance", "l1_distance", "linf_distance", "load",
-    "load_csv", "lower_envelope", "make_grid", "monotone_coupling", "mse",
-    "privatize_joint", "push_forward", "renormalize_cdf", "run_sweep",
-    "sample_laplace", "solve", "split_train_test", "statistical_parity_gap",
-    "w2sq_monotone",
+    "build_lp", "discretize_many", "empirical_joint", "estimate_private_dists",
+    "extract_kernels", "fit", "group_weights", "ks_distance", "l1_distance",
+    "linf_distance", "load", "load_csv", "lower_envelope", "make_grid",
+    "monotone_coupling", "mse", "privatize_joint", "push_forward", "renormalize_cdf",
+    "run_sweep", "sample_bins", "sample_laplace", "solve", "split_train_test",
+    "statistical_parity_gap", "w2sq_monotone",
 ]

@@ -86,7 +86,7 @@ def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
     as paired <= 0 constraints, forcing every target equal to the center.
     Zero-weight groups stay in the instance with zero objective weight.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     n_groups, k = dists.n_groups, dists.k
     if k != grid.k:
@@ -215,31 +215,6 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     pi = x[:nc].reshape(lp.n_groups, lp.k, lp.k)
     q = x[nc:nc + lp.k]
     return _repair(lp, pi, q)
-
-
-def fixed_target_cost(p, q, grid: Grid) -> float:
-    """Minimum squared-displacement transport cost from p to q, solved as a
-    plain coupling LP with both marginals pinned.  Bridges the LP route to
-    the monotone-coupling oracle in tests."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    k = grid.k
-    if len(p) != k or len(q) != k:
-        raise ValueError("distributions must live on the grid")
-    v = grid.midpoints
-    cost = ((v[:, None] - v[None, :]) ** 2).ravel()
-    rows = np.concatenate([np.repeat(np.arange(k), k),
-                           k + np.repeat(np.arange(k), k)])
-    cols = np.concatenate([np.arange(k * k),
-                           np.arange(k * k).reshape(k, k).T.ravel()])
-    a_eq = sparse.coo_matrix((np.ones(2 * k * k), (rows, cols)),
-                             shape=(2 * k, k * k)).tocsr()
-    b_eq = np.concatenate([p, q])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise SolverFailure(f"transport LP failed (status {res.status}): {res.message}")
-    return float(res.fun)
 
 
 def lp_text(lp: LpInstance) -> str:

@@ -1,6 +1,7 @@
 """Command-line surface: fit, apply, evaluate, sweep.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 solver error.
+Exit codes: 0 success, 2 config error (an unwritable output included), 3 data
+error (an unreadable or malformed model file included), 4 solver error.
 
 The privacy budget is spent once per fit.  A sweep re-fits many times on
 the same file by design (that is what an experiment grid is), so it
@@ -11,6 +12,7 @@ refuses to run more than one finite-epsilon fit per file unless
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -35,6 +37,20 @@ def _parse_hyper(value: str) -> float:
         raise ConfigError(f"expected a number or 'inf', got {value!r}") from None
 
 
+def _schema_from_doc(doc, where: str) -> DatasetSchema:
+    try:
+        return DatasetSchema(
+            group_col=doc.get("group", "group"),
+            score_col=doc.get("score", "score"),
+            label_col=doc.get("label", "label"),
+            interval=tuple(doc.get("interval", (0.0, 1.0))),
+            normalization=doc.get("normalization", "none"),
+            delimiter=doc.get("delimiter", ","),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _load_schema(path: str | None) -> DatasetSchema:
     if path is None:
         return DatasetSchema()
@@ -45,17 +61,28 @@ def _load_schema(path: str | None) -> DatasetSchema:
         raise ConfigError(f"cannot read schema {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"schema {path} is not valid JSON: {exc}") from exc
+    return _schema_from_doc(doc, f"schema {path}")
+
+
+def _predict(args, mode: str = "sample"):
+    """Load the model and the data named on the command line, and predict."""
     try:
-        return DatasetSchema(
-            group_col=doc.get("group", "group"),
-            score_col=doc.get("score", "score"),
-            label_col=doc.get("label", "label"),
-            interval=tuple(doc.get("interval", (0.0, 1.0))),
-            normalization=doc.get("normalization", "none"),
-            delimiter=doc.get("delimiter", ","),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schema {path}: {exc}") from exc
+        model = pipeline.load(args.model)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot load model: {exc}") from exc
+    samples = load_csv(args.data, _load_schema(args.schema))
+    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
+                                np.random.default_rng(args.seed), mode=mode)
+    return model, samples, preds
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """An output that cannot be written is a config error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_fit(args) -> int:
@@ -68,46 +95,37 @@ def _cmd_fit(args) -> int:
                              alpha, epsilon, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    model.save(args.out)
+    with _writing(args.out):
+        model.save(args.out)
     if args.dump_lp:
         # rebuilt from the released diagnostics; no second pass over the data
         cdfs = np.cumsum(model.pmfs, axis=1)
         cdfs[:, -1] = 1.0
         dists = PrivateGroupDists(weights=model.weights, pmfs=model.pmfs, cdfs=cdfs)
         instance = build_lp(dists, model.grid, alpha)
-        with open(args.dump_lp, "w", encoding="utf-8") as fh:
+        with _writing(args.dump_lp), open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(instance))
     print(f"wrote model to {args.out} (objective {model.objective:.6g})")
     return 0
 
 
 def _cmd_apply(args) -> int:
-    model = pipeline.load(args.model)
-    schema = _load_schema(args.schema)
-    samples = load_csv(args.data, schema)
-    rng = np.random.default_rng(args.seed)
-    rows = list(zip((samples.groups[i] for i in samples.group_idx), samples.scores))
-    preds = model.predict_batch(rows, rng, mode=args.mode)
-    raw = samples.transform.to_raw(preds)
-    raw_scores = samples.transform.to_raw(samples.scores)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    _, samples, preds = _predict(args, args.mode)
+    raw = samples.transform.to_raw(preds).tolist()
+    raw_scores = samples.transform.to_raw(samples.scores).tolist()
+    labels = [samples.groups[i] for i in samples.group_idx.tolist()]
+    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# fairpost {__version__} master_seed={args.seed}\n")
         fh.write("group,score,prediction\n")
-        for (g, _), y, p in zip(rows, raw_scores, raw):
-            fh.write(f"{g},{float(y)!r},{float(p)!r}\n")
-    print(f"wrote {len(rows)} predictions to {args.out}")
+        fh.writelines(f"{g},{y!r},{p!r}\n" for g, y, p in zip(labels, raw_scores, raw))
+    print(f"wrote {samples.n} predictions to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    model = pipeline.load(args.model)
-    schema = _load_schema(args.schema)
-    samples = load_csv(args.data, schema)
+    model, samples, preds = _predict(args)
     if samples.labels is None:
         raise DataError("evaluate requires labeled data")
-    rng = np.random.default_rng(args.seed)
-    rows = list(zip((samples.groups[i] for i in samples.group_idx), samples.scores))
-    preds = model.predict_batch(rows, rng)
     tr = samples.transform
     report = {
         "n": samples.n,
@@ -120,7 +138,7 @@ def _cmd_evaluate(args) -> int:
     }
     payload = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     print(payload, end="")
     return 0
@@ -135,20 +153,9 @@ def _sweep_config(args) -> sweep.SweepConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
     try:
-        schema_doc = doc.get("schema")
-        if isinstance(schema_doc, str):
-            schema = _load_schema(schema_doc)
-        elif schema_doc is None:
-            schema = DatasetSchema()
-        else:
-            schema = DatasetSchema(
-                group_col=schema_doc.get("group", "group"),
-                score_col=schema_doc.get("score", "score"),
-                label_col=schema_doc.get("label", "label"),
-                interval=tuple(schema_doc.get("interval", (0.0, 1.0))),
-                normalization=schema_doc.get("normalization", "none"),
-                delimiter=schema_doc.get("delimiter", ","),
-            )
+        schema_doc = doc.get("schema") or {}
+        schema = (_load_schema(schema_doc) if isinstance(schema_doc, str)
+                  else _schema_from_doc(schema_doc, f"config {args.config}"))
         to_num = lambda x: math.inf if x == "inf" else float(x)
         return sweep.SweepConfig(
             data_path=doc["data"],
@@ -173,13 +180,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(
             f"this sweep spends the privacy budget {finite_eps_fits} times on "
             f"{cfg.data_path}; pass --allow-budget-reuse to acknowledge")
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     rows = sweep.run_sweep(cfg)
     aggs = sweep.aggregate(rows)
-    sweep.write_results_csv(os.path.join(args.out, "results.csv"), rows, cfg.master_seed)
-    sweep.write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), aggs, cfg.master_seed)
-    sweep.write_envelope_csv(os.path.join(args.out, "envelope.csv"), aggs, cfg.master_seed)
-    sweep.write_timings_csv(os.path.join(args.out, "timings.csv"), rows, cfg.master_seed)
+    with _writing(args.out):
+        sweep.write_results_csv(os.path.join(args.out, "results.csv"), rows, cfg.master_seed)
+        sweep.write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), aggs,
+                                   cfg.master_seed)
+        sweep.write_envelope_csv(os.path.join(args.out, "envelope.csv"), aggs, cfg.master_seed)
+        sweep.write_timings_csv(os.path.join(args.out, "timings.csv"), rows, cfg.master_seed)
     failures = sum(1 for r in rows if r.status != "ok")
     print(f"swept {len(rows)} cells ({failures} failed) -> {args.out}")
     return 0

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,57 +152,60 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     """Parse a delimited file into :class:`GroupedSamples` per ``schema``.
 
     Rows with an empty cell in any declared column are rejected (and
-    counted); a non-empty cell that fails to parse is an error.  Raises
-    :class:`DataError` for a missing file, missing columns, unparseable
-    cells, or an empty result.
+    counted); a non-empty cell that fails to parse, or parses to nan or
+    inf, is an error.  Raises :class:`DataError` for a missing file,
+    missing columns, unparseable or non-finite cells, a file that is not
+    UTF-8 CSV, or an empty result.
     """
     score_col = schema.score_col if schema.score_col is not None else schema.label_col
+    columns = [schema.group_col, score_col]
+    if schema.label_col is not None:
+        columns.append(schema.label_col)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    groups: list = []
+    index: dict = {}
+    gi, scores, labels = [], array("d"), array("d")
+    rejected = 0
     with fh:
-        reader = csv.DictReader(fh, delimiter=schema.delimiter)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file (no header row)")
-        needed = {schema.group_col, score_col}
-        if schema.label_col is not None:
-            needed.add(schema.label_col)
-        missing = needed - set(reader.fieldnames)
-        if missing:
-            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-
-        groups: list = []
-        index: dict = {}
-        gi, scores, labels = [], [], []
-        rejected = 0
-        for lineno, row in enumerate(reader, start=2):
-            cells = [row[schema.group_col], row[score_col]]
-            if schema.label_col is not None:
-                cells.append(row[schema.label_col])
-            if any(c is None or c.strip() == "" for c in cells):
-                rejected += 1
-                continue
-            g = cells[0].strip()
-            try:
-                y = float(cells[1])
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: unparseable cell at row {lineno}, column {score_col!r}: {cells[1]!r}"
-                ) from exc
-            if g not in index:
-                index[g] = len(groups)
-                groups.append(g)
-            gi.append(index[g])
-            scores.append(y)
-            if schema.label_col is not None:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file (no header row)")
+            position = {name: i for i, name in enumerate(header)}
+            missing = set(columns) - set(position)
+            if missing:
+                raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+            pick = operator.itemgetter(*(position[c] for c in columns))
+            width = 1 + max(position[c] for c in columns)
+            lineno = 1
+            for row in reader:
+                if not row:  # blank lines are skipped, as csv.DictReader does
+                    continue
+                lineno += 1
+                if len(row) < width or not all(map(str.strip, cells := pick(row))):
+                    rejected += 1  # a declared cell is missing or empty
+                    continue
                 try:
-                    labels.append(float(cells[2]))
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}: unparseable cell at row {lineno}, "
-                        f"column {schema.label_col!r}: {cells[2]!r}"
-                    ) from exc
+                    values = list(map(float, cells[1:]))
+                    finite = all(map(math.isfinite, values))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise _bad_cell(path, lineno, zip(columns[1:], cells[1:]))
+                g = cells[0].strip()
+                if g not in index:
+                    index[g] = len(groups)
+                    groups.append(g)
+                gi.append(index[g])
+                scores.append(values[0])
+                if schema.label_col is not None:
+                    labels.append(values[-1])
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
     if not scores:
         raise DataError(f"{path}: no usable data rows")
@@ -208,17 +213,26 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
         log.warning("%s: rejected %d row(s) with empty cells", path, rejected)
 
     transform = schema.transform()
-    scores_arr = transform.to_internal(np.array(scores, dtype=float))
-    labels_arr = None
-    if schema.label_col is not None:
-        labels_arr = transform.to_internal(np.array(labels, dtype=float))
     return GroupedSamples(
         groups=tuple(groups),
         group_idx=np.array(gi, dtype=np.intp),
-        scores=scores_arr,
-        labels=labels_arr,
+        scores=transform.to_internal(np.frombuffer(scores)),
+        labels=None if schema.label_col is None else transform.to_internal(np.frombuffer(labels)),
         transform=transform,
     )
+
+
+def _bad_cell(path, lineno: int, named_cells) -> DataError:
+    """The error for the first (column, cell) pair that is unparseable or
+    not finite."""
+    for name, cell in named_cells:
+        try:
+            problem = None if math.isfinite(float(cell)) else "non-finite"
+        except ValueError:
+            problem = "unparseable"
+        if problem:
+            return DataError(f"{path}: {problem} cell at row {lineno}, column {name!r}: {cell!r}")
+    raise AssertionError("no bad cell in the row")
 
 
 def split_train_test(samples: GroupedSamples, ratio: float = 0.7,

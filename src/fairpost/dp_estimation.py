@@ -87,18 +87,13 @@ def _laplace_from_uniform(u, scale: float):
 
 
 def sample_laplace(rng: np.random.Generator, scale: float) -> float:
-    """One Laplace(0, scale) draw via inverse-CDF on a single uniform.
-
-    Deterministic given the generator state; no rejection loops.
-    """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return float(_laplace_from_uniform(rng.random(), scale))
+    """One draw of :func:`sample_laplace_many`."""
+    return float(sample_laplace_many(rng, scale, 1)[0])
 
 
 def sample_laplace_many(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
-    """Vectorized :func:`sample_laplace`; consumes the stream identically to
-    ``size`` scalar draws."""
+    """``size`` Laplace(0, scale) draws by inverse CDF, one uniform each, so
+    the stream advances as ``size`` scalar draws would; no rejection loops."""
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     return _laplace_from_uniform(rng.random(size), scale)

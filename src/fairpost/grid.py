@@ -36,21 +36,16 @@ def make_grid(s: float, t: float, k: int) -> Grid:
     return Grid(s=s, t=t, k=int(k), midpoints=midpoints)
 
 
-def discretize(grid: Grid, y: float) -> int:
-    """Index of the midpoint nearest to y (0-based).
+def discretize_many(grid: Grid, ys: np.ndarray) -> np.ndarray:
+    """Index of the midpoint nearest to each y (0-based).
 
     Ties at bin boundaries break to the lower index; y outside [s, t]
     clamps to the nearest end bin.
     """
-    return int(discretize_many(grid, np.asarray([y]))[0])
-
-
-def discretize_many(grid: Grid, ys: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`discretize`."""
     ys = np.asarray(ys, dtype=float)
     mid = grid.midpoints
-    hi = np.clip(np.searchsorted(mid, ys), 0, grid.k - 1)
-    lo = np.clip(hi - 1, 0, grid.k - 1)
+    hi = np.minimum(np.searchsorted(mid, ys), grid.k - 1)
+    lo = np.maximum(hi - 1, 0)
     # tie (equal distance) goes to the lower index
     take_lo = (ys - mid[lo]) <= (mid[hi] - ys)
     return np.where(take_lo, lo, hi)

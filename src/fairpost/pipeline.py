@@ -19,13 +19,14 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import barycenter_lp, dp_estimation, transport
 from .data_io import AffineTransform, GroupedSamples, IDENTITY_TRANSFORM
 from .errors import UnknownGroupError
-from .grid import Grid, discretize, make_grid
+from .grid import Grid, discretize_many, make_grid
 from .transport import TransportKernels
 
 log = logging.getLogger(__name__)
@@ -38,10 +39,6 @@ def _f2s(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
-
-
-def _s2f(s: str) -> float:
-    return float(s)
 
 
 @dataclass
@@ -67,50 +64,62 @@ class FairPostprocessor:
     transform: AffineTransform = IDENTITY_TRANSFORM
     out_of_range_count: int = field(default=0, compare=False)
 
-    def group_index(self, a) -> int:
-        try:
-            return self.groups.index(a)
-        except ValueError:
-            raise UnknownGroupError(f"group {a!r} was not present at fit time") from None
-
-    def _note_out_of_range(self, y: float) -> None:
-        if self.out_of_range_count == 0:
-            log.warning("score %g outside fitted interval [%g, %g]; clamping",
-                        y, self.grid.s, self.grid.t)
-        self.out_of_range_count += 1
+    @cached_property
+    def _row_means(self) -> np.ndarray:
+        return transport.row_means(self.kernels, self.grid)
 
     def predict(self, a, y: float, rng: np.random.Generator,
                 mode: str = "sample") -> float:
-        """Post-processed output for one (group, score) pair.
+        """Post-processed output for one (group, score) pair, through the
+        same sampler as :meth:`predict_batch`.
 
         ``mode="sample"`` draws a bin from the kernel row (the default;
         this is what carries the parity guarantee).  ``mode="barycentric"``
         returns the row's mean output instead: deterministic, but the
         output distribution is no longer the fitted target, so the parity
-        guarantee is void.
-        """
-        idx = self.group_index(a)
-        y = float(y)
-        if y < self.grid.s or y > self.grid.t:
-            self._note_out_of_range(y)
-        j = discretize(self.grid, y)
-        if mode == "sample":
-            return float(self.grid.midpoints[transport.apply_sample(self.kernels, idx, j, rng)])
-        if mode == "barycentric":
-            return float(self.kernels.matrices[idx, j] @ self.grid.midpoints)
-        raise ValueError(f"unknown mode {mode!r}")
+        guarantee is void."""
+        if a not in self.groups:
+            raise UnknownGroupError(f"group {a!r} was not present at fit time")
+        idx = np.array([self.groups.index(a)])
+        return float(self._predict_indexed(idx, np.array([float(y)]), rng, mode)[0])
 
-    def predict_batch(self, rows, rng: np.random.Generator,
+    def predict_batch(self, groups, group_idx, scores, rng: np.random.Generator,
                       mode: str = "sample") -> np.ndarray:
-        """Vectorized predict over (group, score) rows, one RNG stream,
-        order preserved.  Matches a loop of :meth:`predict` draw for draw.
-        Group membership is validated up front so an unknown group is
-        reported with its row index before any stream consumption."""
-        rows = list(rows)
-        for i, (a, _) in enumerate(rows):
-            if a not in self.groups:
-                raise UnknownGroupError(f"row {i}: group {a!r} was not present at fit time")
-        return np.array([self.predict(a, y, rng, mode=mode) for a, y in rows])
+        """Outputs for columnar rows in order: row i has group
+        ``groups[group_idx[i]]`` and score ``scores[i]``, as in
+        :class:`GroupedSamples`.  Sample mode draws one uniform per row, so
+        outputs and stream state equal a loop of :meth:`predict`.  Unknown
+        groups are reported with their row index before any draw."""
+        idx = self._model_rows(groups, np.asarray(group_idx, dtype=np.intp))
+        return self._predict_indexed(idx, np.asarray(scores, dtype=float), rng, mode)
+
+    def _model_rows(self, groups, group_idx: np.ndarray) -> np.ndarray:
+        """Model group index of each row; each distinct label is looked up once."""
+        if group_idx.min(initial=0) < 0:
+            raise ValueError(f"negative group index {group_idx.min()}")
+        lut = np.array([self.groups.index(g) if g in self.groups else -1 for g in groups], np.intp)
+        idx = lut[group_idx]
+        if (idx < 0).any():
+            i = int(np.argmax(idx < 0))
+            raise UnknownGroupError(
+                f"row {i}: group {groups[group_idx[i]]!r} was not present at fit time")
+        return idx
+
+    def _predict_indexed(self, idx: np.ndarray, ys: np.ndarray,
+                         rng: np.random.Generator, mode: str) -> np.ndarray:
+        if mode not in ("sample", "barycentric"):
+            raise ValueError(f"unknown mode {mode!r}")
+        outside = (ys < self.grid.s) | (ys > self.grid.t)
+        if n_outside := int(np.count_nonzero(outside)):
+            if self.out_of_range_count == 0:
+                log.warning("score %g outside fitted interval [%g, %g]; clamping",
+                            ys[outside][0], self.grid.s, self.grid.t)
+            self.out_of_range_count += n_outside
+        j = discretize_many(self.grid, ys)
+        if mode == "barycentric":
+            return self._row_means[idx, j]
+        bins = transport.sample_bins(self.kernels, idx, j, rng.random(len(ys)))
+        return self.grid.midpoints[bins]
 
     def to_document(self) -> dict:
         return {
@@ -147,7 +156,7 @@ def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
     ``numpy.random.Generator``.  The Laplace mechanism is the only
     randomness consumed at fit time.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     seed = None
     if isinstance(rng, (int, np.integer)):
@@ -169,31 +178,42 @@ def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
 
 
 def load(path) -> FairPostprocessor:
-    """Load a model saved by :meth:`FairPostprocessor.save`."""
+    """Load a model saved by :meth:`FairPostprocessor.save`.
+
+    Raises OSError for an unreadable file and ValueError for anything but
+    a well-formed model of this version, including kernels that are not
+    G x k x k for the G groups, nonnegative, with rows summing to 1 within
+    1e-9 (the sampler relies on nondecreasing row CDFs ending at 1)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    g = doc["grid"]
-    grid = make_grid(_s2f(g["s"]), _s2f(g["t"]), int(g["k"]))
-    saved_mids = np.array([_s2f(x) for x in g["midpoints"]])
-    if not np.array_equal(saved_mids, grid.midpoints):
-        raise ValueError(f"{path}: stored midpoints disagree with the grid parameters")
-    k = grid.k
-    kernels = TransportKernels(matrices=np.array(
-        [[_s2f(x) for x in flat] for flat in doc["kernels"]]).reshape(-1, k, k))
-    d = doc["diagnostics"]
-    tr = doc["transform"]
-    return FairPostprocessor(
-        grid=grid, groups=tuple(doc["groups"]), kernels=kernels,
-        alpha=_s2f(doc["fit"]["alpha"]), epsilon=_s2f(doc["fit"]["epsilon"]),
-        seed=doc["fit"]["seed"],
-        weights=np.array([_s2f(x) for x in d["weights"]]),
-        pmfs=np.array([[_s2f(x) for x in row] for row in d["pmfs"]]),
-        targets=np.array([[_s2f(x) for x in row] for row in d["targets"]]),
-        barycenter=np.array([_s2f(x) for x in d["barycenter"]]),
-        objective=_s2f(d["objective"]),
-        transform=AffineTransform(offset=_s2f(tr["offset"]), scale=_s2f(tr["scale"])),
-    )
+    try:
+        g = doc["grid"]
+        grid = make_grid(float(g["s"]), float(g["t"]), int(g["k"]))
+        if not np.array_equal([float(x) for x in g["midpoints"]], grid.midpoints):
+            raise ValueError(f"{path}: stored midpoints disagree with the grid parameters")
+        k, groups, kernels = grid.k, tuple(doc["groups"]), doc["kernels"]
+        if len(kernels) != len(groups) or any(len(row) != k * k for row in kernels):
+            raise ValueError(f"{path}: kernels must hold {len(groups)} groups x {k * k} entries")
+        matrices = np.array([[float(x) for x in row] for row in kernels]).reshape(-1, k, k)
+        if not (matrices >= 0.0).all():
+            raise ValueError(f"{path}: kernel entries must be nonnegative")
+        if not (np.abs(matrices.sum(axis=2) - 1.0) <= 1e-9).all():
+            raise ValueError(f"{path}: kernel rows must sum to 1 within 1e-9")
+        d, tr, fit_meta = doc["diagnostics"], doc["transform"], doc["fit"]
+        return FairPostprocessor(
+            grid=grid, groups=groups, kernels=TransportKernels(matrices=matrices),
+            alpha=float(fit_meta["alpha"]), epsilon=float(fit_meta["epsilon"]),
+            seed=fit_meta["seed"],
+            weights=np.array([float(x) for x in d["weights"]]),
+            pmfs=np.array([[float(x) for x in row] for row in d["pmfs"]]),
+            targets=np.array([[float(x) for x in row] for row in d["targets"]]),
+            barycenter=np.array([float(x) for x in d["barycenter"]]),
+            objective=float(d["objective"]),
+            transform=AffineTransform(offset=float(tr["offset"]), scale=float(tr["scale"])),
+        )
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc

@@ -94,8 +94,7 @@ def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
                                        seed=_split_seed(cfg.master_seed, seed))
         rng = _cell_rng(cfg.master_seed, cell_index)
         model = fit(train, cfg.schema.internal_interval, k, alpha, epsilon, rng)
-        rows = list(zip((samples.groups[i] for i in test.group_idx), test.scores))
-        preds = model.predict_batch(rows, rng)
+        preds = model.predict_batch(test.groups, test.group_idx, test.scores, rng)
         tr = samples.transform
         out = SweepRow(
             alpha=alpha, k=k, epsilon=epsilon, seed=seed,
@@ -218,57 +217,41 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _metadata_line(master_seed: int) -> str:
-    return f"# fairpost {__version__} master_seed={master_seed}"
+def _write_csv(path, master_seed: int, header: str, records) -> None:
+    """A metadata comment line, the header, then one line per record."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# fairpost {__version__} master_seed={master_seed}\n{header}\n")
+        fh.writelines(",".join(map(_fmt, rec)) + "\n" for rec in records)
 
 
 def write_results_csv(path, rows: list[SweepRow], master_seed: int) -> None:
-    cols = ["alpha", "k", "epsilon", "seed", "mse_raw", "mse_norm",
-            "delta_sp", "lp_objective", "status"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_metadata_line(master_seed) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            status = r.status if r.status == "ok" else r.status.replace(",", ";")
-            fh.write(",".join([_fmt(r.alpha), _fmt(r.k), _fmt(r.epsilon), _fmt(r.seed),
-                               _fmt(r.mse_raw), _fmt(r.mse_norm), _fmt(r.delta_sp),
-                               _fmt(r.lp_objective), status]) + "\n")
+    _write_csv(path, master_seed,
+               "alpha,k,epsilon,seed,mse_raw,mse_norm,delta_sp,lp_objective,status",
+               ((r.alpha, r.k, r.epsilon, r.seed, r.mse_raw, r.mse_norm, r.delta_sp,
+                 r.lp_objective, r.status.replace(",", ";")) for r in rows))
 
 
 def write_timings_csv(path, rows: list[SweepRow], master_seed: int) -> None:
     """Wall-times sidecar; not deterministic, hence not in the results file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_metadata_line(master_seed) + "\n")
-        fh.write("alpha,k,epsilon,seed,fit_seconds\n")
-        for r in rows:
-            fh.write(",".join([_fmt(r.alpha), _fmt(r.k), _fmt(r.epsilon),
-                               _fmt(r.seed), _fmt(r.fit_seconds)]) + "\n")
+    _write_csv(path, master_seed, "alpha,k,epsilon,seed,fit_seconds",
+               ((r.alpha, r.k, r.epsilon, r.seed, r.fit_seconds) for r in rows))
 
 
 def write_aggregates_csv(path, aggs: list[CellAggregate], master_seed: int) -> None:
-    cols = ["alpha", "k", "epsilon", "n_ok", "mse_raw_mean", "mse_raw_se",
-            "mse_norm_mean", "delta_sp_mean", "delta_sp_se"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_metadata_line(master_seed) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for a in aggs:
-            fh.write(",".join([_fmt(a.alpha), _fmt(a.k), _fmt(a.epsilon), _fmt(a.n_ok),
-                               _fmt(a.mse_raw_mean), _fmt(a.mse_raw_se),
-                               _fmt(a.mse_norm_mean), _fmt(a.delta_sp_mean),
-                               _fmt(a.delta_sp_se)]) + "\n")
+    _write_csv(path, master_seed,
+               "alpha,k,epsilon,n_ok,mse_raw_mean,mse_raw_se,mse_norm_mean,"
+               "delta_sp_mean,delta_sp_se",
+               ((a.alpha, a.k, a.epsilon, a.n_ok, a.mse_raw_mean, a.mse_raw_se,
+                 a.mse_norm_mean, a.delta_sp_mean, a.delta_sp_se) for a in aggs))
 
 
 def write_envelope_csv(path, aggs: list[CellAggregate], master_seed: int) -> None:
     """Per-epsilon lower envelopes of the seed-averaged (delta_sp, mse_raw)
     points across the (alpha, k) sweep."""
-    epsilons = sorted({a.epsilon for a in aggs})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_metadata_line(master_seed) + "\n")
-        fh.write("epsilon,delta_sp,mse_raw\n")
-        for eps in epsilons:
-            pts = [(a.delta_sp_mean, a.mse_raw_mean) for a in aggs
-                   if a.epsilon == eps and a.n_ok > 0 and not math.isnan(a.delta_sp_mean)]
-            if not pts:
-                continue
-            for d, m in lower_envelope(pts):
-                fh.write(",".join([_fmt(eps), _fmt(d), _fmt(m)]) + "\n")
+    records = []
+    for eps in sorted({a.epsilon for a in aggs}):
+        pts = [(a.delta_sp_mean, a.mse_raw_mean) for a in aggs
+               if a.epsilon == eps and a.n_ok > 0 and not math.isnan(a.delta_sp_mean)]
+        if pts:
+            records += [(eps, d, m) for d, m in lower_envelope(pts)]
+    _write_csv(path, master_seed, "epsilon,delta_sp,mse_raw", records)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,11 @@ class TransportKernels:
     def k(self) -> int:
         return self.matrices.shape[1]
 
+    @cached_property
+    def cdfs(self) -> np.ndarray:
+        """Row CDFs, ``cumsum`` along the output axis; built once per kernel set."""
+        return np.cumsum(self.matrices, axis=2)
+
 
 def extract_kernels(sol: BarycenterSolution, dists: PrivateGroupDists) -> TransportKernels:
     """Row j of group a is the coupling row divided by its input mass;
@@ -34,15 +40,10 @@ def extract_kernels(sol: BarycenterSolution, dists: PrivateGroupDists) -> Transp
     n_groups, k, _ = sol.couplings.shape
     if dists.n_groups != n_groups or dists.k != k:
         raise ValueError("solution and distributions disagree on shape")
-    out = np.zeros_like(sol.couplings)
-    for a in range(n_groups):
-        np.fill_diagonal(out[a], 1.0)
-        for j in range(k):
-            if dists.pmfs[a, j] > 0.0:
-                row = np.clip(sol.couplings[a, j], 0.0, None)
-                total = row.sum()
-                if total > 0.0:
-                    out[a, j] = row / total
+    rows = np.clip(sol.couplings, 0.0, None)
+    totals = rows.sum(axis=2, keepdims=True)
+    out = np.broadcast_to(np.eye(k), rows.shape).copy()
+    np.divide(rows, totals, out=out, where=(dists.pmfs[:, :, None] > 0.0) & (totals > 0.0))
     return TransportKernels(matrices=out)
 
 
@@ -55,14 +56,21 @@ def push_forward(kern: TransportKernels, a: int, pmf: np.ndarray) -> np.ndarray:
     return pmf @ kern.matrices[a]
 
 
-def apply_sample(kern: TransportKernels, a: int, j: int,
-                 rng: np.random.Generator) -> int:
-    """Draw an output bin from row j of group a by inverse-CDF on one
-    uniform; deterministic given the stream state."""
-    row = kern.matrices[a, j]
-    cdf = np.cumsum(row)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, kern.k - 1)
+# rows per block in sample_bins: bounds the gathered (block, k) CDF slab
+_SAMPLE_BLOCK = 4096
+
+
+def sample_bins(kern: TransportKernels, a: np.ndarray, j: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row: kernel row ``(a[i], j[i])`` read at uniform
+    ``u[i]``.  On a nondecreasing row CDF the count of entries ``<= u`` is
+    exactly ``searchsorted(cdf, u, side="right")``; the result is clamped
+    to k - 1.  Rows go in fixed blocks so memory stays bounded."""
+    cdfs, out = kern.cdfs, np.empty(len(u), dtype=np.intp)
+    for lo in range(0, len(u), _SAMPLE_BLOCK):
+        blk = slice(lo, lo + _SAMPLE_BLOCK)
+        (cdfs[a[blk], j[blk]] <= u[blk, None]).sum(axis=1, out=out[blk])
+    return np.minimum(out, kern.k - 1, out=out)
 
 
 def row_means(kern: TransportKernels, grid: Grid) -> np.ndarray:
@@ -70,6 +78,7 @@ def row_means(kern: TransportKernels, grid: Grid) -> np.ndarray:
 
     This is the deterministic "barycentric" read-out of the kernels; note
     that using it instead of sampling changes the output distribution, so
-    the statistical-parity guarantee no longer applies.
+    the statistical-parity guarantee no longer applies.  Each entry is the
+    1-D dot of one row, which a batched matmul does not reproduce bit for bit.
     """
-    return kern.matrices @ grid.midpoints
+    return np.array([[row @ grid.midpoints for row in m] for m in kern.matrices])

@@ -1,0 +1,39 @@
+"""Independent LP oracle shared by the LP tests.
+
+``fixed_target_cost`` solves the plain transport LP with both marginals
+pinned, which bridges the barycenter LP to the monotone-coupling oracle in
+:mod:`fairpost.metrics`.  It lives with the tests because nothing in the
+package needs it.
+"""
+
+import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
+
+from fairpost.barycenter_lp import _HIGHS_OPTIONS
+from fairpost.errors import SolverFailure
+from fairpost.grid import Grid
+
+
+def fixed_target_cost(p, q, grid: Grid) -> float:
+    """Minimum squared-displacement transport cost from p to q, solved as a
+    plain coupling LP with both marginals pinned."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    k = grid.k
+    if len(p) != k or len(q) != k:
+        raise ValueError("distributions must live on the grid")
+    v = grid.midpoints
+    cost = ((v[:, None] - v[None, :]) ** 2).ravel()
+    rows = np.concatenate([np.repeat(np.arange(k), k),
+                           k + np.repeat(np.arange(k), k)])
+    cols = np.concatenate([np.arange(k * k),
+                           np.arange(k * k).reshape(k, k).T.ravel()])
+    a_eq = sparse.coo_matrix((np.ones(2 * k * k), (rows, cols)),
+                             shape=(2 * k, k * k)).tocsr()
+    b_eq = np.concatenate([p, q])
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise SolverFailure(f"transport LP failed (status {res.status}): {res.message}")
+    return float(res.fun)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from fairpost.barycenter_lp import build_lp, fixed_target_cost, solve
+from fairpost.barycenter_lp import build_lp, solve
 from fairpost.cli import main
 from fairpost.data_io import (DatasetSchema, GroupedSamples, load_csv, split_train_test)
 from fairpost.dp_estimation import (PrivacyParams, empirical_joint, estimate_private_dists,
@@ -23,6 +23,7 @@ from fairpost.grid import make_grid
 from fairpost.metrics import ks_distance, monotone_coupling, statistical_parity_gap, w2sq_monotone
 from fairpost.pipeline import fit
 from fairpost.transport import extract_kernels, push_forward
+from lp_oracles import fixed_target_cost
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 LAW_SCHOOL_CSV = DATA_DIR / "law_school.csv"
@@ -267,8 +268,8 @@ def test_criterion_05_pushforward_identity_and_monte_carlo():
     rng = np.random.default_rng(900)
     for a, label in enumerate(model.groups):
         draws = rng.choice(model.grid.k, size=10 ** 5, p=model.pmfs[a])
-        preds = model.predict_batch(
-            [(label, model.grid.midpoints[j]) for j in draws], rng)
+        preds = model.predict_batch((label,), np.zeros(len(draws), dtype=np.intp),
+                                    model.grid.midpoints[draws], rng)
         hist = np.array([(preds == v).mean() for v in model.grid.midpoints])
         assert np.abs(hist - model.targets[a]).sum() < 0.02
     report(5, "pushforward equals LP targets; 1e5-draw Monte Carlo within L1 0.02")
@@ -287,8 +288,8 @@ def test_criterion_06_k1_exact_fairness():
         model = fit(samples, (0, 1), 1, float(rng.choice([0.0, 0.5])),
                     float(rng.choice([0.5, math.inf])), trial)
         stream = np.random.default_rng(trial)
-        outputs = {g: model.predict_batch([(g, float(y)) for y in rng.normal(0.5, 1, 40)],
-                                          stream)
+        outputs = {g: model.predict_batch((g,), np.zeros(40, dtype=np.intp),
+                                          rng.normal(0.5, 1, 40), stream)
                    for g in samples.groups}
         assert statistical_parity_gap(outputs, model.grid) == 0.0
     report(6, "k = 1 collapses every group to the single midpoint: gap exactly 0")
@@ -375,8 +376,7 @@ def test_criterion_09_law_school_endpoint():
     # (alpha = 0, k = 1): constant output at mid-interval, exactly fair
     model = fit(train, (0, 1), 1, 0.0, 0.1, 0)
     rng = np.random.default_rng(0)
-    rows = list(zip((samples.groups[i] for i in test.group_idx), test.scores))
-    preds = model.predict_batch(rows, rng)
+    preds = model.predict_batch(test.groups, test.group_idx, test.scores, rng)
     tr = samples.transform
     mse_raw = float(np.mean((tr.to_raw(preds) - tr.to_raw(test.labels)) ** 2))
     assert abs(mse_raw - 0.6772) <= 0.1 * 0.6772

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fairpost.barycenter_lp import (build_lp, fixed_target_cost, lp_text, solve)
+from fairpost.barycenter_lp import build_lp, lp_text, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
 from fairpost.metrics import ks_distance, w2sq_monotone
+from lp_oracles import fixed_target_cost
 
 
 def dists_from_pmfs(pmfs, weights=None):
@@ -69,6 +70,11 @@ def test_negative_alpha_rejected():
     g = make_grid(0, 1, 2)
     with pytest.raises(ValueError):
         build_lp(dists_from_pmfs([[1, 0]]), g, -0.1)
+
+
+def test_nan_alpha_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_lp(dists_from_pmfs([[1, 0]]), make_grid(0, 1, 2), math.nan)
 
 
 # ---------------------------------------------------------------------- solve

@@ -1,0 +1,100 @@
+"""Every user-facing failure exits with its documented code and a one-line
+message: 2 for config errors (unwritable outputs included), 3 for data
+errors (unreadable or malformed model files and non-finite cells included)."""
+
+import json
+
+import pytest
+
+from fairpost.cli import main
+
+
+@pytest.fixture
+def data(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("group,score,label\n" + "".join(
+        f"{'AB'[i % 2]},{(i % 10) / 10 + 0.05!r},{(i % 7) / 7!r}\n" for i in range(60)))
+    return path
+
+
+@pytest.fixture
+def model(tmp_path, data):
+    path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--k", "4", "--alpha", "0.1",
+                 "--epsilon", "inf", "--out", str(path)]) == 0
+    return path
+
+
+def run_apply_and_evaluate(model, data, tmp_path):
+    return [main(["apply", "--model", str(model), "--data", str(data),
+                  "--out", str(tmp_path / "p.csv")]),
+            main(["evaluate", "--model", str(model), "--data", str(data)])]
+
+
+@pytest.mark.parametrize("content", [
+    None,                                   # missing file
+    "this is not json",                     # non-JSON
+    '{"format": "fairpost-model", "vers',   # truncated
+    "[]",                                   # JSON, but not a model
+])
+def test_unloadable_model_is_a_data_error(tmp_path, data, capsys, content):
+    path = tmp_path / "broken.json"
+    if content is not None:
+        path.write_text(content)
+    assert run_apply_and_evaluate(path, data, tmp_path) == [3, 3]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("data error: cannot load model") for line in err)
+
+
+def test_model_with_invalid_kernels_is_a_data_error(tmp_path, data, model, capsys):
+    doc = json.loads(model.read_text())
+    doc["kernels"][0][0] = "-1"
+    model.write_text(json.dumps(doc))
+    assert run_apply_and_evaluate(model, data, tmp_path) == [3, 3]
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_are_config_errors(tmp_path, data, model, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    nowhere = str(blocker / "out")  # a path below a regular file
+    assert main(["fit", "--data", str(data), "--k", "2", "--alpha", "0.1",
+                 "--epsilon", "inf", "--out", nowhere]) == 2
+    assert main(["fit", "--data", str(data), "--k", "2", "--alpha", "0.1",
+                 "--epsilon", "inf", "--out", str(tmp_path / "m2.json"),
+                 "--dump-lp", nowhere]) == 2
+    assert main(["apply", "--model", str(model), "--data", str(data), "--out", nowhere]) == 2
+    assert main(["apply", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path)]) == 2  # a directory
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--out", nowhere]) == 2
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(data), "alphas": [0.1], "ks": [2],
+                               "epsilons": ["inf"], "seeds": 1}))
+    assert main(["sweep", "--config", str(cfg), "--out", nowhere]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6 and all(line.startswith("config error: cannot write") for line in err)
+
+
+def test_non_finite_cells_are_data_errors(tmp_path, model, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("group,score,label\nA,0.5,0.5\nB,nan,0.5\n")
+    assert main(["fit", "--data", str(bad), "--k", "2", "--alpha", "0.1",
+                 "--epsilon", "inf", "--out", str(tmp_path / "m.json")]) == 3
+    assert run_apply_and_evaluate(model, bad, tmp_path) == [3, 3]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("non-finite cell at row 3, column 'score'" in line
+                                 for line in err)
+
+
+def test_nan_alpha_is_a_config_error(tmp_path, data):
+    assert main(["fit", "--data", str(data), "--k", "2", "--alpha", "nan",
+                 "--epsilon", "inf", "--out", str(tmp_path / "m.json")]) == 2
+
+
+def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
+    for schema in ({"interval": [1, 0]}, ["not", "a", "dict"]):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"data": str(data), "schema": schema, "alphas": [0.1],
+                                   "ks": [2], "epsilons": ["inf"], "seeds": 1}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -48,6 +48,48 @@ def test_unparseable_cell_reports_location(tmp_path):
         load_csv(path, DatasetSchema(label_col=None))
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", " nan "])
+def test_non_finite_score_rejected_with_location(tmp_path, cell):
+    path = write(tmp_path, f"group,score\nA,0.1\nB,{cell}\nA,0.3\n")
+    with pytest.raises(DataError, match=r"non-finite cell at row 3, column 'score'"):
+        load_csv(path, DatasetSchema(label_col=None))
+
+
+def test_non_finite_label_rejected_with_location(tmp_path):
+    path = write(tmp_path, "group,score,label\nA,0.1,0.2\nB,0.5,0.4\nA,0.9,inf\n")
+    with pytest.raises(DataError, match=r"row 4, column 'label'"):
+        load_csv(path, DatasetSchema())
+
+
+def test_first_bad_cell_in_row_order_is_reported(tmp_path):
+    path = write(tmp_path, "group,score,label\nA,0.1,x\nB,nan,0.4\n")
+    with pytest.raises(DataError, match=r"unparseable cell at row 2, column 'label'"):
+        load_csv(path, DatasetSchema())
+    path = write(tmp_path, "group,score,label\nA,nan,x\n")
+    with pytest.raises(DataError, match=r"non-finite cell at row 2, column 'score'"):
+        load_csv(path, DatasetSchema())
+
+
+def test_short_rows_and_blank_lines(tmp_path):
+    # blank lines are skipped without counting; short rows are rejected
+    path = write(tmp_path, "group,score,label\nA,0.1,0.2\n\nB,0.5\nA,0.9,0.8,extra\nB,zz,0.1\n")
+    with pytest.raises(DataError, match="row 5"):
+        load_csv(path, DatasetSchema())
+    path = write(tmp_path, "group,score,label\nA,0.1,0.2\n\nB,0.5\nA,0.9,0.8,extra\n")
+    s = load_csv(path, DatasetSchema())
+    assert s.n == 2 and np.array_equal(s.labels, [0.2, 0.8])
+
+
+def test_not_utf8_csv_is_a_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("group,score\nÅ,0.1\n".encode("latin-1"))
+    with pytest.raises(DataError, match="UTF-8"):
+        load_csv(path, DatasetSchema(label_col=None))
+    path.write_text("group,score\nA,0.1" + "1" * 200_000 + "\n")  # over the csv field limit
+    with pytest.raises(DataError, match="not a readable"):
+        load_csv(path, DatasetSchema(label_col=None))
+
+
 def test_empty_file(tmp_path):
     path = write(tmp_path, "")
     with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import math
 import pathlib
 
@@ -19,6 +20,12 @@ from fairpost.pipeline import FairPostprocessor, fit, load
 from fairpost.transport import push_forward
 
 
+def predict_rows(model, rows, rng, mode="sample"):
+    """predict_batch over (group, score) rows."""
+    s = GroupedSamples.from_rows(rows)
+    return model.predict_batch(s.groups, s.group_idx, s.scores, rng, mode=mode)
+
+
 def two_group_samples(n_a=300, n_b=200, seed=0):
     rng = np.random.default_rng(seed)
     rows = [("A", float(x)) for x in rng.beta(2, 5, n_a)]
@@ -30,8 +37,8 @@ def test_k_equals_one_is_exactly_fair():
     samples = two_group_samples()
     model = fit(samples, (0, 1), 1, 0.5, 1.0, 3)
     rng = np.random.default_rng(0)
-    preds_a = model.predict_batch([("A", y) for y in np.linspace(0, 1, 50)], rng)
-    preds_b = model.predict_batch([("B", y) for y in np.linspace(0, 1, 50)], rng)
+    preds_a = predict_rows(model, [("A", y) for y in np.linspace(0, 1, 50)], rng)
+    preds_b = predict_rows(model, [("B", y) for y in np.linspace(0, 1, 50)], rng)
     assert (preds_a == 0.5).all() and (preds_b == 0.5).all()
     assert statistical_parity_gap({"A": preds_a, "B": preds_b}, model.grid) == 0.0
 
@@ -58,7 +65,7 @@ def test_predict_identity_kernels_is_pure_discretization():
     model = fit(samples, (0, 1), 8, math.inf, math.inf, 0)
     rng = np.random.default_rng(0)
     for y in (0.03, 0.31, 0.9999):
-        j = fairpost.grid.discretize(model.grid, y)
+        j = fairpost.grid.discretize_many(model.grid, [y])[0]
         assert model.predict("A", y, rng) == model.grid.midpoints[j]
 
 
@@ -80,13 +87,16 @@ def test_predict_follows_deterministic_kernel_row():
 
 def test_predict_batch_empty():
     model = fit(two_group_samples(), (0, 1), 4, 0.1, math.inf, 0)
-    assert len(model.predict_batch([], np.random.default_rng(0))) == 0
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert len(predict_rows(model, [], rng)) == 0
+    assert rng.bit_generator.state == before
 
 
 def test_predict_batch_matches_scalar_loop():
     model = fit(two_group_samples(), (0, 1), 6, 0.2, 1.0, 5)
     rows = [("A", 0.1), ("B", 0.8), ("A", 0.5), ("B", 0.2)] * 10
-    batch = model.predict_batch(rows, np.random.default_rng(33))
+    batch = predict_rows(model, rows, np.random.default_rng(33))
     rng = np.random.default_rng(33)
     loop = [model.predict(a, y, rng) for a, y in rows]
     assert np.array_equal(batch, np.array(loop))
@@ -95,7 +105,7 @@ def test_predict_batch_matches_scalar_loop():
 def test_unknown_group_reports_row_index():
     model = fit(two_group_samples(), (0, 1), 4, 0.1, math.inf, 0)
     with pytest.raises(UnknownGroupError, match="row 1"):
-        model.predict_batch([("A", 0.5), ("C", 0.5)], np.random.default_rng(0))
+        predict_rows(model, [("A", 0.5), ("C", 0.5)], np.random.default_rng(0))
     with pytest.raises(UnknownGroupError):
         model.predict("C", 0.5, np.random.default_rng(0))
 
@@ -107,7 +117,7 @@ def test_monte_carlo_outputs_match_targets():
     for a, label in enumerate(model.groups):
         draws = rng.choice(model.grid.k, size=10 ** 5, p=model.pmfs[a])
         rows = [(label, model.grid.midpoints[j]) for j in draws]
-        preds = model.predict_batch(rows, rng)
+        preds = predict_rows(model, rows, rng)
         hist = np.zeros(model.grid.k)
         for j, v in enumerate(model.grid.midpoints):
             hist[j] = (preds == v).mean()
@@ -157,8 +167,8 @@ def test_serialization_round_trip_bit_identical(tmp_path):
     assert np.array_equal(loaded.kernels.matrices, model.kernels.matrices)
     assert np.array_equal(loaded.grid.midpoints, model.grid.midpoints)
     rows = [("A", 0.3), ("B", 0.6)] * 25
-    a = model.predict_batch(rows, np.random.default_rng(7))
-    b = loaded.predict_batch(rows, np.random.default_rng(7))
+    a = predict_rows(model, rows, np.random.default_rng(7))
+    b = predict_rows(loaded, rows, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
@@ -166,6 +176,42 @@ def test_model_file_rejects_other_formats(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"format": "something-else", "version": 1}')
     with pytest.raises(ValueError):
+        load(path)
+
+
+def saved_document(tmp_path):
+    model = fit(two_group_samples(), (0, 1), 3, 0.1, math.inf, 0)
+    path = tmp_path / "model.json"
+    model.save(path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: d["kernels"].pop(), "2 groups x 9 entries"),
+    (lambda d: d["groups"].append("C"), "3 groups x 9 entries"),
+    (lambda d: d["kernels"][0].pop(), "2 groups x 9 entries"),
+    (lambda d: d["kernels"][1].__setitem__(0, "-0.25"), "nonnegative"),
+    (lambda d: d["kernels"][1].__setitem__(4, "nan"), "nonnegative"),
+    (lambda d: d["kernels"][0].__setitem__(8, "0.999"), "sum to 1"),
+    (lambda d: d.pop("diagnostics"), "malformed model file"),
+    (lambda d: d["grid"].__setitem__("k", None), "malformed model file"),
+])
+def test_load_validates_kernels_and_structure(tmp_path, corrupt, message):
+    path, doc = saved_document(tmp_path)
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
+def test_load_rejects_truncated_and_non_json_files(tmp_path):
+    path, _ = saved_document(tmp_path)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ValueError):
+        load(path)
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(ValueError, match="not a fairpost-model"):
         load(path)
 
 
@@ -179,13 +225,15 @@ def test_fit_validates_hyperparameters():
         fit(samples, (0, 1), 4, -0.1, math.inf, 0)
     with pytest.raises(ValueError):
         fit(samples, (0, 1), 4, 0.1, 0.0, 0)
+    with pytest.raises(ValueError, match="alpha"):
+        fit(samples, (0, 1), 4, math.nan, math.inf, 0)
 
 
 def test_barycentric_mode_is_row_mean():
     model = fit(two_group_samples(), (0, 1), 5, 0.1, math.inf, 0)
     rng = np.random.default_rng(0)
     y = 0.4
-    j = fairpost.grid.discretize(model.grid, y)
+    j = fairpost.grid.discretize_many(model.grid, [y])[0]
     expected = float(model.kernels.matrices[0, j] @ model.grid.midpoints)
     assert model.predict("A", y, rng, mode="barycentric") == pytest.approx(expected)
     # no stream consumption in barycentric mode is not promised; only values

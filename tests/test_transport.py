@@ -1,12 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairpost.barycenter_lp import build_lp, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.grid import make_grid
-from fairpost.transport import apply_sample, extract_kernels, push_forward, row_means
+from fairpost.transport import (TransportKernels, extract_kernels, push_forward, row_means,
+                                sample_bins)
 
 
 def dists_from_pmfs(pmfs, weights=None):
@@ -108,27 +111,28 @@ def test_push_forward_point_mass_reads_row():
     assert np.allclose(push_forward(kern, 0, p), kern.matrices[0, 0])
 
 
-def test_apply_sample_identity_row():
+def draw_bins(kern, a, j, u):
+    n = len(u)
+    return sample_bins(kern, np.full(n, a), np.full(n, j), np.asarray(u, dtype=float))
+
+
+def test_sample_bins_identity_row():
     _, d, sol = solved_example()
     kern = extract_kernels(sol, d)
-    rng = np.random.default_rng(0)
-    assert all(apply_sample(kern, 0, 1, rng) == 1 for _ in range(20))
+    assert (draw_bins(kern, 0, 1, np.random.default_rng(0).random(20)) == 1).all()
 
 
-def test_apply_sample_deterministic_row():
+def test_sample_bins_deterministic_row():
     _, d, sol = solved_example()
     kern = extract_kernels(sol, d)  # row 0 of group 0 is (0, 1, 0)
-    rng = np.random.default_rng(0)
-    assert all(apply_sample(kern, 0, 0, rng) == 1 for _ in range(20))
+    assert (draw_bins(kern, 0, 0, np.random.default_rng(0).random(20)) == 1).all()
 
 
-def test_apply_sample_monte_carlo_frequencies():
-    from fairpost.transport import TransportKernels
+def test_sample_bins_monte_carlo_frequencies():
     kern = TransportKernels(matrices=np.array([[[0.5, 0.5, 0.0],
                                                 [0.0, 1.0, 0.0],
                                                 [0.0, 0.0, 1.0]]]))
-    rng = np.random.default_rng(123)
-    draws = np.array([apply_sample(kern, 0, 0, rng) for _ in range(10 ** 5)])
+    draws = draw_bins(kern, 0, 0, np.random.default_rng(123).random(10 ** 5))
     freq = np.bincount(draws, minlength=3) / len(draws)
     assert np.abs(freq - [0.5, 0.5, 0.0]).max() < 0.01
 
@@ -148,6 +152,38 @@ def test_kernel_row_cdfs_are_ordered_on_mass_bearing_rows():
             cdfs = np.cumsum(kern.matrices[a], axis=1)
             for lo, hi in zip(mass_rows[:-1], mass_rows[1:]):
                 assert (cdfs[lo] >= cdfs[hi] - 1e-9).all()
+
+
+def extract_kernels_loop(couplings, pmfs):
+    """Per-row reference: clip, divide by the row total, identity rows where
+    the input bin has no mass or the clipped row sums to zero."""
+    n_groups, k, _ = couplings.shape
+    out = np.zeros_like(couplings)
+    for a in range(n_groups):
+        np.fill_diagonal(out[a], 1.0)
+        for j in range(k):
+            if pmfs[a, j] > 0.0:
+                row = np.clip(couplings[a, j], 0.0, None)
+                total = row.sum()
+                if total > 0.0:
+                    out[a, j] = row / total
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 160), st.integers(0, 2 ** 32 - 1))
+def test_extract_kernels_matches_per_row_loop_bit_for_bit(n_groups, k, seed):
+    rng = np.random.default_rng(seed)
+    pmfs = rng.random((n_groups, k)) * (rng.random((n_groups, k)) < 0.7)
+    pmfs[pmfs.sum(axis=1) == 0.0, 0] = 1.0
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    couplings = rng.random((n_groups, k, k)) * (rng.random((n_groups, k, k)) < 0.4)
+    couplings *= pmfs[:, :, None] / np.maximum(couplings.sum(axis=2, keepdims=True), 1e-300)
+    couplings += rng.normal(0.0, 1e-12, couplings.shape)  # solver dust, some negative
+    couplings[rng.random((n_groups, k)) < 0.1] = -1e-13  # rows clipped to zero
+    sol = SimpleNamespace(couplings=couplings)
+    kern = extract_kernels(sol, dists_from_pmfs(pmfs))
+    assert np.array_equal(kern.matrices, extract_kernels_loop(couplings, pmfs))
 
 
 def test_row_means_barycentric_projection():
