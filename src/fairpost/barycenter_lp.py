@@ -1,18 +1,35 @@
 """Relaxed Wasserstein-barycenter linear program over grid distributions.
 
-Variables are per-group couplings pi_a (k x k), a barycenter center q
-(k), and per-group target distributions q_a (k), all nonnegative.  The
-objective is the weighted squared-displacement transport cost; equality
-rows pin the coupling marginals to the input PMFs and the targets, and
-paired one-sided inequality rows keep every target's partial sums within
-alpha/2 of the center's, i.e. each q_a inside the KS ball around q.
+Variables are per-group couplings pi_a (k x k), the running sums Q(L) of
+the barycenter center q, and the running sums S_a(L) of the per-group
+targets q_a, all nonnegative.  The objective is the weighted
+squared-displacement transport cost.  Equality rows pin each coupling's row
+sums to the input PMF p_a and make its column sums the steps of S_a,
+sum_j pi_a(j, l) = S_a(l) - S_a(l - 1); the targets are the coupling column
+sums and have no variables of their own.  Each KS row is
++-(S_a(L) - Q(L)) <= alpha/2 with two nonzeros, keeping every q_a inside the
+KS ball around q, and rows Q(L - 1) <= Q(L) keep the center nonnegative.
 
-The solve itself is delegated to HiGHS (scipy.optimize.linprog); the
-monotone-coupling oracle in :mod:`fairpost.metrics` stays an independent
-check on the answers.  Solutions are repaired before they are returned:
-negative float dust is clipped, targets are recomputed from the coupling
-column sums, and every coupling is replaced by the monotone coupling with
-the same marginals, which must not change the cost.
+:func:`solve` does not hand HiGHS all G*k*k coupling columns.  Every optimal
+coupling is monotone, so the optimum lies on O(G*k) of them.  The restricted
+master starts from the columns (a, j, l) whose quantile intervals under p_a
+and under the quantile-average barycenter b overlap within alpha/2; that band
+holds the monotone coupling p_a -> b, so q_a = q = b is feasible.  After each
+solve the equality duals price every coupling column in one pass,
+w_a (v_j - v_l)^2 - y_row[a, j] - y_col[a, l]; the omitted columns pricing
+below -tol join the master, which is solved again.  When none is left the
+restricted optimum is optimal for the full program (Dantzig-Wolfe /
+Gilmore-Gomory pricing).  A restricted master that comes back infeasible is
+replaced by the full program.
+
+Solutions are repaired before they are returned: negative float dust is
+clipped, targets are recomputed from the coupling column sums, and every
+coupling is replaced by the monotone coupling with the same marginals, which
+must not change the cost.  The repaired solution is then certified: coupling
+row sums equal p_a, column sums equal the targets, every target lies within
+alpha/2 + 1e-8 of the center in KS distance, and no coupling column prices
+below -tol under the final duals.  The monotone-coupling oracle in
+:mod:`fairpost.metrics` stays an independent check on the answers.
 """
 
 from __future__ import annotations
@@ -33,6 +50,12 @@ from .metrics import monotone_coupling
 _NEG_DUST = 1e-9
 # tolerated cost change under monotone rearrangement of an optimal coupling
 _REARRANGE_TOL = 1e-9
+# a coupling column pricing below -_PRICE_TOL enters the master; with at most
+# unit mass per group this bounds the objective gap by n_groups * _PRICE_TOL
+_PRICE_TOL = 1e-10
+# certificate tolerances on the repaired marginals and on the KS radius
+_MARGIN_TOL = 1e-9
+_KS_TOL = 1e-8
 # tightened HiGHS tolerances; the default 1e-7 leaves too much marginal dust
 # for the rearrangement check
 _HIGHS_OPTIONS = {
@@ -43,8 +66,9 @@ _HIGHS_OPTIONS = {
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Assembled LP data.  Variable layout: couplings first (group-major,
-    then row, then column), the center q, then the targets q_a."""
+    """The full program, all G*k*k coupling columns included.  Variable
+    layout: couplings first (group-major, then row, then column), the center
+    running sums Q, then the target running sums S_a (group-major)."""
 
     n_groups: int
     k: int
@@ -62,15 +86,6 @@ class LpInstance:
     def n_vars(self) -> int:
         return self.n_groups * self.k * self.k + self.k + self.n_groups * self.k
 
-    def coupling_var(self, a: int, j: int, l: int) -> int:
-        return (a * self.k + j) * self.k + l
-
-    def center_var(self, j: int) -> int:
-        return self.n_groups * self.k * self.k + j
-
-    def target_var(self, a: int, j: int) -> int:
-        return self.n_groups * self.k * self.k + self.k + a * self.k + j
-
 
 @dataclass(frozen=True)
 class BarycenterSolution:
@@ -82,9 +97,10 @@ class BarycenterSolution:
 
 def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
     """Assemble the LP for the given private distributions and KS radius
-    alpha/2.  alpha = +inf drops the KS rows entirely; alpha = 0 keeps them
-    as paired <= 0 constraints, forcing every target equal to the center.
-    Zero-weight groups stay in the instance with zero objective weight.
+    alpha/2.  alpha = +inf drops the KS and center rows entirely; alpha = 0
+    keeps the KS rows as paired <= 0 constraints, forcing every target equal
+    to the center.  Zero-weight groups stay in the instance with zero
+    objective weight.
     """
     if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
@@ -95,49 +111,41 @@ def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
     weights = np.asarray(dists.weights, dtype=float)
     pmfs = np.asarray(dists.pmfs, dtype=float)
 
-    nc = n_groups * k * k           # coupling variables
-    n_vars = nc + k + n_groups * k
+    gk = n_groups * k
+    nc = gk * k                     # coupling variables
+    n_vars = nc + k + gk
 
     sq = (v[:, None] - v[None, :]) ** 2
     cost = np.zeros(n_vars)
     cost[:nc] = np.repeat(weights, k * k) * np.tile(sq.ravel(), n_groups)
 
-    # equality block 1: row marginals, sum_l pi_a(j, l) = p_a(j)
-    rows1 = np.repeat(np.arange(n_groups * k), k)
-    cols1 = np.arange(nc)
-    # equality block 2: column marginals, sum_j pi_a(j, l) - q_a(l) = 0
     cvars = np.arange(nc)
-    rows2 = n_groups * k + (cvars // (k * k)) * k + (cvars % k)
-    cols2 = cvars
-    rows2t = n_groups * k + np.arange(n_groups * k)
-    cols2t = nc + k + np.arange(n_groups * k)
-
-    eq_rows = np.concatenate([rows1, rows2, rows2t])
-    eq_cols = np.concatenate([cols1, cols2, cols2t])
-    eq_data = np.concatenate([np.ones(nc), np.ones(nc), -np.ones(n_groups * k)])
-    a_eq = sparse.coo_matrix((eq_data, (eq_rows, eq_cols)),
-                             shape=(2 * n_groups * k, n_vars)).tocsr()
-    b_eq = np.concatenate([pmfs.ravel(), np.zeros(n_groups * k)])
+    steps = np.arange(gk)           # (a, l) as a * k + l
+    later = steps[steps % k != 0]   # the steps with an S_a(l - 1) term
+    s_var = nc + k + steps
+    # rows 0..gk: sum_l pi_a(j, l) = p_a(j)
+    # rows gk..2gk: sum_j pi_a(j, l) - S_a(l) + S_a(l - 1) = 0
+    eq_rows = np.concatenate([cvars // k, gk + (cvars // (k * k)) * k + cvars % k,
+                              gk + steps, gk + later])
+    eq_cols = np.concatenate([cvars, cvars, s_var, s_var[later] - 1])
+    eq_data = np.concatenate([np.ones(2 * nc), -np.ones(gk), np.ones(len(later))])
+    a_eq = sparse.coo_matrix((eq_data, (eq_rows, eq_cols)), shape=(2 * gk, n_vars)).tocsr()
+    b_eq = np.concatenate([pmfs.ravel(), np.zeros(gk)])
 
     if math.isinf(alpha):
         a_ub, b_ub = None, None
     else:
-        # KS rows: +-(sum_{j <= L} q_a(j) - q(j)) <= alpha / 2
-        tri_l, tri_j = np.tril_indices(k)
-        nnz = len(tri_l)
-        ub_rows, ub_cols, ub_data = [], [], []
-        for a in range(n_groups):
-            upper = 2 * a * k + tri_l
-            lower = 2 * a * k + k + tri_l
-            t_cols = nc + k + a * k + tri_j
-            q_cols = nc + tri_j
-            ub_rows.extend([upper, upper, lower, lower])
-            ub_cols.extend([t_cols, q_cols, t_cols, q_cols])
-            ub_data.extend([np.ones(nnz), -np.ones(nnz), -np.ones(nnz), np.ones(nnz)])
-        a_ub = sparse.coo_matrix(
-            (np.concatenate(ub_data), (np.concatenate(ub_rows), np.concatenate(ub_cols))),
-            shape=(2 * n_groups * k, n_vars)).tocsr()
-        b_ub = np.full(2 * n_groups * k, alpha / 2.0)
+        # KS rows: +-(S_a(L) - Q(L)) <= alpha / 2; center rows: Q(L - 1) - Q(L) <= 0
+        q_var = nc + steps % k
+        mono = 2 * gk + np.arange(k - 1)
+        ub_rows = np.concatenate([steps, steps, gk + steps, gk + steps, mono, mono])
+        ub_cols = np.concatenate([s_var, q_var, s_var, q_var,
+                                  nc + np.arange(k - 1), nc + 1 + np.arange(k - 1)])
+        ub_data = np.concatenate([np.ones(gk), -np.ones(gk), -np.ones(gk), np.ones(gk),
+                                  np.ones(k - 1), -np.ones(k - 1)])
+        a_ub = sparse.coo_matrix((ub_data, (ub_rows, ub_cols)),
+                                 shape=(2 * gk + k - 1, n_vars)).tocsr()
+        b_ub = np.concatenate([np.full(2 * gk, alpha / 2.0), np.zeros(k - 1)])
 
     return LpInstance(n_groups=n_groups, k=k, alpha=float(alpha), weights=weights,
                       pmfs=pmfs, midpoints=np.asarray(v, dtype=float), cost=cost,
@@ -186,13 +194,59 @@ def _repair(lp: LpInstance, pi: np.ndarray, q: np.ndarray) -> BarycenterSolution
                               objective=objective_after)
 
 
+def _seed_mask(lp: LpInstance) -> np.ndarray:
+    """Coupling columns (a, j, l) whose quantile intervals under p_a and under
+    the quantile-average barycenter b overlap within alpha/2.
+
+    b is the alpha = 0 barycenter (Agueh & Carlier 2011) rounded to the grid:
+    on each piece of [0, 1] between the groups' CDF breakpoints it puts the
+    piece's mass on the weighted mean of the groups' quantile bins."""
+    cdfs = np.cumsum(lp.pmfs, axis=1)
+    wtot = lp.weights.sum()
+    w = lp.weights / wtot if wtot > 0 else np.full(lp.n_groups, 1.0 / lp.n_groups)
+    edges = np.union1d(0.0, cdfs)
+    widths = np.diff(edges)
+    mids = edges[:-1] + widths / 2
+    # count of CDF entries <= u is the quantile bin of u, clamped to k - 1
+    bins = np.minimum((cdfs[:, None, :] <= mids[:, None]).sum(axis=2), lp.k - 1)
+    center = np.rint(w @ bins).astype(np.intp)
+    b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
+
+    half = lp.alpha / 2.0
+    lo = np.concatenate([np.zeros((lp.n_groups, 1)), cdfs[:, :-1]], axis=1) - half
+    hi = cdfs + half
+    b_lo = np.concatenate([[0.0], b_cdf[:-1]])
+    return (lo[:, :, None] <= b_cdf) & (b_lo <= hi[:, :, None])
+
+
+def _certify(lp: LpInstance, sol: BarycenterSolution, worst_price: float) -> None:
+    """Raise SolverFailure unless the repaired solution is feasible for the
+    full program and the final duals price no coupling column below -tol."""
+    faults = []
+    row_err = np.abs(sol.couplings.sum(axis=2) - lp.pmfs).max()
+    if row_err > _MARGIN_TOL:
+        faults.append(f"coupling row sums miss the input pmfs by {row_err}")
+    col_err = np.abs(sol.couplings.sum(axis=1) - sol.targets).max()
+    if col_err > _MARGIN_TOL:
+        faults.append(f"coupling column sums miss the targets by {col_err}")
+    ks = np.abs(np.cumsum(sol.targets - sol.barycenter, axis=1)).max()
+    if ks > lp.alpha / 2 + _KS_TOL:
+        faults.append(f"KS(target, barycenter) {ks} exceeds alpha/2 = {lp.alpha / 2}")
+    if worst_price < -_PRICE_TOL:
+        faults.append(f"a coupling column prices at {worst_price}, below -{_PRICE_TOL}")
+    if faults:
+        raise SolverFailure("solution fails its certificate: " + "; ".join(faults))
+
+
 def solve(lp: LpInstance) -> BarycenterSolution:
-    """Solve the instance to optimality and repair the solution.
+    """Solve the instance to optimality by column generation, then repair and
+    certify the solution.
 
     alpha = +inf short-circuits the LP entirely: identity couplings, each
     target equal to its input distribution, zero objective (the
     not-post-processed baseline).  Raises :class:`SolverFailure` when the
-    backend reports anything but clean convergence.
+    backend reports anything but clean convergence on a feasible master, or
+    when the solution fails its certificate.
     """
     if math.isinf(lp.alpha):
         couplings = np.zeros((lp.n_groups, lp.k, lp.k))
@@ -206,20 +260,42 @@ def solve(lp: LpInstance) -> BarycenterSolution:
         return BarycenterSolution(couplings=couplings, barycenter=center,
                                   targets=lp.pmfs.copy(), objective=0.0)
 
-    res = linprog(lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                  bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise SolverFailure(f"LP solve failed (status {res.status}): {res.message}")
-    x = res.x
-    nc = lp.n_groups * lp.k * lp.k
+    gk = lp.n_groups * lp.k
+    nc = gk * lp.k
+    price = lp.cost[:nc].reshape(lp.n_groups, lp.k, lp.k)
+    a_eq, a_ub = lp.a_eq.tocsc(), lp.a_ub.tocsc()
+    mask = _seed_mask(lp)
+    while True:
+        keep = np.concatenate([np.flatnonzero(mask), np.arange(nc, lp.n_vars)])
+        res = linprog(lp.cost[keep], A_ub=a_ub[:, keep], b_ub=lp.b_ub,
+                      A_eq=a_eq[:, keep], b_eq=lp.b_eq,
+                      bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
+        if res.status == 2 and not mask.all():
+            # the band missed a column feasibility needs; fall back to all of them
+            mask[:] = True
+            continue
+        if res.status != 0:
+            raise SolverFailure(f"LP solve failed (status {res.status}): {res.message}")
+        y = res.eqlin.marginals
+        reduced = (price - y[:gk].reshape(lp.n_groups, lp.k, 1)
+                   - y[gk:].reshape(lp.n_groups, 1, lp.k))
+        entering = (reduced < -_PRICE_TOL) & ~mask
+        if not entering.any():
+            break
+        mask |= entering
+
+    x = np.zeros(lp.n_vars)
+    x[keep] = res.x
     pi = x[:nc].reshape(lp.n_groups, lp.k, lp.k)
-    q = x[nc:nc + lp.k]
-    return _repair(lp, pi, q)
+    q = np.diff(x[nc:nc + lp.k], prepend=0.0)
+    sol = _repair(lp, pi, q)
+    _certify(lp, sol, float(reduced.min()))
+    return sol
 
 
 def lp_text(lp: LpInstance) -> str:
-    """Render the instance in CPLEX LP interchange format (12 significant
-    digits) for cross-checking with external solvers."""
+    """Render the full instance in CPLEX LP interchange format (12
+    significant digits) for cross-checking with external solvers."""
 
     def num(x: float) -> str:
         return format(float(x), ".12g")
@@ -231,9 +307,9 @@ def lp_text(lp: LpInstance) -> str:
             j, l = divmod(rest, lp.k)
             return f"pi_{a}_{j}_{l}"
         if i < nc + lp.k:
-            return f"q_{i - nc}"
+            return f"Q_{i - nc}"
         a, j = divmod(i - nc - lp.k, lp.k)
-        return f"qa_{a}_{j}"
+        return f"S_{a}_{j}"
 
     def terms(row) -> str:
         parts = []

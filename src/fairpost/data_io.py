@@ -181,11 +181,9 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
                 raise DataError(f"{path}: missing column(s) {sorted(missing)}")
             pick = operator.itemgetter(*(position[c] for c in columns))
             width = 1 + max(position[c] for c in columns)
-            lineno = 1
             for row in reader:
                 if not row:  # blank lines are skipped, as csv.DictReader does
                     continue
-                lineno += 1
                 if len(row) < width or not all(map(str.strip, cells := pick(row))):
                     rejected += 1  # a declared cell is missing or empty
                     continue
@@ -195,7 +193,7 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
                 except ValueError:
                     finite = False
                 if not finite:
-                    raise _bad_cell(path, lineno, zip(columns[1:], cells[1:]))
+                    raise _bad_cell(path, reader.line_num, zip(columns[1:], cells[1:]))
                 g = cells[0].strip()
                 if g not in index:
                     index[g] = len(groups)
@@ -224,7 +222,8 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
 
 def _bad_cell(path, lineno: int, named_cells) -> DataError:
     """The error for the first (column, cell) pair that is unparseable or
-    not finite."""
+    not finite; ``lineno`` is the physical file line, counting the header
+    and blank lines."""
     for name, cell in named_cells:
         try:
             problem = None if math.isfinite(float(cell)) else "non-finite"

@@ -1,9 +1,11 @@
-"""Independent LP oracle shared by the LP tests.
+"""Independent LP oracles shared by the LP tests.
 
 ``fixed_target_cost`` solves the plain transport LP with both marginals
 pinned, which bridges the barycenter LP to the monotone-coupling oracle in
-:mod:`fairpost.metrics`.  It lives with the tests because nothing in the
-package needs it.
+:mod:`fairpost.metrics`.  ``full_lp_objective`` solves the full barycenter
+program, every coupling column included, in one HiGHS call: the reference
+for column generation in ``barycenter_lp.solve``.  They live with the tests
+because nothing in the package needs them.
 """
 
 import numpy as np
@@ -36,4 +38,13 @@ def fixed_target_cost(p, q, grid: Grid) -> float:
                   options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise SolverFailure(f"transport LP failed (status {res.status}): {res.message}")
+    return float(res.fun)
+
+
+def full_lp_objective(lp) -> float:
+    """Optimal objective of the full program that ``build_lp`` assembled."""
+    res = linprog(lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                  bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise SolverFailure(f"full LP failed (status {res.status}): {res.message}")
     return float(res.fun)

@@ -23,7 +23,7 @@ from fairpost.grid import make_grid
 from fairpost.metrics import ks_distance, monotone_coupling, statistical_parity_gap, w2sq_monotone
 from fairpost.pipeline import fit
 from fairpost.transport import extract_kernels, push_forward
-from lp_oracles import fixed_target_cost
+from lp_oracles import fixed_target_cost, full_lp_objective
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 LAW_SCHOOL_CSV = DATA_DIR / "law_school.csv"
@@ -152,6 +152,14 @@ def enumerate_simplex(k, denominator):
         yield np.diff((0,) + cuts + (denominator,)) / denominator
 
 
+def both_routes(lp):
+    """The objective by column generation (``solve``) and by the full program
+    in one HiGHS call; the two must agree within 1e-9."""
+    routes = (solve(lp).objective, full_lp_objective(lp))
+    assert routes[0] == pytest.approx(routes[1], abs=1e-9)
+    return routes
+
+
 def test_criterion_03_lp_correctness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(31)
@@ -168,8 +176,8 @@ def test_criterion_03_lp_correctness():
         k = int(rng.integers(1, 9))
         g = make_grid(0, 1, k)
         p = random_pmf(rng, k)
-        sol = solve(build_lp(dists_from_pmfs([p], [1.0]), g, 0.0))
-        assert sol.objective == pytest.approx(w2sq_monotone(p, p, g)[0], abs=1e-7)
+        for objective in both_routes(build_lp(dists_from_pmfs([p], [1.0]), g, 0.0)):
+            assert objective == pytest.approx(w2sq_monotone(p, p, g)[0], abs=1e-7)
 
     # (b) two-group equal-weight instances with on-grid quantile averages
     checked_b = 0
@@ -184,8 +192,8 @@ def test_criterion_03_lp_correctness():
         q = np.zeros(k)
         p[:len(core)] = core
         q[2 * shift:] = core
-        sol = solve(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), g, 0.0))
-        assert sol.objective == pytest.approx(0.25 * w2sq_monotone(p, q, g)[0], abs=1e-7)
+        for objective in both_routes(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), g, 0.0)):
+            assert objective == pytest.approx(0.25 * w2sq_monotone(p, q, g)[0], abs=1e-7)
         checked_b += 1
 
     # (c) opposed point masses against a simplex-grid enumeration oracle
@@ -197,16 +205,18 @@ def test_criterion_03_lp_correctness():
         c = sum(w * w2sq_monotone(p, cand, g3)[0] for p, w in zip(pmfs, weights))
         if c < best_cost:
             best_q, best_cost = cand, c
-    sol = solve(build_lp(dists_from_pmfs(pmfs, weights), g3, 0.0))
+    lp3 = build_lp(dists_from_pmfs(pmfs, weights), g3, 0.0)
+    sol = solve(lp3)
     assert best_cost == pytest.approx(1 / 9)
     assert np.allclose(best_q, [0, 1, 0])
-    assert sol.objective == pytest.approx(1 / 9, abs=1e-9)
+    for objective in both_routes(lp3):
+        assert objective == pytest.approx(1 / 9, abs=1e-9)
     assert np.allclose(sol.barycenter, [0, 1, 0], atol=1e-9)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(3, f"LP matches the transport, quantile-average, and enumeration "
-              f"oracles ({elapsed:.2f}s)")
+    report(3, f"LP (column generation and full program) matches the transport, "
+              f"quantile-average, and enumeration oracles ({elapsed:.2f}s)")
 
 
 # ---------------------------------------------------------------- criterion 4

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fairpost import barycenter_lp
 from fairpost.barycenter_lp import build_lp, lp_text, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from fairpost.metrics import ks_distance, w2sq_monotone
-from lp_oracles import fixed_target_cost
+from fairpost.metrics import ks_distance, monotone_coupling, w2sq_monotone
+from lp_oracles import fixed_target_cost, full_lp_objective
 
 
 def dists_from_pmfs(pmfs, weights=None):
@@ -46,9 +48,14 @@ def test_variable_and_row_counts():
     g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]], [0.5, 0.5])
     lp = build_lp(d, g, 0.1)
+    # couplings, center running sums Q, target running sums S_a
     assert lp.n_vars == 2 * 9 + 3 + 2 * 3 == 27
+    # row marginals, column marginals as running-sum steps
     assert lp.a_eq.shape[0] == 2 * 2 * 3
-    assert lp.a_ub.shape[0] == 2 * 2 * 3
+    assert lp.a_eq.nnz == 2 * 2 * 9 + 2 * (2 * 3 - 1)
+    # paired KS rows with two nonzeros each, then k - 1 center rows
+    assert lp.a_ub.shape[0] == 2 * 2 * 3 + 2
+    assert np.array_equal(np.diff(lp.a_ub.indptr), [2] * 14)
 
 
 def test_infinite_alpha_omits_ks_rows():
@@ -62,7 +69,7 @@ def test_zero_alpha_keeps_paired_rows_at_zero():
     g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]])
     lp = build_lp(d, g, 0.0)
-    assert lp.a_ub.shape[0] == 12
+    assert lp.a_ub.shape[0] == 12 + 2
     assert (lp.b_ub == 0).all()
 
 
@@ -271,6 +278,82 @@ def test_objective_monotone_in_alpha():
         assert lo <= hi + 1e-8
 
 
+# ---------------------------------------------------------- column generation
+
+# a bin's mass: empty, float dust, or an ordinary share
+MASSES = st.one_of(st.just(0.0), st.floats(1e-30, 1e-15), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def lp_instances(draw):
+    n_groups = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 40))
+    pmfs = []
+    for _ in range(n_groups):
+        x = np.array(draw(st.lists(MASSES, min_size=k, max_size=k)))
+        if x.sum() == 0:
+            x[draw(st.integers(0, k - 1))] = 1.0
+        pmfs.append(x / x.sum())
+    weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                            min_size=n_groups, max_size=n_groups))
+    alpha = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 2.0]))
+    return build_lp(dists_from_pmfs(pmfs, weights), make_grid(0, 1, k), alpha)
+
+
+@settings(deadline=None, max_examples=40)
+@given(lp_instances())
+def test_column_generation_matches_full_lp(lp):
+    sol = solve(lp)
+    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+    assert_solution_invariants(lp, sol, lp.alpha)
+
+
+def recording_linprog(monkeypatch):
+    """Wrap the solver's linprog; returns the (columns, status) of each call."""
+    calls = []
+    real = barycenter_lp.linprog
+
+    def wrapped(c, **kwargs):
+        res = real(c, **kwargs)
+        calls.append((len(c), res.status))
+        return res
+    monkeypatch.setattr(barycenter_lp, "linprog", wrapped)
+    return calls
+
+
+def test_infeasible_master_falls_back_to_every_column(monkeypatch):
+    """A diagonal-only master pins each target to its input, which alpha = 0
+    makes infeasible for distinct inputs."""
+    rng = np.random.default_rng(11)
+    g = make_grid(0, 1, 8)
+    lp = build_lp(dists_from_pmfs([random_pmf(rng, 8) for _ in range(3)]), g, 0.0)
+    monkeypatch.setattr(barycenter_lp, "_seed_mask", lambda lp: np.tile(
+        np.eye(lp.k, dtype=bool), (lp.n_groups, 1, 1)))
+    calls = recording_linprog(monkeypatch)
+    sol = solve(lp)
+    assert calls[0] == (3 * 8 + 8 + 3 * 8, 2)
+    assert calls[1] == (lp.n_vars, 0)
+    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
+def test_pricing_grows_a_feasible_master_to_the_optimum(monkeypatch, alpha):
+    """The monotone supports to the uniform pmf give a feasible master
+    (q_a = q = uniform) that is not optimal; pricing must add columns."""
+    rng = np.random.default_rng(12)
+    k = 10
+    pmfs = [random_pmf(rng, k) for _ in range(3)]
+    lp = build_lp(dists_from_pmfs(pmfs, [0.5, 0.3, 0.2]), make_grid(0, 1, k), alpha)
+    uniform = np.full(k, 1.0 / k)
+    monkeypatch.setattr(barycenter_lp, "_seed_mask", lambda lp: np.array(
+        [monotone_coupling(p, uniform) > 0 for p in lp.pmfs]))
+    calls = recording_linprog(monkeypatch)
+    sol = solve(lp)
+    assert len(calls) > 1 and all(status == 0 for _, status in calls)
+    assert calls[-1][0] > calls[0][0]
+    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+
+
 # ------------------------------------------------------------------- lp dump
 
 
@@ -282,7 +365,7 @@ def test_lp_text_dump_structure():
     assert text.startswith("\\")
     for section in ("Minimize", "Subject To", "Bounds", "End"):
         assert section in text
-    for name in ("pi_0_0_0", "pi_0_1_1", "q_0", "qa_0_1"):
+    for name in ("pi_0_0_0", "pi_0_1_1", "Q_0", "S_0_1"):
         assert name in text
     # marginal row carries the input mass at 12 significant digits
     assert "= 0.25" in text

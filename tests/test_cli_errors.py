@@ -98,3 +98,27 @@ def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
         cfg.write_text(json.dumps({"data": str(data), "schema": schema, "alphas": [0.1],
                                    "ks": [2], "epsilons": ["inf"], "seeds": 1}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("corrupt", ["center", "duals"])
+def test_solution_failing_its_certificate_is_a_solver_error(tmp_path, data, monkeypatch,
+                                                            capsys, corrupt):
+    """Corrupt every linprog result: zeroed center running sums break the
+    KS bound, shifted equality duals price every column below -tol."""
+    from fairpost import barycenter_lp
+    real = barycenter_lp.linprog
+    n_groups, k = 2, 4
+
+    def corrupted(c, **kwargs):
+        res = real(c, **kwargs)
+        if corrupt == "center":
+            res.x[len(c) - k - n_groups * k:len(c) - n_groups * k] = 0.0
+        else:
+            res.eqlin.marginals = res.eqlin.marginals + 1.0
+        return res
+    monkeypatch.setattr(barycenter_lp, "linprog", corrupted)
+    assert main(["fit", "--data", str(data), "--k", str(k), "--alpha", "0.1",
+                 "--epsilon", "inf", "--out", str(tmp_path / "m.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: solution fails its certificate")
+    assert ("KS(target, barycenter)" if corrupt == "center" else "prices at") in err

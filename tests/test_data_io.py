@@ -71,9 +71,10 @@ def test_first_bad_cell_in_row_order_is_reported(tmp_path):
 
 
 def test_short_rows_and_blank_lines(tmp_path):
-    # blank lines are skipped without counting; short rows are rejected
+    # blank lines are skipped, short rows are rejected, and a bad cell is
+    # reported at its physical file line
     path = write(tmp_path, "group,score,label\nA,0.1,0.2\n\nB,0.5\nA,0.9,0.8,extra\nB,zz,0.1\n")
-    with pytest.raises(DataError, match="row 5"):
+    with pytest.raises(DataError, match="row 6"):
         load_csv(path, DatasetSchema())
     path = write(tmp_path, "group,score,label\nA,0.1,0.2\n\nB,0.5\nA,0.9,0.8,extra\n")
     s = load_csv(path, DatasetSchema())

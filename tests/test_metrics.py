@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fairpost.grid import make_grid
+from fairpost.grid import discretize_many, make_grid
 from fairpost.metrics import (ks_distance, l1_distance, linf_distance, monotone_coupling,
                               mse, statistical_parity_gap, w2sq_monotone)
 
@@ -182,6 +182,23 @@ def test_parity_gap_all_empty_raises():
     g = make_grid(0, 1, 2)
     with pytest.raises(ValueError):
         statistical_parity_gap({"A": [], "B": []}, g)
+
+
+def pairwise_parity_gap(seqs, grid):
+    """The O(G^2) definition: max KS distance over every pair of groups."""
+    hists = [np.bincount(discretize_many(grid, np.asarray(ys, dtype=float)),
+                         minlength=grid.k) / len(ys) for ys in seqs if len(ys)]
+    return max((ks_distance(a, b) for i, a in enumerate(hists) for b in hists[i + 1:]),
+               default=0.0)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 64),
+       st.lists(st.lists(st.floats(-0.2, 1.2), max_size=40), min_size=1, max_size=8)
+       .filter(lambda seqs: any(seqs)))
+def test_parity_gap_matches_pairwise_definition(k, seqs):
+    g = make_grid(0, 1, k)
+    assert abs(statistical_parity_gap(seqs, g) - pairwise_parity_gap(seqs, g)) <= 1e-15
 
 
 # ------------------------------------------------------------------------ mse
