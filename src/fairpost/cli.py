@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, pipeline, sweep
 from .barycenter_lp import build_lp, lp_text
-from .data_io import DatasetSchema, load_csv
+from .data_io import BLOCK_ROWS, DatasetSchema, format_floats, load_csv
 from .dp_estimation import PrivateGroupDists
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 from .metrics import mse, statistical_parity_gap
@@ -109,15 +109,25 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _write_predictions(fh, samples, preds, seed: int) -> None:
+    """The ``apply`` output: a metadata line, the header, then one
+    ``group,score,prediction`` line per row in raw units, floats as ``repr``."""
+    tr = samples.transform
+    # predictions take at most G * k distinct values; each is formatted once
+    preds = format_floats(tr.to_raw(preds))
+    fh.write(f"# fairpost {__version__} master_seed={seed}\n")
+    fh.write("group,score,prediction\n")
+    for i in range(0, samples.n, BLOCK_ROWS):
+        block = slice(i, i + BLOCK_ROWS)
+        lines = zip(map(samples.groups.__getitem__, samples.group_idx[block].tolist()),
+                    map(repr, tr.to_raw(samples.scores[block]).tolist()), preds[block])
+        fh.write("\n".join(map(",".join, lines)) + "\n")
+
+
 def _cmd_apply(args) -> int:
     _, samples, preds = _predict(args, args.mode)
-    raw = samples.transform.to_raw(preds).tolist()
-    raw_scores = samples.transform.to_raw(samples.scores).tolist()
-    labels = [samples.groups[i] for i in samples.group_idx.tolist()]
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fairpost {__version__} master_seed={args.seed}\n")
-        fh.write("group,score,prediction\n")
-        fh.writelines(f"{g},{y!r},{p!r}\n" for g, y, p in zip(labels, raw_scores, raw))
+        _write_predictions(fh, samples, preds, args.seed)
     print(f"wrote {samples.n} predictions to {args.out}")
     return 0
 

@@ -5,6 +5,13 @@ UTF-8 encoding.  Canonical columns: ``group`` (string), ``score`` (decimal),
 ``label`` (decimal, optional).  Raw-dataset feature handling lives in the
 checked-in recipes under ``scripts/``; the library only consumes the
 canonical layout (or any layout described by a :class:`DatasetSchema`).
+
+Text I/O works on blocks of rows, not on one row at a time.
+:func:`load_csv` takes rows from ``csv.reader`` in blocks and checks,
+parses and indexes each block column by column; a file that fails a check
+is read again row by row only to name its first bad row.
+:func:`format_floats` renders a float column for a writer with one call of
+the formatter per distinct value.
 """
 
 from __future__ import annotations
@@ -15,12 +22,19 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import compress, islice, tee
 
 import numpy as np
 
 from .errors import DataError
 
 log = logging.getLogger(__name__)
+
+# Rows per block when reading a CSV file (and writing one, in the CLI).  A
+# few hundred rows spread the per-block costs thin, while the row lists of a
+# block die young: thousands of live ones make the cyclic collector run full
+# collections in a process that has imported numpy and scipy.
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -122,12 +136,7 @@ class GroupedSamples:
     def from_rows(cls, rows, groups=None, transform=IDENTITY_TRANSFORM) -> "GroupedSamples":
         """Build from an iterable of (group, score) or (group, score, label) tuples."""
         rows = list(rows)
-        if groups is None:
-            groups = []
-            for r in rows:
-                if r[0] not in groups:
-                    groups.append(r[0])
-        groups = tuple(groups)
+        groups = tuple(dict.fromkeys(r[0] for r in rows) if groups is None else groups)
         index = {g: i for i, g in enumerate(groups)}
         gi = np.array([index[r[0]] for r in rows], dtype=np.intp)
         scores = np.array([float(r[1]) for r in rows], dtype=float)
@@ -156,82 +165,147 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     inf, is an error.  Raises :class:`DataError` for a missing file,
     missing columns, unparseable or non-finite cells, a file that is not
     UTF-8 CSV, or an empty result.
+
+    Rows are taken from ``csv.reader`` in blocks of :data:`BLOCK_ROWS`, and
+    each check runs over a whole column of a block.  The lines of a block
+    that fails a check are parsed again row by row, so the error names the
+    same physical line and cell as a row-at-a-time parser would.  The file
+    is read once, so a pipe works as well as a regular file.
     """
     score_col = schema.score_col if schema.score_col is not None else schema.label_col
-    columns = [schema.group_col, score_col]
-    if schema.label_col is not None:
-        columns.append(schema.label_col)
+    # the group column, then each numeric column once: a label column that
+    # doubles as the score is parsed once
+    columns = list(dict.fromkeys(c for c in (schema.group_col, score_col, schema.label_col)
+                                 if c is not None))
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    groups: list = []
     index: dict = {}
-    gi, scores, labels = [], array("d"), array("d")
+    gi = array("q")
+    values = [array("d") for _ in columns[1:]]
     rejected = 0
     with fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        # the reader's lines also go to ``tap``, which keeps the current block's
+        # lines until they are taken out after the block
+        lines, tap = tee(fh)
+        reader = csv.reader(lines, delimiter=schema.delimiter)
         try:
             header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file (no header row)")
-            position = {name: i for i, name in enumerate(header)}
-            missing = set(columns) - set(position)
-            if missing:
-                raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-            pick = operator.itemgetter(*(position[c] for c in columns))
-            width = 1 + max(position[c] for c in columns)
-            for row in reader:
-                if not row:  # blank lines are skipped, as csv.DictReader does
-                    continue
-                if len(row) < width or not all(map(str.strip, cells := pick(row))):
-                    rejected += 1  # a declared cell is missing or empty
-                    continue
-                try:
-                    values = list(map(float, cells[1:]))
-                    finite = all(map(math.isfinite, values))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise _bad_cell(path, reader.line_num, zip(columns[1:], cells[1:]))
-                g = cells[0].strip()
-                if g not in index:
-                    index[g] = len(groups)
-                    groups.append(g)
-                gi.append(index[g])
-                scores.append(values[0])
-                if schema.label_col is not None:
-                    labels.append(values[-1])
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
+            raise _unreadable(path, exc) from exc
+        if header is None:
+            raise DataError(f"{path}: empty file (no header row)")
+        position = {name: i for i, name in enumerate(header)}
+        missing = set(columns) - set(position)
+        if missing:
+            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        getters = [operator.itemgetter(position[c]) for c in columns]
+        width = 1 + max(position[c] for c in columns)
+        line = reader.line_num
+        list(islice(tap, line))  # the header's lines
+        while True:
+            rows, stop = [], None
+            try:
+                rows.extend(islice(reader, BLOCK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                stop = exc  # raised once the rows read before it pass
+            text = list(islice(tap, reader.line_num - line))
+            if not rows and stop is None:
+                break
+            try:
+                rejected += _parse_block(rows, getters, width, index, gi, values)
+                failed = stop is not None
+            except ValueError:
+                failed = True
+            if failed:
+                _raise_first_bad_row(path, text, line, schema.delimiter, columns, getters, width,
+                                     stop)
+            line = reader.line_num
 
-    if not scores:
+    if not gi:
         raise DataError(f"{path}: no usable data rows")
     if rejected:
         log.warning("%s: rejected %d row(s) with empty cells", path, rejected)
 
     transform = schema.transform()
     return GroupedSamples(
-        groups=tuple(groups),
-        group_idx=np.array(gi, dtype=np.intp),
-        scores=transform.to_internal(np.frombuffer(scores)),
-        labels=None if schema.label_col is None else transform.to_internal(np.frombuffer(labels)),
+        groups=tuple(index),
+        group_idx=np.frombuffer(gi, dtype=np.int64).astype(np.intp),
+        scores=transform.to_internal(np.frombuffer(values[0])),
+        labels=None if schema.label_col is None else transform.to_internal(np.frombuffer(values[-1])),
         transform=transform,
     )
 
 
-def _bad_cell(path, lineno: int, named_cells) -> DataError:
-    """The error for the first (column, cell) pair that is unparseable or
-    not finite; ``lineno`` is the physical file line, counting the header
-    and blank lines."""
-    for name, cell in named_cells:
-        try:
-            problem = None if math.isfinite(float(cell)) else "non-finite"
-        except ValueError:
-            problem = "unparseable"
-        if problem:
-            return DataError(f"{path}: {problem} cell at row {lineno}, column {name!r}: {cell!r}")
-    raise AssertionError("no bad cell in the row")
+def _parse_block(rows, getters, width: int, index: dict, gi, values) -> int:
+    """Append a block's kept rows to the columns: each row's group index
+    into ``index`` (first-appearance order) and its numbers to ``values``.
+    ``getters`` pick the group cell, then each numeric cell.  Returns the
+    block's count of rejected rows; raises ``ValueError`` for a cell that
+    is unparseable or not finite."""
+    rejected = 0
+    if min(map(len, rows), default=width) < width:
+        # blank rows are skipped, as csv.DictReader does; short rows are rejected
+        kept = [row for row in rows if len(row) >= width]
+        rejected += sum(map(bool, rows)) - len(kept)
+        rows = kept
+    labels, *numbers = [list(map(get, rows)) for get in getters]
+    labels = list(map(str.strip, labels))
+    if not (all(labels) and all(all(map(str.strip, col)) for col in numbers)):
+        keep = list(map(all, zip(labels, *(map(str.strip, col) for col in numbers))))
+        rejected += keep.count(False)  # a declared cell is empty
+        labels, *numbers = [list(compress(col, keep)) for col in (labels, *numbers)]
+    for column, cells in zip(values, numbers):
+        start = len(column)
+        column.extend(map(float, cells))
+        if not np.isfinite(np.frombuffer(column)[start:]).all():
+            raise ValueError("non-finite cell")
+    for g in dict.fromkeys(labels):
+        index.setdefault(g, len(index))
+    gi.extend(map(index.__getitem__, labels))
+    return rejected
+
+
+def _raise_first_bad_row(path, text, offset: int, delimiter: str, columns, getters,
+                         width: int, stop: Exception | None):
+    """Parse the lines ``text`` of a failed block again row by row and raise
+    the :class:`DataError` for its first bad row: a cell that is unparseable
+    or not finite, named by its physical file line (``offset`` is the line
+    before the block), or the csv error that stops the parse.  Without one,
+    ``stop`` (the error that ended the block's read) is the problem."""
+    reader = csv.reader(text, delimiter=delimiter)
+    try:
+        for row in reader:
+            if len(row) < width or not all(map(str.strip, cells := [get(row) for get in getters])):
+                continue  # a blank or rejected row
+            for name, cell in zip(columns[1:], cells[1:]):
+                try:
+                    problem = None if math.isfinite(float(cell)) else "non-finite"
+                except ValueError:
+                    problem = "unparseable"
+                if problem:
+                    raise DataError(f"{path}: {problem} cell at row {offset + reader.line_num}, "
+                                    f"column {name!r}: {cell!r}")
+    except csv.Error as exc:
+        raise _unreadable(path, exc) from exc
+    if stop is None:
+        raise AssertionError("a failed block holds no bad row")
+    raise _unreadable(path, stop) from stop
+
+
+def _unreadable(path, exc) -> DataError:
+    return DataError(f"{path}: not a readable UTF-8 CSV file: {exc}")
+
+
+def format_floats(values, fmt=repr) -> list[str]:
+    """``[fmt(x) for x in values]`` over the flattened array, with ``fmt``
+    called once per distinct value.  Values are told apart by their bits,
+    so -0.0 and 0.0 are formatted separately."""
+    bits = np.ravel(np.asarray(values, dtype=float)).view(np.int64)
+    distinct = np.unique(bits)
+    text = np.array(list(map(fmt, distinct.view(float).tolist())), dtype=object)
+    return text[np.searchsorted(distinct, bits)].tolist()
 
 
 def split_train_test(samples: GroupedSamples, ratio: float = 0.7,

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import barycenter_lp, dp_estimation, transport
-from .data_io import AffineTransform, GroupedSamples, IDENTITY_TRANSFORM
+from .data_io import AffineTransform, GroupedSamples, IDENTITY_TRANSFORM, format_floats
 from .errors import UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 from .transport import TransportKernels
@@ -36,9 +35,13 @@ MODEL_VERSION = 1
 
 
 def _f2s(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
+
+
+def _f2s_rows(a) -> list[list[str]]:
+    """:func:`_f2s` over each row of ``a`` flattened, formatting each
+    distinct value of a row once (most kernel entries are exact zeros)."""
+    return [format_floats(row, _f2s) for row in np.asarray(a, dtype=float)]
 
 
 @dataclass
@@ -126,18 +129,18 @@ class FairPostprocessor:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "grid": {"s": _f2s(self.grid.s), "t": _f2s(self.grid.t), "k": self.grid.k,
-                     "midpoints": [_f2s(v) for v in self.grid.midpoints]},
+                     "midpoints": format_floats(self.grid.midpoints, _f2s)},
             "groups": list(self.groups),
-            "kernels": [[_f2s(x) for x in m.ravel()] for m in self.kernels.matrices],
+            "kernels": _f2s_rows(self.kernels.matrices),
             "fit": {"alpha": _f2s(self.alpha), "epsilon": _f2s(self.epsilon),
                     "k": self.grid.k, "seed": self.seed},
             "transform": {"offset": _f2s(self.transform.offset),
                           "scale": _f2s(self.transform.scale)},
             "diagnostics": {
-                "weights": [_f2s(x) for x in self.weights],
-                "pmfs": [[_f2s(x) for x in row] for row in self.pmfs],
-                "targets": [[_f2s(x) for x in row] for row in self.targets],
-                "barycenter": [_f2s(x) for x in self.barycenter],
+                "weights": format_floats(self.weights, _f2s),
+                "pmfs": _f2s_rows(self.pmfs),
+                "targets": _f2s_rows(self.targets),
+                "barycenter": format_floats(self.barycenter, _f2s),
                 "objective": _f2s(self.objective),
             },
         }

@@ -6,9 +6,10 @@ seed).  Each cell owns an RNG stream derived from (master seed, cell
 index); the train/test split for a given per-cell seed is shared across
 all (alpha, k, epsilon) so settings are compared on identical splits.
 Results are written in canonical order regardless of which worker finished
-first, so output files are byte-identical across runs.  Fit wall-times are
+first, so output files are byte-identical across runs.  Wall times are
 deliberately kept out of the results file (they cannot be deterministic)
-and go to a sidecar timings file instead.
+and go to a sidecar timings file instead: ``cell_seconds`` times a whole
+cell, that is the split, the fit, the prediction and the metrics.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class SweepRow:
     delta_sp: float
     lp_objective: float
     status: str          # "ok" or "error:<ExceptionType>"
-    fit_seconds: float
+    cell_seconds: float  # split, fit, predict and metrics together
 
 
 def cell_specs(cfg: SweepConfig):
@@ -105,14 +106,14 @@ def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
                 model.grid),
             lp_objective=model.objective,
             status="ok",
-            fit_seconds=time.perf_counter() - t0,
+            cell_seconds=time.perf_counter() - t0,
         )
     except Exception as exc:  # noqa: BLE001 - per-cell failures must not kill the run
         out = SweepRow(alpha=alpha, k=k, epsilon=epsilon, seed=seed,
                        mse_raw=math.nan, mse_norm=math.nan, delta_sp=math.nan,
                        lp_objective=math.nan,
                        status=f"error:{type(exc).__name__}: {exc}",
-                       fit_seconds=time.perf_counter() - t0)
+                       cell_seconds=time.perf_counter() - t0)
     return out
 
 
@@ -209,11 +210,7 @@ def lower_envelope(points) -> list[tuple[float, float]]:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
+        return "" if math.isnan(x) else repr(x)
     return str(x)
 
 
@@ -233,8 +230,8 @@ def write_results_csv(path, rows: list[SweepRow], master_seed: int) -> None:
 
 def write_timings_csv(path, rows: list[SweepRow], master_seed: int) -> None:
     """Wall-times sidecar; not deterministic, hence not in the results file."""
-    _write_csv(path, master_seed, "alpha,k,epsilon,seed,fit_seconds",
-               ((r.alpha, r.k, r.epsilon, r.seed, r.fit_seconds) for r in rows))
+    _write_csv(path, master_seed, "alpha,k,epsilon,seed,cell_seconds",
+               ((r.alpha, r.k, r.epsilon, r.seed, r.cell_seconds) for r in rows))
 
 
 def write_aggregates_csv(path, aggs: list[CellAggregate], master_seed: int) -> None:

@@ -1,7 +1,17 @@
+import csv
+import io
+import logging
+import os
+import tempfile
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from csv_oracle import load_csv_rows
+from fairpost import data_io
 from fairpost.data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                               split_train_test)
 from fairpost.errors import DataError
@@ -189,3 +199,153 @@ def test_split_rejects_bad_ratio():
         split_train_test(samples_of_size(5), 0.0, seed=0)
     with pytest.raises(ValueError):
         split_train_test(samples_of_size(5), 1.0, seed=0)
+
+
+# -- block-wise load_csv against the row-by-row oracle in csv_oracle.py --
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def outcome(loader, path, schema):
+    """Everything a caller can observe of one load: the samples bit for bit
+    (or the DataError text) and the warnings logged."""
+    handler = _Records()
+    logger = logging.getLogger("fairpost.data_io")
+    logger.addHandler(handler)
+    try:
+        s = loader(path, schema)
+        result = ("ok", s.groups, s.group_idx.dtype, s.group_idx.tolist(),
+                  s.scores.tobytes(), None if s.labels is None else s.labels.tobytes(),
+                  s.transform)
+    except DataError as exc:
+        result = ("error", str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+def assert_same_as_oracle(path, schema, block_rows=data_io.BLOCK_ROWS):
+    expected = outcome(load_csv_rows, path, schema)
+    with mock.patch.object(data_io, "BLOCK_ROWS", block_rows):
+        got = outcome(load_csv, path, schema)
+    assert got == expected
+    return got
+
+
+SCHEMAS = {
+    "canonical": {},
+    "no label": {"label_col": None},
+    "label as score": {"score_col": None},
+    "affine": {"interval": (1.0, 4.0), "normalization": "affine-to-unit"},
+}
+GOOD_GROUP = st.sampled_from(["A", "B", " A", "C ", "A,x", "B;y", "two\nlines", "cr\r\nlf",
+                              'q"uote', "é"])
+GOOD_NUMBER = st.one_of(
+    st.floats(-1e6, 1e6).map(repr), st.integers(-3, 3).map(str),
+    st.sampled_from(["0.5", " 0.25 ", "-0.0", "1e-320", "+2"]))
+BAD_CELL = st.sampled_from(["", "  ", "nan", "NaN", " inf ", "-inf", "1e999", "x", "0.5.5", "1,5"])
+
+
+@st.composite
+def csv_cases(draw):
+    """A CSV text and a schema: valid rows with a few bad cells, blank
+    lines and short or long rows dropped in anywhere, padded and quoted
+    cells, cells holding the delimiter, a quote or a line break, and
+    either line terminator."""
+    delimiter = draw(st.sampled_from([",", ";"]))
+    schema = DatasetSchema(delimiter=delimiter, **SCHEMAS[draw(st.sampled_from(sorted(SCHEMAS)))])
+    header = draw(st.permutations(["group", "score", "label", "note"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        cells = {"group": draw(GOOD_GROUP), "score": draw(GOOD_NUMBER),
+                 "label": draw(GOOD_NUMBER), "note": draw(st.sampled_from(["", "z"]))}
+        rows.append([cells[c] for c in header])
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[draw(st.integers(0, len(header) - 1))] = draw(BAD_CELL)
+    for _ in range(draw(st.integers(0, 4))):
+        # a prefix of a row (empty: a blank line), or a row with an extra cell
+        cut = draw(st.integers(0, len(header) + 1))
+        row = draw(st.sampled_from(rows)) if rows else header
+        rows.insert(draw(st.integers(0, len(rows))), (row + ["extra"])[:cut])
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, quoting=quoting, lineterminator=terminator)
+    writer.writerow(header)
+    writer.writerows(rows)  # an empty row is written as a blank line
+    return buf.getvalue(), schema
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_cases(), st.sampled_from([1, 2, 3, 7, data_io.BLOCK_ROWS]))
+def test_block_parser_matches_row_oracle(case, block_rows):
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert_same_as_oracle(path, schema, block_rows)
+
+
+@pytest.mark.parametrize("where", [0, 1, data_io.BLOCK_ROWS - 1, data_io.BLOCK_ROWS,
+                                   2 * data_io.BLOCK_ROWS - 1, 2 * data_io.BLOCK_ROWS + 5])
+@pytest.mark.parametrize("cell", ["nan", "-inf", "oops"])
+@pytest.mark.parametrize("column", [1, 2])
+def test_bad_cell_first_and_last_in_a_block(tmp_path, where, cell, column):
+    rows = [["AB"[i % 2] + "\nx" * (i % 5 == 0), repr(i / 2048), repr(1 - i / 2048)]
+            for i in range(2 * data_io.BLOCK_ROWS + 9)]
+    rows[where][column] = cell
+    lines = [",".join(f'"{c}"' if "\n" in c else c for c in row) for row in rows]
+    lines[3:3] = ["", "B,0.5"]  # a blank line and a short row shift the file line
+    path = write(tmp_path, "group,score,label\n" + "\n".join(lines) + "\n")
+    got, _ = assert_same_as_oracle(path, DatasetSchema())
+    assert got[0] == "error" and repr(cell) in got[1]
+
+
+OVERSIZE = "A,0." + "1" * 200_000 + ",0.5\n"  # over the csv module's field limit
+
+
+@pytest.mark.parametrize("body", [
+    "A,0.1,nan\n" + OVERSIZE,                     # bad cell, then a csv error in its block
+    OVERSIZE + "A,0.1,nan\n",                     # csv error first
+    "A,0.1,0.2\n" * 3 + OVERSIZE + "A,0.3,0.4\n",  # csv error after good rows
+    "A,0.1,0.2\n" * 3 + "B,nan,0.4\n" + "A,0.1,0.2\n" * 1500 + "\n\nA,zz,0.1\n",
+])
+def test_first_problem_in_file_order_is_reported(tmp_path, body):
+    path = write(tmp_path, "group,score,label\n" + body)
+    assert_same_as_oracle(path, DatasetSchema())
+
+
+@pytest.mark.parametrize("first, problem", [("A,0.1,inf", "non-finite cell at row 2"),
+                                            ("A,0.1,0.5", "not a readable UTF-8")])
+def test_decoding_error_after_good_rows(tmp_path, first, problem):
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(f"group,score,label\n{first}\n".encode() + b"A,0.1,0.2\n" * 3000
+                     + "Å,0.1,0.2\n".encode("latin-1"))
+    got, _ = assert_same_as_oracle(path, DatasetSchema())
+    assert problem in got[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bad_cell_in_a_pipe_is_reported(tmp_path):
+    # the file is read once: a bad row's line is found without reading it again
+    text = "group,score,label\n" + "A,0.1,0.2\n" * (data_io.BLOCK_ROWS + 100) + "B,nan,0.4\n"
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(DataError, match=rf"non-finite cell at row {data_io.BLOCK_ROWS + 102}, "):
+            load_csv(fifo, DatasetSchema())
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()

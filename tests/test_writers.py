@@ -1,0 +1,133 @@
+"""The block writers spell every float exactly as the per-value reference:
+``f"{g},{y!r},{p!r}"`` per row for ``apply``, and ``format(x, ".17g")`` per
+entry for the model document."""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fairpost import __version__
+from fairpost.cli import _write_predictions, main
+from fairpost.data_io import (AffineTransform, BLOCK_ROWS, DatasetSchema, GroupedSamples,
+                              IDENTITY_TRANSFORM, format_floats, load_csv)
+from fairpost.pipeline import fit, load
+
+
+def reference_apply(samples, preds, seed) -> str:
+    raw = samples.transform.to_raw(preds).tolist()
+    raw_scores = samples.transform.to_raw(samples.scores).tolist()
+    labels = [samples.groups[i] for i in samples.group_idx.tolist()]
+    return (f"# fairpost {__version__} master_seed={seed}\ngroup,score,prediction\n"
+            + "".join(f"{g},{y!r},{p!r}\n" for g, y, p in zip(labels, raw_scores, raw)))
+
+
+def written(samples, preds, seed) -> str:
+    buf = io.StringIO()
+    _write_predictions(buf, samples, preds, seed)
+    return buf.getvalue()
+
+
+SPECIAL = [0.0, -0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2]
+TRANSFORMS = [IDENTITY_TRANSFORM, AffineTransform(offset=1.0, scale=3.0),
+              AffineTransform(offset=-0.5, scale=0.1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+       st.lists(st.floats(-2, 2, allow_subnormal=True), min_size=1, max_size=12),
+       st.sampled_from(TRANSFORMS), st.integers(0, 2**32 - 1))
+def test_apply_writer_matches_per_row_reference(n, pool, transform, seed):
+    # predictions repeat a few values (k midpoints in sample mode, G x k row
+    # means in barycentric mode); scores are mostly distinct
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool + SPECIAL)
+    scores = rng.random(n)
+    scores[rng.random(n) < 0.1] = -0.0
+    samples = GroupedSamples(groups=("A", "b c", "é"), group_idx=rng.integers(0, 3, n),
+                             scores=scores, transform=transform)
+    preds = pool[rng.integers(0, len(pool), n)]
+    assert written(samples, preds, seed) == reference_apply(samples, preds, seed)
+
+
+IDENTITY = DatasetSchema()
+AFFINE = DatasetSchema(score_col=None, interval=(1.0, 4.0), normalization="affine-to-unit")
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """Identity and affine-to-unit models, each with data to apply that
+    crosses a block edge and has rows outside the fitted interval."""
+    tmp = tmp_path_factory.mktemp("writers")
+    rng = np.random.default_rng(5)
+    (tmp / "affine.json").write_text(
+        '{"score": null, "interval": [1.0, 4.0], "normalization": "affine-to-unit"}')
+    for name, n, spread in (("fit", 600, 1.0), ("apply", 2 * BLOCK_ROWS + 7, 1.2)):
+        ys = ((rng.random(n) - 0.5) * spread + 0.5).tolist()
+        (tmp / f"identity-{name}.csv").write_text("group,score,label\n" + "".join(
+            f"{'ABC'[i % 3]},{y!r},{min(max(y, 0.0), 1.0)!r}\n" for i, y in enumerate(ys)))
+        (tmp / f"affine-{name}.csv").write_text("group,label\n" + "".join(
+            f"{'AB'[i % 2]},{1.0 + 3.0 * y!r}\n" for i, y in enumerate(ys)))
+    for name, extra in (("identity", []), ("affine", ["--schema", str(tmp / "affine.json")])):
+        assert main(["fit", "--data", str(tmp / f"{name}-fit.csv"), "--k", "7", "--alpha", "0.05",
+                     "--epsilon", "inf", "--out", str(tmp / f"{name}.model"), *extra]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("mode", ["sample", "barycentric"])
+@pytest.mark.parametrize("name, schema", [("identity", IDENTITY), ("affine", AFFINE)])
+def test_apply_command_matches_per_row_reference(fitted, mode, name, schema):
+    extra = ["--schema", str(fitted / "affine.json")] if name == "affine" else []
+    data, out = fitted / f"{name}-apply.csv", fitted / f"{name}-{mode}.csv"
+    assert main(["apply", "--model", str(fitted / f"{name}.model"), "--data", str(data),
+                 "--mode", mode, "--seed", "11", "--out", str(out), *extra]) == 0
+    samples = load_csv(data, schema)
+    model = load(fitted / f"{name}.model")
+    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
+                                np.random.default_rng(11), mode=mode)
+    assert model.out_of_range_count > 0
+    assert out.read_text(encoding="utf-8") == reference_apply(samples, preds, 11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324])),
+                max_size=60),
+       st.sampled_from([repr, lambda x: format(x, ".17g")]))
+def test_format_floats_matches_per_value_calls(values, fmt):
+    assert format_floats(np.array(values, dtype=float), fmt) == [fmt(x) for x in values]
+
+
+def reference_document(m) -> dict:
+    """The model document with one ``format(x, ".17g")`` per entry."""
+    f = lambda x: format(float(x), ".17g")
+    return {
+        "format": "fairpost-model",
+        "version": 1,
+        "grid": {"s": f(m.grid.s), "t": f(m.grid.t), "k": m.grid.k,
+                 "midpoints": [f(v) for v in m.grid.midpoints]},
+        "groups": list(m.groups),
+        "kernels": [[f(x) for x in k.ravel()] for k in m.kernels.matrices],
+        "fit": {"alpha": f(m.alpha), "epsilon": f(m.epsilon), "k": m.grid.k, "seed": m.seed},
+        "transform": {"offset": f(m.transform.offset), "scale": f(m.transform.scale)},
+        "diagnostics": {
+            "weights": [f(x) for x in m.weights],
+            "pmfs": [[f(x) for x in row] for row in m.pmfs],
+            "targets": [[f(x) for x in row] for row in m.targets],
+            "barycenter": [f(x) for x in m.barycenter],
+            "objective": f(m.objective),
+        },
+    }
+
+
+@pytest.mark.parametrize("alpha, epsilon", [(math.inf, math.inf), (0.05, 1.0), (0.0, 0.5)])
+def test_to_document_matches_per_entry_reference(alpha, epsilon):
+    rng = np.random.default_rng(3)
+    rows = [(g, float(y)) for g, a, b in (("A", 2, 5), ("B", 5, 2), ("C", 1, 1))
+            for y in rng.beta(a, b, 400)]
+    model = fit(GroupedSamples.from_rows(rows), (0.0, 1.0), 9, alpha, epsilon, 4)
+    doc = model.to_document()
+    assert doc == reference_document(model)
+    if math.isinf(alpha):
+        assert doc["fit"]["alpha"] == doc["fit"]["epsilon"] == "inf"
