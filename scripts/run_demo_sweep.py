@@ -18,8 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from fairpost.data_io import DatasetSchema, GroupedSamples
-from fairpost.sweep import (SweepConfig, aggregate, run_sweep, write_aggregates_csv,
-                            write_envelope_csv, write_results_csv, write_timings_csv)
+from fairpost.sweep import SweepConfig, run_sweep, write_outputs
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--out", required=True)
@@ -51,11 +50,7 @@ cfg = SweepConfig(
 out = pathlib.Path(args.out)
 out.mkdir(parents=True, exist_ok=True)
 sweep_rows = run_sweep(cfg, samples=samples)
-aggs = aggregate(sweep_rows)
-write_results_csv(out / "results.csv", sweep_rows, cfg.master_seed)
-write_aggregates_csv(out / "aggregates.csv", aggs, cfg.master_seed)
-write_envelope_csv(out / "envelope.csv", aggs, cfg.master_seed)
-write_timings_csv(out / "timings.csv", sweep_rows, cfg.master_seed)
+write_outputs(out, sweep_rows, cfg.master_seed)
 
 failures = sum(1 for r in sweep_rows if r.status != "ok")
 print(f"swept {len(sweep_rows)} cells ({failures} failed) -> {out}", file=sys.stderr)

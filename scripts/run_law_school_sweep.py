@@ -19,8 +19,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from fairpost.data_io import DatasetSchema
-from fairpost.sweep import (SweepConfig, aggregate, run_sweep, write_aggregates_csv,
-                            write_envelope_csv, write_results_csv, write_timings_csv)
+from fairpost.sweep import SweepConfig, run_sweep, write_outputs
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--data", required=True)
@@ -47,11 +46,7 @@ cfg = SweepConfig(
 out = pathlib.Path(args.out)
 out.mkdir(parents=True, exist_ok=True)
 rows = run_sweep(cfg)
-aggs = aggregate(rows)
-write_results_csv(out / "results.csv", rows, cfg.master_seed)
-write_aggregates_csv(out / "aggregates.csv", aggs, cfg.master_seed)
-write_envelope_csv(out / "envelope.csv", aggs, cfg.master_seed)
-write_timings_csv(out / "timings.csv", rows, cfg.master_seed)
+write_outputs(out, rows, cfg.master_seed)
 
 failures = sum(1 for r in rows if r.status != "ok")
 print(f"swept {len(rows)} cells ({failures} failed) -> {out}", file=sys.stderr)

@@ -28,8 +28,9 @@ coupling is replaced by the monotone coupling with the same marginals, which
 must not change the cost.  The repaired solution is then certified: coupling
 row sums equal p_a, column sums equal the targets, every target lies within
 alpha/2 + 1e-8 of the center in KS distance, and no coupling column prices
-below -tol under the final duals.  The monotone-coupling oracle in
-:mod:`fairpost.metrics` stays an independent check on the answers.
+below -tol under the final duals.  The monotone couplings and the seed's
+barycenter are read off one construction: the pieces of [0, 1] between the
+union of the CDFs' breakpoints.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from scipy.optimize import linprog
 from .dp_estimation import PrivateGroupDists
 from .errors import SolverFailure
 from .grid import Grid
-from .metrics import monotone_coupling
+from .metrics import _quantile_pieces, monotone_coupling
 
 # dust below this magnitude is clipped; anything more negative is a solver failure
 _NEG_DUST = 1e-9
@@ -152,10 +153,6 @@ def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
                       a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
-def _transport_cost(coupling: np.ndarray, v: np.ndarray) -> float:
-    return float(((v[:, None] - v[None, :]) ** 2 * coupling).sum())
-
-
 def _repair(lp: LpInstance, pi: np.ndarray, q: np.ndarray) -> BarycenterSolution:
     """Clip dust, rebuild targets from column sums, and replace each coupling
     by the monotone coupling with the same marginals (equal cost for an
@@ -167,24 +164,17 @@ def _repair(lp: LpInstance, pi: np.ndarray, q: np.ndarray) -> BarycenterSolution
     pi = np.clip(pi, 0.0, None)
     q = np.clip(q, 0.0, None)
 
-    objective_before = float(
-        sum(lp.weights[a] * _transport_cost(pi[a], lp.midpoints)
-            for a in range(lp.n_groups)))
+    sq = (lp.midpoints[:, None] - lp.midpoints[None, :]) ** 2
+    objective_before = float((lp.weights * (sq * pi).sum(axis=(1, 2))).sum())
 
-    couplings = np.empty_like(pi)
-    targets = np.empty((lp.n_groups, lp.k))
-    for a in range(lp.n_groups):
-        col = pi[a].sum(axis=0)
-        total = col.sum()
-        row_total = lp.pmfs[a].sum()
-        if total <= 0:
-            raise SolverFailure(f"coupling for group {a} carries no mass")
-        targets[a] = col * (row_total / total)
-        couplings[a] = monotone_coupling(lp.pmfs[a], targets[a])
+    cols = pi.sum(axis=1)
+    totals = cols.sum(axis=1)
+    if not (totals > 0).all():
+        raise SolverFailure(f"coupling for group {np.argmin(totals > 0)} carries no mass")
+    targets = cols * (lp.pmfs.sum(axis=1) / totals)[:, None]
+    couplings = monotone_coupling(lp.pmfs, targets)
 
-    objective_after = float(
-        sum(lp.weights[a] * _transport_cost(couplings[a], lp.midpoints)
-            for a in range(lp.n_groups)))
+    objective_after = float((lp.weights * (sq * couplings).sum(axis=(1, 2))).sum())
     if abs(objective_after - objective_before) > _REARRANGE_TOL:
         raise SolverFailure(
             "monotone rearrangement changed the objective by "
@@ -204,13 +194,10 @@ def _seed_mask(lp: LpInstance) -> np.ndarray:
     cdfs = np.cumsum(lp.pmfs, axis=1)
     wtot = lp.weights.sum()
     w = lp.weights / wtot if wtot > 0 else np.full(lp.n_groups, 1.0 / lp.n_groups)
-    edges = np.union1d(0.0, cdfs)
-    widths = np.diff(edges)
-    mids = edges[:-1] + widths / 2
-    # count of CDF entries <= u is the quantile bin of u, clamped to k - 1
-    bins = np.minimum((cdfs[:, None, :] <= mids[:, None]).sum(axis=2), lp.k - 1)
-    center = np.rint(w @ bins).astype(np.intp)
-    b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
+    widths, bins = _quantile_pieces(cdfs)
+    piece = widths > 0  # repeated breakpoints carry no mass
+    center = np.rint(w @ bins[:, piece]).astype(np.intp)
+    b_cdf = np.cumsum(np.bincount(center, weights=widths[piece], minlength=lp.k))
 
     half = lp.alpha / 2.0
     lo = np.concatenate([np.zeros((lp.n_groups, 1)), cdfs[:, :-1]], axis=1) - half
@@ -249,14 +236,9 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     when the solution fails its certificate.
     """
     if math.isinf(lp.alpha):
-        couplings = np.zeros((lp.n_groups, lp.k, lp.k))
-        for a in range(lp.n_groups):
-            np.fill_diagonal(couplings[a], lp.pmfs[a])
-        wtot = lp.weights.sum()
-        if wtot > 0:
-            center = (lp.weights[:, None] * lp.pmfs).sum(axis=0) / wtot
-        else:
-            center = lp.pmfs.mean(axis=0)
+        couplings = lp.pmfs[:, :, None] * np.eye(lp.k)
+        center = np.average(lp.pmfs, axis=0,
+                            weights=lp.weights if lp.weights.sum() > 0 else None)
         return BarycenterSolution(couplings=couplings, barycenter=center,
                                   targets=lp.pmfs.copy(), objective=0.0)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -28,12 +29,11 @@ from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 from .metrics import mse, statistical_parity_gap
 
 
-def _parse_hyper(value: str) -> float:
-    if value.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
+def _parse_hyper(value) -> float:
+    """A number; ``float`` also takes inf, +inf and infinity in any case and padding."""
     try:
         return float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"expected a number or 'inf', got {value!r}") from None
 
 
@@ -64,13 +64,17 @@ def _load_schema(path: str | None) -> DatasetSchema:
     return _schema_from_doc(doc, f"schema {path}")
 
 
-def _predict(args, mode: str = "sample"):
-    """Load the model and the data named on the command line, and predict."""
+def _predict(args, mode: str = "sample", labels: bool = True):
+    """Load the model and the data named on the command line, and predict;
+    ``labels=False`` skips a label column that is not also the score."""
     try:
         model = pipeline.load(args.model)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load model: {exc}") from exc
-    samples = load_csv(args.data, _load_schema(args.schema))
+    schema = _load_schema(args.schema)
+    if not labels and schema.score_col is not None:
+        schema = dataclasses.replace(schema, label_col=None)
+    samples = load_csv(args.data, schema)
     preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
                                 np.random.default_rng(args.seed), mode=mode)
     return model, samples, preds
@@ -125,7 +129,7 @@ def _write_predictions(fh, samples, preds, seed: int) -> None:
 
 
 def _cmd_apply(args) -> int:
-    _, samples, preds = _predict(args, args.mode)
+    _, samples, preds = _predict(args, args.mode, labels=False)
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         _write_predictions(fh, samples, preds, args.seed)
     print(f"wrote {samples.n} predictions to {args.out}")
@@ -166,13 +170,12 @@ def _sweep_config(args) -> sweep.SweepConfig:
         schema_doc = doc.get("schema") or {}
         schema = (_load_schema(schema_doc) if isinstance(schema_doc, str)
                   else _schema_from_doc(schema_doc, f"config {args.config}"))
-        to_num = lambda x: math.inf if x == "inf" else float(x)
         return sweep.SweepConfig(
             data_path=doc["data"],
             schema=schema,
-            alphas=tuple(to_num(a) for a in doc["alphas"]),
+            alphas=tuple(map(_parse_hyper, doc["alphas"])),
             ks=tuple(int(k) for k in doc["ks"]),
-            epsilons=tuple(to_num(e) for e in doc["epsilons"]),
+            epsilons=tuple(map(_parse_hyper, doc["epsilons"])),
             seeds=int(doc.get("seeds", 50)),
             split_ratio=float(doc.get("split_ratio", 0.7)),
             master_seed=args.seed if args.seed is not None else int(doc.get("master_seed", 0)),
@@ -193,13 +196,8 @@ def _cmd_sweep(args) -> int:
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     rows = sweep.run_sweep(cfg)
-    aggs = sweep.aggregate(rows)
     with _writing(args.out):
-        sweep.write_results_csv(os.path.join(args.out, "results.csv"), rows, cfg.master_seed)
-        sweep.write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), aggs,
-                                   cfg.master_seed)
-        sweep.write_envelope_csv(os.path.join(args.out, "envelope.csv"), aggs, cfg.master_seed)
-        sweep.write_timings_csv(os.path.join(args.out, "timings.csv"), rows, cfg.master_seed)
+        sweep.write_outputs(args.out, rows, cfg.master_seed)
     failures = sum(1 for r in rows if r.status != "ok")
     print(f"swept {len(rows)} cells ({failures} failed) -> {args.out}")
     return 0

@@ -119,17 +119,18 @@ def group_weights(noisy_joint: np.ndarray) -> np.ndarray:
 
 
 def isotonic_midrange(values: np.ndarray) -> np.ndarray:
-    """Sup-norm isotonic regression of a sequence: the midpoint of the
-    running prefix max and suffix min.  O(k); equals the pairwise
-    max_{l <= j <= r}(values[l] - values[r]) construction exactly."""
+    """Sup-norm isotonic regression along the last axis: the midpoint of the
+    running prefix max and suffix min.  O(k) per sequence; equals the
+    pairwise max_{l <= j <= r}(values[l] - values[r]) construction exactly."""
     values = np.asarray(values, dtype=float)
-    prefix_max = np.maximum.accumulate(values)
-    suffix_min = np.minimum.accumulate(values[::-1])[::-1]
+    prefix_max = np.maximum.accumulate(values, axis=-1)
+    suffix_min = np.minimum.accumulate(values[..., ::-1], axis=-1)[..., ::-1]
     return 0.5 * (prefix_max + suffix_min)
 
 
-def renormalize_cdf(row: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Turn one noisy joint-PMF row into a valid (CDF, PMF) pair.
+def renormalize_cdf(row: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
+    """Turn noisy joint-PMF rows into valid (CDF, PMF) pairs along the last
+    axis: ``row`` has shape (..., k) and ``weight`` shape (...).
 
     Scaled partial sums are made nondecreasing by sup-norm isotonic
     regression, clipped into [0, 1], and forced to end at 1; the PMF is the
@@ -138,21 +139,21 @@ def renormalize_cdf(row: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndar
     mass at the last bin.
     """
     row = np.asarray(row, dtype=float)
-    if row.ndim != 1 or len(row) == 0:
-        raise ValueError("row must be a nonempty 1-D vector")
-    if weight < 0:
-        raise ValueError(f"weight must be nonnegative, got {weight}")
-    if weight > 0:
-        with np.errstate(over="ignore"):
-            partial = np.cumsum(row) / weight
-        # a tiny weight can overflow the division; finite stand-ins keep the
-        # isotonic midrange well defined and the clip below does the rest
-        partial = np.nan_to_num(partial, nan=0.0, posinf=1e300, neginf=-1e300)
-    else:
-        partial = np.zeros(len(row))
+    weight = np.asarray(weight, dtype=float)
+    if row.ndim == 0 or row.shape[-1] == 0 or weight.shape != row.shape[:-1]:
+        raise ValueError("need rows of shape (..., k), k >= 1, and one weight per row")
+    if (weight < 0).any():
+        raise ValueError(f"weights must be nonnegative, got {weight.min()}")
+    positive = (weight > 0)[..., None]
+    with np.errstate(over="ignore"):
+        partial = np.cumsum(row, axis=-1) / np.where(positive, weight[..., None], 1.0)
+    # a tiny weight can overflow the division; finite stand-ins keep the
+    # isotonic midrange well defined and the clip below does the rest
+    partial = np.where(positive, np.nan_to_num(partial, nan=0.0, posinf=1e300,
+                                               neginf=-1e300), 0.0)
     cdf = np.clip(isotonic_midrange(partial), 0.0, 1.0)
-    cdf[-1] = 1.0
-    pmf = np.diff(cdf, prepend=0.0)
+    cdf[..., -1] = 1.0
+    pmf = np.diff(cdf, axis=-1, prepend=0.0)
     return cdf, pmf
 
 
@@ -165,8 +166,5 @@ def estimate_private_dists(samples: GroupedSamples, grid: Grid, pp: PrivacyParam
     joint = empirical_joint(samples, grid)
     noisy = privatize_joint(joint, pp, rng)
     weights = group_weights(noisy)
-    cdfs = np.empty_like(noisy)
-    pmfs = np.empty_like(noisy)
-    for a in range(len(samples.groups)):
-        cdfs[a], pmfs[a] = renormalize_cdf(noisy[a], weights[a])
+    cdfs, pmfs = renormalize_cdf(noisy, weights)
     return PrivateGroupDists(weights=weights, pmfs=pmfs, cdfs=cdfs)

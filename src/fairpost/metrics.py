@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import Grid, discretize_many
@@ -50,32 +52,38 @@ def linf_distance(p, q) -> float:
     return float(np.abs(p - q).max())
 
 
+def _quantile_pieces(cdfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut [0, 1] at the union of the breakpoints of CDFs of shape (..., m, k).
+    Returns each piece's width, (..., m*k), and its bin under each CDF,
+    (..., m, m*k): the count of CDF entries <= the piece's midpoint, clamped
+    to k - 1.  A repeated breakpoint leaves a piece of width 0."""
+    k = cdfs.shape[-1]
+    flat = cdfs.reshape(cdfs.shape[:-2] + (-1,))
+    edges = np.sort(np.concatenate([np.zeros(flat.shape[:-1] + (1,)), flat], axis=-1), axis=-1)
+    widths = np.diff(edges, axis=-1)
+    mids = edges[..., :-1] + widths / 2
+    bins = (cdfs[..., :, None, :] <= mids[..., None, :, None]).sum(axis=-1)
+    return widths, np.minimum(bins, k - 1)
+
+
 def monotone_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Northwest-corner (quantile) coupling of two mass vectors on sorted
-    support.  Exact-tie mass splits advance both pointers, so the result is
-    deterministic.  Inputs must share the same total mass up to float dust."""
+    """Quantile (northwest-corner) coupling of mass vectors of shape (..., k)
+    on a sorted support, batched over leading axes into (..., k, k).  Each
+    piece between the two CDFs' breakpoints puts its width on (bin under p,
+    bin under q); pieces of width <= 1e-15 are float dust and are dropped.
+    Inputs must share the same total mass up to float dust."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    k = len(p)
-    out = np.zeros((k, len(q)))
-    i = j = 0
-    prem = p[0] if k else 0.0
-    qrem = q[0] if len(q) else 0.0
-    while i < k and j < len(q):
-        m = min(prem, qrem)
-        if m > 0.0:
-            out[i, j] += m
-            prem -= m
-            qrem -= m
-        if prem <= 1e-15:
-            i += 1
-            if i < k:
-                prem = p[i]
-        if qrem <= 1e-15:
-            j += 1
-            if j < len(q):
-                qrem = q[j]
-    return out
+    k = p.shape[-1]
+    widths, bins = _quantile_pieces(np.stack([np.cumsum(p, axis=-1),
+                                              np.cumsum(q, axis=-1)], axis=-2))
+    lead = widths.shape[:-1]
+    # one bincount over every batch: batch b owns the flat cells b*k*k .. (b+1)*k*k - 1
+    batch = np.arange(math.prod(lead)).reshape(lead + (1,))
+    cells = (batch * k + bins[..., 0, :]) * k + bins[..., 1, :]
+    out = np.bincount(cells.ravel(), weights=np.where(widths > 1e-15, widths, 0.0).ravel(),
+                      minlength=batch.size * k * k)
+    return out.reshape(lead + (k, k))
 
 
 def w2sq_monotone(p, q, grid: Grid) -> tuple[float, np.ndarray]:

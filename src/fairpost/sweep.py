@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -252,3 +253,12 @@ def write_envelope_csv(path, aggs: list[CellAggregate], master_seed: int) -> Non
         if pts:
             records += [(eps, d, m) for d, m in lower_envelope(pts)]
     _write_csv(path, master_seed, "epsilon,delta_sp,mse_raw", records)
+
+
+def write_outputs(out_dir, rows: list[SweepRow], master_seed: int) -> None:
+    """Aggregate ``rows`` and write the four CSV files into ``out_dir``."""
+    aggs = aggregate(rows)
+    write_results_csv(os.path.join(out_dir, "results.csv"), rows, master_seed)
+    write_aggregates_csv(os.path.join(out_dir, "aggregates.csv"), aggs, master_seed)
+    write_envelope_csv(os.path.join(out_dir, "envelope.csv"), aggs, master_seed)
+    write_timings_csv(os.path.join(out_dir, "timings.csv"), rows, master_seed)

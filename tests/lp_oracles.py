@@ -1,6 +1,8 @@
 """Independent LP oracles shared by the LP tests.
 
-``fixed_target_cost`` solves the plain transport LP with both marginals
+``monotone_coupling_loop`` is the scalar two-pointer construction of the
+quantile coupling, the reference for the closed form in
+:func:`fairpost.metrics.monotone_coupling`.  ``fixed_target_cost`` solves the plain transport LP with both marginals
 pinned, which bridges the barycenter LP to the monotone-coupling oracle in
 :mod:`fairpost.metrics`.  ``full_lp_objective`` solves the full barycenter
 program, every coupling column included, in one HiGHS call: the reference
@@ -48,3 +50,31 @@ def full_lp_objective(lp) -> float:
     if res.status != 0:
         raise SolverFailure(f"full LP failed (status {res.status}): {res.message}")
     return float(res.fun)
+
+
+def monotone_coupling_loop(p, q) -> np.ndarray:
+    """Northwest-corner (quantile) coupling of two mass vectors on sorted
+    support, one pointer per side.  Exact-tie mass splits advance both
+    pointers, and a remainder of at most 1e-15 is dropped as dust."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    k = len(p)
+    out = np.zeros((k, len(q)))
+    i = j = 0
+    prem = p[0] if k else 0.0
+    qrem = q[0] if len(q) else 0.0
+    while i < k and j < len(q):
+        m = min(prem, qrem)
+        if m > 0.0:
+            out[i, j] += m
+            prem -= m
+            qrem -= m
+        if prem <= 1e-15:
+            i += 1
+            if i < k:
+                prem = p[i]
+        if qrem <= 1e-15:
+            j += 1
+            if j < len(q):
+                qrem = q[j]
+    return out

@@ -308,6 +308,53 @@ def test_column_generation_matches_full_lp(lp):
     assert_solution_invariants(lp, sol, lp.alpha)
 
 
+def seed_mask_union1d(lp):
+    """The seed mask built over ``np.union1d`` of the breakpoints, the
+    construction ``_seed_mask`` must reproduce bit for bit."""
+    cdfs = np.cumsum(lp.pmfs, axis=1)
+    wtot = lp.weights.sum()
+    w = lp.weights / wtot if wtot > 0 else np.full(lp.n_groups, 1.0 / lp.n_groups)
+    edges = np.union1d(0.0, cdfs)
+    widths = np.diff(edges)
+    mids = edges[:-1] + widths / 2
+    bins = np.minimum((cdfs[:, None, :] <= mids[:, None]).sum(axis=2), lp.k - 1)
+    center = np.rint(w @ bins).astype(np.intp)
+    b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
+    half = lp.alpha / 2.0
+    lo = np.concatenate([np.zeros((lp.n_groups, 1)), cdfs[:, :-1]], axis=1) - half
+    hi = cdfs + half
+    b_lo = np.concatenate([[0.0], b_cdf[:-1]])
+    return (lo[:, :, None] <= b_cdf) & (b_lo <= hi[:, :, None])
+
+
+@settings(deadline=None, max_examples=200)
+@given(lp_instances())
+def test_seed_mask_matches_the_union1d_construction(lp):
+    assert np.array_equal(barycenter_lp._seed_mask(lp), seed_mask_union1d(lp))
+
+
+def test_infinite_alpha_couplings_are_exact_diagonals():
+    rng = np.random.default_rng(3)
+    pmfs = [random_pmf(rng, 6) for _ in range(3)]
+    sol = solve(build_lp(dists_from_pmfs(pmfs), make_grid(0, 1, 6), math.inf))
+    for a in range(3):
+        assert np.array_equal(sol.couplings[a], np.diag(pmfs[a]))
+
+
+def test_repair_rejects_massless_and_non_optimal_couplings():
+    lp = build_lp(dists_from_pmfs([[0.5, 0.5], [0.5, 0.5]]), make_grid(0, 1, 2), 0.1)
+    q = np.array([0.5, 0.5])
+    identity = np.array([np.diag(q)] * 2)
+    assert np.array_equal(barycenter_lp._repair(lp, identity.copy(), q).couplings, identity)
+    empty = identity.copy()
+    empty[1] = 0.0
+    with pytest.raises(SolverFailure, match="group 1 carries no mass"):
+        barycenter_lp._repair(lp, empty, q)
+    crossed = np.array([[[0.0, 0.5], [0.5, 0.0]]] * 2)
+    with pytest.raises(SolverFailure, match="monotone rearrangement changed the objective"):
+        barycenter_lp._repair(lp, crossed, q)
+
+
 def recording_linprog(monkeypatch):
     """Wrap the solver's linprog; returns the (columns, status) of each call."""
     calls = []

@@ -122,3 +122,52 @@ def test_solution_failing_its_certificate_is_a_solver_error(tmp_path, data, monk
     err = capsys.readouterr().err
     assert err.startswith("solver error: solution fails its certificate")
     assert ("KS(target, barycenter)" if corrupt == "center" else "prices at") in err
+
+
+@pytest.mark.parametrize("bad_label", ["nan", "x"])
+def test_apply_ignores_labels_it_does_not_use(tmp_path, data, model, bad_label):
+    """apply never reads the label column; evaluate still rejects the cell."""
+    lines = data.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + bad_label
+    bad = tmp_path / "bad_label.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    clean_out, bad_out = tmp_path / "clean.csv", tmp_path / "bad.csv"
+    assert main(["apply", "--model", str(model), "--data", str(data), "--out", str(clean_out)]) == 0
+    assert main(["apply", "--model", str(model), "--data", str(bad), "--out", str(bad_out)]) == 0
+    assert bad_out.read_bytes() == clean_out.read_bytes()
+    assert main(["evaluate", "--model", str(model), "--data", str(bad)]) == 3
+
+
+def test_label_as_score_is_still_checked_by_apply(tmp_path, model):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"score": None}))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("group,score,label\nA,0.5,0.5\nB,0.5,x\n")
+    assert main(["apply", "--model", str(model), "--data", str(bad), "--schema", str(schema),
+                 "--out", str(tmp_path / "p.csv")]) == 3
+
+
+def test_inf_spellings_parse_as_inf(tmp_path, data):
+    out = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--k", "3", "--alpha", " +Infinity ",
+                 "--epsilon", "INF", "--out", str(out)]) == 0
+    fit = json.loads(out.read_text())["fit"]
+    assert fit["alpha"] == fit["epsilon"] == "inf"
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(data), "alphas": ["Inf"], "ks": [2],
+                               "epsilons": [" infinity"], "seeds": 1}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    results = (tmp_path / "o" / "results.csv").read_text().splitlines()
+    assert results[2].startswith("inf,2,inf,0,")
+
+
+def test_non_numbers_are_config_errors(tmp_path, data, capsys):
+    assert main(["fit", "--data", str(data), "--k", "3", "--alpha", "infinite",
+                 "--epsilon", "1", "--out", str(tmp_path / "m.json")]) == 2
+    for alphas in (["x"], [None], [[0.1]]):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"data": str(data), "alphas": alphas, "ks": [2],
+                                   "epsilons": ["inf"], "seeds": 1}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("config error: expected a number") for line in err)

@@ -196,6 +196,31 @@ def test_renormalize_always_valid(row, weight):
     _assert_valid_cdf_pmf(cdf, pmf)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 40), st.floats(1e-300, 3))
+def test_batched_renormalize_equals_each_row(seed, n_rows, k, scale):
+    """One call over a (G, k) stack gives each row's 1-D result bit for bit,
+    zero and tiny weights included."""
+    rng = np.random.default_rng(seed)
+    rows = rng.laplace(0.0, 0.1, (n_rows, k)) + rng.random((n_rows, k)) / k
+    weights = np.maximum(rows.sum(axis=1), 0.0) * scale
+    weights[rng.random(n_rows) < 0.3] = 0.0
+    cdfs, pmfs = renormalize_cdf(rows, weights)
+    for a in range(n_rows):
+        cdf, pmf = renormalize_cdf(rows[a], weights[a])
+        assert np.array_equal(cdfs[a], cdf) and np.array_equal(pmfs[a], pmf)
+        assert np.array_equal(isotonic_midrange(rows)[a], isotonic_midrange(rows[a]))
+
+
+def test_renormalize_rejects_bad_shapes_and_weights():
+    with pytest.raises(ValueError):
+        renormalize_cdf(np.zeros((2, 3)), np.ones(3))
+    with pytest.raises(ValueError):
+        renormalize_cdf(np.zeros((2, 0)), np.ones(2))
+    with pytest.raises(ValueError):
+        renormalize_cdf(np.zeros((2, 3)), np.array([1.0, -1.0]))
+
+
 @given(st.lists(st.integers(0, 64), min_size=1, max_size=32))
 def test_renormalize_idempotent_on_valid_cdfs(levels):
     # dyadic CDF values (multiples of 1/64) keep every difference and

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fairpost.grid import discretize_many, make_grid
 from fairpost.metrics import (ks_distance, l1_distance, linf_distance, monotone_coupling,
                               mse, statistical_parity_gap, w2sq_monotone)
+from lp_oracles import monotone_coupling_loop
 
 
 def random_pmf(rng, k):
@@ -152,6 +153,54 @@ def test_w2_triangle_inequality(seed, k):
 def test_monotone_coupling_tie_split_deterministic():
     a = monotone_coupling(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
     assert np.array_equal(a, np.diag([0.5, 0.5]))
+
+
+@st.composite
+def pmf_pairs(draw):
+    """(p, q) on k = 1..120 bins with exact zero masses; q = p for some pairs."""
+    k = draw(st.integers(1, 120))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+    def pmf():
+        x = np.array(draw(st.lists(mass, min_size=k, max_size=k)))
+        x[draw(st.integers(0, k - 1))] += 1e-3  # at least one positive mass
+        return x / x.sum()
+    p = pmf()
+    return p, p.copy() if draw(st.booleans()) else pmf()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pmf_pairs())
+def test_monotone_coupling_matches_the_pointer_loop(pair):
+    p, q = pair
+    k = len(p)
+    got, want = monotone_coupling(p, q), monotone_coupling_loop(p, q)
+    assert got.shape == (k, k)
+    assert np.abs(got - want).max() <= 1e-14
+    v = (np.arange(k) + 0.5) / k
+    sq = (v[:, None] - v[None, :]) ** 2
+    assert abs((sq * got).sum() - (sq * want).sum()) <= 1e-14
+    # a staircase: support cells sorted by row have nondecreasing columns
+    rows, cols = np.nonzero(got)
+    assert (np.diff(cols) >= 0).all() and (np.diff(rows) >= 0).all()
+    assert np.abs(got.sum(axis=1) - p).max() <= 1e-14
+    assert np.abs(got.sum(axis=0) - q).max() <= 1e-14
+    if np.array_equal(p, q):
+        assert np.array_equal(rows, cols)  # the identity coupling
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 3), st.integers(1, 4))
+def test_batched_coupling_equals_each_pair(seed, k, b0, b1):
+    rng = np.random.default_rng(seed)
+    p = rng.random((b0, b1, k)) * (rng.random((b0, b1, k)) < 0.7) + 1e-12
+    q = rng.random((b0, b1, k)) * (rng.random((b0, b1, k)) < 0.7) + 1e-12
+    p /= p.sum(axis=-1, keepdims=True)
+    q /= q.sum(axis=-1, keepdims=True)
+    got = monotone_coupling(p, q)
+    assert got.shape == (b0, b1, k, k)
+    for i, j in np.ndindex(b0, b1):
+        assert np.array_equal(got[i, j], monotone_coupling(p[i, j], q[i, j]))
 
 
 # ------------------------------------------------------------------ parity gap
