@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Generate a synthetic canonical CSV (group, score, label) for demos.
 
-Two groups with shifted Beta-distributed targets; score = label, matching
-the identity-regressor evaluation setup.
+Four groups A-D with Beta(2,5), Beta(5,2), Beta(2,2) and Beta(0.7,0.9)
+scores in shares of 40/30/20/10 %; labels are the score plus N(0, 0.1)
+noise, clipped to [0, 1].  The rows come from ``perfbench/synth.py``, the
+generator the benchmark uses, so ``--seed`` and ``--n`` give the same rows
+as the benchmark's training stream.
 
 Usage: python scripts/make_synthetic_data.py --out data/synthetic.csv --n 2000
 """
@@ -11,7 +14,9 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+
+import synth
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--out", required=True)
@@ -19,15 +24,7 @@ parser.add_argument("--n", type=int, default=2000)
 parser.add_argument("--seed", type=int, default=0)
 args = parser.parse_args()
 
-rng = np.random.default_rng(args.seed)
 path = pathlib.Path(args.out)
 path.parent.mkdir(parents=True, exist_ok=True)
-with open(path, "w", encoding="utf-8") as fh:
-    fh.write("group,score,label\n")
-    for _ in range(args.n):
-        if rng.random() < 0.55:
-            g, y = "A", float(rng.beta(2.0, 5.0))
-        else:
-            g, y = "B", float(rng.beta(5.0, 2.0))
-        fh.write(f"{g},{y!r},{y!r}\n")
+synth.write_csv(path, *synth.make_rows(args.seed, synth.TRAIN, args.n))
 print(f"wrote {args.n} rows to {path}", file=sys.stderr)

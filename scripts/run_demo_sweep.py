@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end demo: synthetic data -> error/privacy/fairness trade-off CSVs.
 
-Generates a two-group synthetic dataset, sweeps (alpha, k, epsilon) over a
-small grid with several seeds, and writes results.csv / aggregates.csv /
+Generates the four-group synthetic dataset of scripts/make_synthetic_data.py
+(the rows of perfbench/synth.py), sweeps (alpha, k, epsilon) over a small
+grid with several seeds, and writes results.csv / aggregates.csv /
 envelope.csv under --out.  Runs in well under a minute.
 
 Usage: python scripts/run_demo_sweep.py --out results/demo
@@ -13,10 +14,10 @@ import math
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import numpy as np
-
+import synth
 from fairpost.data_io import DatasetSchema, GroupedSamples
 from fairpost.sweep import SweepConfig, run_sweep, write_outputs
 
@@ -27,15 +28,9 @@ parser.add_argument("--seeds", type=int, default=10)
 parser.add_argument("--master-seed", type=int, default=0)
 args = parser.parse_args()
 
-rng = np.random.default_rng(args.master_seed)
-rows = []
-for _ in range(args.n):
-    if rng.random() < 0.55:
-        g, y = "A", float(rng.beta(2.0, 5.0))
-    else:
-        g, y = "B", float(rng.beta(5.0, 2.0))
-    rows.append((g, y, y))
-samples = GroupedSamples.from_rows(rows)
+group_idx, scores, labels = synth.make_rows(args.master_seed, synth.TRAIN, args.n)
+samples = GroupedSamples(groups=synth.GROUPS, group_idx=group_idx, scores=scores,
+                         labels=labels)
 
 cfg = SweepConfig(
     data_path=None,

@@ -10,25 +10,22 @@ from .data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                       split_train_test)
 from .dp_estimation import (PrivacyParams, PrivateGroupDists, empirical_joint,
                             estimate_private_dists, group_weights, privatize_joint,
-                            renormalize_cdf, sample_laplace)
+                            renormalize_cdf)
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
-from .metrics import (ks_distance, l1_distance, linf_distance, monotone_coupling, mse,
-                      statistical_parity_gap, w2sq_monotone)
+from .metrics import monotone_coupling, mse, statistical_parity_gap
 from .pipeline import FairPostprocessor, fit, load
 from .sweep import SweepConfig, SweepRow, lower_envelope, run_sweep
-from .transport import TransportKernels, extract_kernels, push_forward, sample_bins
+from .transport import extract_kernels, sample_bins
 
 __all__ = [
     "__version__",
     "AffineTransform", "BarycenterSolution", "ConfigError", "DataError",
     "DatasetSchema", "FairPostprocessor", "Grid", "GroupedSamples", "LpInstance",
     "PrivacyParams", "PrivateGroupDists", "SolverFailure", "SweepConfig", "SweepRow",
-    "TransportKernels", "UnknownGroupError",
+    "UnknownGroupError",
     "build_lp", "discretize_many", "empirical_joint", "estimate_private_dists",
-    "extract_kernels", "fit", "group_weights", "ks_distance", "l1_distance",
-    "linf_distance", "load", "load_csv", "lower_envelope", "make_grid",
-    "monotone_coupling", "mse", "privatize_joint", "push_forward", "renormalize_cdf",
-    "run_sweep", "sample_bins", "sample_laplace", "solve", "split_train_test",
-    "statistical_parity_gap", "w2sq_monotone",
+    "extract_kernels", "fit", "group_weights", "load", "load_csv", "lower_envelope",
+    "make_grid", "monotone_coupling", "mse", "privatize_joint", "renormalize_cdf",
+    "run_sweep", "sample_bins", "solve", "split_train_test", "statistical_parity_gap",
 ]

@@ -51,33 +51,29 @@ def _schema_from_doc(doc, where: str) -> DatasetSchema:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; failing to read or parse it is a
+    config error about the ``what`` file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_schema(path: str | None) -> DatasetSchema:
     if path is None:
         return DatasetSchema()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read schema {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"schema {path} is not valid JSON: {exc}") from exc
-    return _schema_from_doc(doc, f"schema {path}")
+    return _schema_from_doc(_read_json(path, "schema"), f"schema {path}")
 
 
-def _predict(args, mode: str = "sample", labels: bool = True):
-    """Load the model and the data named on the command line, and predict;
-    ``labels=False`` skips a label column that is not also the score."""
+def _load_model(path: str) -> pipeline.FairPostprocessor:
     try:
-        model = pipeline.load(args.model)
+        return pipeline.load(path)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load model: {exc}") from exc
-    schema = _load_schema(args.schema)
-    if not labels and schema.score_col is not None:
-        schema = dataclasses.replace(schema, label_col=None)
-    samples = load_csv(args.data, schema)
-    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
-                                np.random.default_rng(args.seed), mode=mode)
-    return model, samples, preds
 
 
 @contextlib.contextmanager
@@ -103,9 +99,7 @@ def _cmd_fit(args) -> int:
         model.save(args.out)
     if args.dump_lp:
         # rebuilt from the released diagnostics; no second pass over the data
-        cdfs = np.cumsum(model.pmfs, axis=1)
-        cdfs[:, -1] = 1.0
-        dists = PrivateGroupDists(weights=model.weights, pmfs=model.pmfs, cdfs=cdfs)
+        dists = PrivateGroupDists(weights=model.weights, pmfs=model.pmfs)
         instance = build_lp(dists, model.grid, alpha)
         with _writing(args.dump_lp), open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(instance))
@@ -115,29 +109,41 @@ def _cmd_fit(args) -> int:
 
 def _write_predictions(fh, samples, preds, seed: int) -> None:
     """The ``apply`` output: a metadata line, the header, then one
-    ``group,score,prediction`` line per row in raw units, floats as ``repr``."""
-    tr = samples.transform
+    ``group,score,prediction`` line per row, floats as ``repr``.  Scores and
+    predictions are in raw units."""
     # predictions take at most G * k distinct values; each is formatted once
-    preds = format_floats(tr.to_raw(preds))
+    preds = format_floats(preds)
     fh.write(f"# fairpost {__version__} master_seed={seed}\n")
     fh.write("group,score,prediction\n")
     for i in range(0, samples.n, BLOCK_ROWS):
         block = slice(i, i + BLOCK_ROWS)
         lines = zip(map(samples.groups.__getitem__, samples.group_idx[block].tolist()),
-                    map(repr, tr.to_raw(samples.scores[block]).tolist()), preds[block])
+                    map(repr, samples.scores[block].tolist()), preds[block])
         fh.write("\n".join(map(",".join, lines)) + "\n")
 
 
 def _cmd_apply(args) -> int:
-    _, samples, preds = _predict(args, args.mode, labels=False)
+    model = _load_model(args.model)
+    schema = _load_schema(args.schema)
+    # scores stay in raw units, so each is written back as it was read; the
+    # label column is read only when it is also the score
+    samples = load_csv(args.data, dataclasses.replace(
+        schema, normalization="none",
+        label_col=schema.label_col if schema.score_col is None else None))
+    tr = schema.transform()
+    preds = model.predict_batch(samples.groups, samples.group_idx, tr.to_internal(samples.scores),
+                                np.random.default_rng(args.seed), mode=args.mode)
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        _write_predictions(fh, samples, preds, args.seed)
+        _write_predictions(fh, samples, tr.to_raw(preds), args.seed)
     print(f"wrote {samples.n} predictions to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    model, samples, preds = _predict(args)
+    model = _load_model(args.model)
+    samples = load_csv(args.data, _load_schema(args.schema))
+    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
+                                np.random.default_rng(args.seed))
     if samples.labels is None:
         raise DataError("evaluate requires labeled data")
     tr = samples.transform
@@ -145,9 +151,8 @@ def _cmd_evaluate(args) -> int:
         "n": samples.n,
         "mse_raw": mse(tr.to_raw(preds), tr.to_raw(samples.labels)),
         "mse_norm": mse(preds, samples.labels),
-        "delta_sp": statistical_parity_gap(
-            {g: preds[samples.group_idx == i] for i, g in enumerate(samples.groups)},
-            model.grid),
+        "delta_sp": statistical_parity_gap(samples.group_idx, preds, len(samples.groups),
+                                           model.grid),
         "out_of_range": model.out_of_range_count,
     }
     payload = json.dumps(report, indent=1, sort_keys=True) + "\n"
@@ -159,13 +164,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _sweep_config(args) -> sweep.SweepConfig:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    doc = _read_json(args.config, "config")
     try:
         schema_doc = doc.get("schema") or {}
         schema = (_load_schema(schema_doc) if isinstance(schema_doc, str)

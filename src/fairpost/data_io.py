@@ -53,10 +53,6 @@ class AffineTransform:
     def to_raw(self, z):
         return self.offset + self.scale * np.asarray(z, dtype=float)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.offset == 0.0 and self.scale == 1.0
-
 
 IDENTITY_TRANSFORM = AffineTransform()
 

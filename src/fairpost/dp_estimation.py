@@ -48,11 +48,10 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class PrivateGroupDists:
-    """Per-group clipped weights, valid conditional PMFs, and their CDFs."""
+    """Per-group clipped weights and valid conditional PMFs."""
 
     weights: np.ndarray   # (n_groups,), nonnegative
     pmfs: np.ndarray      # (n_groups, k), rows nonnegative and summing to 1
-    cdfs: np.ndarray      # (n_groups, k), rows nondecreasing in [0, 1], last entry 1
 
     @property
     def n_groups(self) -> int:
@@ -74,29 +73,18 @@ def empirical_joint(samples: GroupedSamples, grid: Grid) -> np.ndarray:
     return counts.reshape(len(samples.groups), grid.k) / samples.n
 
 
-def _laplace_from_uniform(u, scale: float):
-    """Inverse-CDF transform of uniform draws into Laplace(0, scale).
-
+def sample_laplace_many(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
+    """``size`` Laplace(0, scale) draws by inverse CDF, one uniform each, so
+    the stream advances as ``size`` scalar draws would; no rejection loops.
     u == 0.0 (probability 2^-53 under a 53-bit stream) is nudged to 2^-54
-    so the left tail stays finite.
-    """
-    u = np.where(np.asarray(u) == 0.0, 2.0 ** -54, u)
+    so the left tail stays finite."""
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    u = rng.random(size)
+    u = np.where(u == 0.0, 2.0 ** -54, u)
     return np.where(u < 0.5,
                     scale * np.log(2.0 * u),
                     -scale * np.log(2.0 * (1.0 - np.minimum(u, 1.0 - 2.0 ** -54))))
-
-
-def sample_laplace(rng: np.random.Generator, scale: float) -> float:
-    """One draw of :func:`sample_laplace_many`."""
-    return float(sample_laplace_many(rng, scale, 1)[0])
-
-
-def sample_laplace_many(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
-    """``size`` Laplace(0, scale) draws by inverse CDF, one uniform each, so
-    the stream advances as ``size`` scalar draws would; no rejection loops."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return _laplace_from_uniform(rng.random(size), scale)
 
 
 def privatize_joint(joint: np.ndarray, pp: PrivacyParams,
@@ -166,5 +154,5 @@ def estimate_private_dists(samples: GroupedSamples, grid: Grid, pp: PrivacyParam
     joint = empirical_joint(samples, grid)
     noisy = privatize_joint(joint, pp, rng)
     weights = group_weights(noisy)
-    cdfs, pmfs = renormalize_cdf(noisy, weights)
-    return PrivateGroupDists(weights=weights, pmfs=pmfs, cdfs=cdfs)
+    _, pmfs = renormalize_cdf(noisy, weights)
+    return PrivateGroupDists(weights=weights, pmfs=pmfs)

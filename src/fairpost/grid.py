@@ -16,10 +16,6 @@ class Grid:
     k: int
     midpoints: np.ndarray = field(repr=False)
 
-    @property
-    def width(self) -> float:
-        return (self.t - self.s) / self.k
-
 
 def make_grid(s: float, t: float, k: int) -> Grid:
     """Build a k-bin grid on [s, t].

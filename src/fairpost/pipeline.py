@@ -26,7 +26,6 @@ from . import barycenter_lp, dp_estimation, transport
 from .data_io import AffineTransform, GroupedSamples, IDENTITY_TRANSFORM, format_floats
 from .errors import UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
-from .transport import TransportKernels
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +54,7 @@ class FairPostprocessor:
 
     grid: Grid
     groups: tuple
-    kernels: TransportKernels
+    kernels: np.ndarray  # (n_groups, k, k), rows stochastic
     alpha: float
     epsilon: float
     seed: int | None
@@ -66,6 +65,10 @@ class FairPostprocessor:
     objective: float
     transform: AffineTransform = IDENTITY_TRANSFORM
     out_of_range_count: int = field(default=0, compare=False)
+
+    @cached_property
+    def _row_cdfs(self) -> np.ndarray:
+        return np.cumsum(self.kernels, axis=2)
 
     @cached_property
     def _row_means(self) -> np.ndarray:
@@ -121,7 +124,7 @@ class FairPostprocessor:
         j = discretize_many(self.grid, ys)
         if mode == "barycentric":
             return self._row_means[idx, j]
-        bins = transport.sample_bins(self.kernels, idx, j, rng.random(len(ys)))
+        bins = transport.sample_bins(self._row_cdfs, idx, j, rng.random(len(ys)))
         return self.grid.midpoints[bins]
 
     def to_document(self) -> dict:
@@ -131,7 +134,7 @@ class FairPostprocessor:
             "grid": {"s": _f2s(self.grid.s), "t": _f2s(self.grid.t), "k": self.grid.k,
                      "midpoints": format_floats(self.grid.midpoints, _f2s)},
             "groups": list(self.groups),
-            "kernels": _f2s_rows(self.kernels.matrices),
+            "kernels": _f2s_rows(self.kernels),
             "fit": {"alpha": _f2s(self.alpha), "epsilon": _f2s(self.epsilon),
                     "k": self.grid.k, "seed": self.seed},
             "transform": {"offset": _f2s(self.transform.offset),
@@ -208,7 +211,7 @@ def load(path) -> FairPostprocessor:
             raise ValueError(f"{path}: kernel rows must sum to 1 within 1e-9")
         d, tr, fit_meta = doc["diagnostics"], doc["transform"], doc["fit"]
         return FairPostprocessor(
-            grid=grid, groups=groups, kernels=TransportKernels(matrices=matrices),
+            grid=grid, groups=groups, kernels=matrices,
             alpha=float(fit_meta["alpha"]), epsilon=float(fit_meta["epsilon"]),
             seed=fit_meta["seed"],
             weights=np.array([float(x) for x in d["weights"]]),

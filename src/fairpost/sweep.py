@@ -45,6 +45,18 @@ class SweepConfig:
             raise ValueError("alpha, k, and epsilon lists must be nonempty")
         if self.seeds < 1:
             raise ValueError(f"need at least one seed, got {self.seeds}")
+        # fit's and split_train_test's checks, made once for the whole grid
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split ratio must be in (0, 1), got {self.split_ratio}")
+        for alpha in self.alphas:
+            if not alpha >= 0:
+                raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        for k in self.ks:
+            if k < 1:
+                raise ValueError(f"invalid bin count: need k >= 1, got {k}")
+        for eps in self.epsilons:
+            if not eps > 0:
+                raise ValueError(f"epsilon must be positive (or inf), got {eps}")
 
     @property
     def n_cells(self) -> int:
@@ -102,9 +114,8 @@ def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
             alpha=alpha, k=k, epsilon=epsilon, seed=seed,
             mse_raw=mse(tr.to_raw(preds), tr.to_raw(test.labels)),
             mse_norm=mse(preds, test.labels),
-            delta_sp=statistical_parity_gap(
-                {g: preds[test.group_idx == i] for i, g in enumerate(samples.groups)},
-                model.grid),
+            delta_sp=statistical_parity_gap(test.group_idx, preds, len(samples.groups),
+                                            model.grid),
             lp_objective=model.objective,
             status="ok",
             cell_seconds=time.perf_counter() - t0,

@@ -1,13 +1,16 @@
 """Independent LP oracles shared by the LP tests.
 
-``monotone_coupling_loop`` is the scalar two-pointer construction of the
-quantile coupling, the reference for the closed form in
-:func:`fairpost.metrics.monotone_coupling`.  ``fixed_target_cost`` solves the plain transport LP with both marginals
-pinned, which bridges the barycenter LP to the monotone-coupling oracle in
-:mod:`fairpost.metrics`.  ``full_lp_objective`` solves the full barycenter
-program, every coupling column included, in one HiGHS call: the reference
-for column generation in ``barycenter_lp.solve``.  They live with the tests
-because nothing in the package needs them.
+``ks_distance`` is the Kolmogorov-Smirnov distance of two mass vectors.
+``w2sq_monotone`` is the exact squared-W2 cost of the monotone coupling,
+which is optimal in 1-D with squared cost.  ``monotone_coupling_loop`` is
+the scalar two-pointer construction of the quantile coupling, the
+reference for the closed form in :func:`fairpost.metrics.monotone_coupling`.
+``fixed_target_cost`` solves the plain transport LP with both marginals
+pinned, which bridges the barycenter LP to the monotone-coupling oracle.
+``full_lp_objective`` solves the full barycenter program, every coupling
+column included, in one HiGHS call: the reference for column generation in
+``barycenter_lp.solve``.  They live with the tests because nothing in the
+package needs them.
 """
 
 import numpy as np
@@ -17,6 +20,26 @@ from scipy.optimize import linprog
 from fairpost.barycenter_lp import _HIGHS_OPTIONS
 from fairpost.errors import SolverFailure
 from fairpost.grid import Grid
+from fairpost.metrics import monotone_coupling
+
+
+def ks_distance(p, q) -> float:
+    """Kolmogorov-Smirnov distance: max absolute CDF difference on the grid.
+    Negative float dust is clipped to zero first."""
+    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
+    return float(np.abs(np.cumsum(p - q)).max())
+
+
+def w2sq_monotone(p, q, grid: Grid) -> tuple[float, np.ndarray]:
+    """Exact squared-W2 transport cost between grid distributions, with the
+    optimal coupling.  Both sides are renormalized to carry exactly the
+    same total mass; negative float dust is clipped to zero first."""
+    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
+    coupling = monotone_coupling(p / p.sum(), q / q.sum())
+    v = grid.midpoints
+    return float(((v[:, None] - v[None, :]) ** 2 * coupling).sum()), coupling
 
 
 def fixed_target_cost(p, q, grid: Grid) -> float:

@@ -10,18 +10,15 @@ from fairpost.barycenter_lp import build_lp, lp_text, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from fairpost.metrics import ks_distance, monotone_coupling, w2sq_monotone
-from lp_oracles import fixed_target_cost, full_lp_objective
+from fairpost.metrics import monotone_coupling
+from lp_oracles import fixed_target_cost, full_lp_objective, ks_distance, w2sq_monotone
 
 
 def dists_from_pmfs(pmfs, weights=None):
     pmfs = np.asarray(pmfs, dtype=float)
     if weights is None:
         weights = np.full(len(pmfs), 1.0 / len(pmfs))
-    cdfs = np.cumsum(pmfs, axis=1)
-    cdfs[:, -1] = 1.0
-    return PrivateGroupDists(weights=np.asarray(weights, dtype=float),
-                             pmfs=pmfs, cdfs=cdfs)
+    return PrivateGroupDists(weights=np.asarray(weights, dtype=float), pmfs=pmfs)
 
 
 def random_pmf(rng, k):

@@ -171,3 +171,27 @@ def test_non_numbers_are_config_errors(tmp_path, data, capsys):
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4 and all(line.startswith("config error: expected a number") for line in err)
+
+
+@pytest.mark.parametrize("field, value, fit_flag, message", [
+    ("split_ratio", 1.5, None, "split ratio must be in (0, 1), got 1.5"),
+    ("alphas", ["nan"], "--alpha", "alpha must be nonnegative, got nan"),
+    ("alphas", [-0.1], "--alpha", "alpha must be nonnegative, got -0.1"),
+    ("epsilons", [-1], "--epsilon", "epsilon must be positive (or inf), got -1.0"),
+    ("ks", [0], "--k", "invalid bin count: need k >= 1, got 0"),
+], ids=["split_ratio", "alpha_nan", "alpha_negative", "epsilon_negative", "k_zero"])
+def test_bad_sweep_hyperparameters_are_config_errors(tmp_path, data, capsys, field, value,
+                                                     fit_flag, message):
+    """Checked once before any cell runs, with the message fit gives."""
+    doc = {"data": str(data), "alphas": [0.1], "ks": [2], "epsilons": ["inf"], "seeds": 1}
+    doc[field] = value
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == f"config error: config {cfg}: {message}\n"
+    if fit_flag is not None:
+        argv = {"--k": "2", "--alpha": "0.1", "--epsilon": "inf", fit_flag: str(value[0])}
+        assert main(["fit", "--data", str(data), *(x for kv in argv.items() for x in kv),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairpost.grid import discretize_many, make_grid
-from fairpost.metrics import (ks_distance, l1_distance, linf_distance, monotone_coupling,
-                              mse, statistical_parity_gap, w2sq_monotone)
-from lp_oracles import monotone_coupling_loop
+from fairpost.metrics import monotone_coupling, mse, statistical_parity_gap
+from lp_oracles import ks_distance, monotone_coupling_loop, w2sq_monotone
 
 
 def random_pmf(rng, k):
@@ -28,39 +27,14 @@ def test_ks_disjoint_extremes():
     assert ks_distance([1, 0, 0], [0, 0, 1]) == pytest.approx(1.0)
 
 
-def test_l1_linf_two_bins():
-    assert l1_distance([0.5, 0.5], [1, 0]) == pytest.approx(1.0)
-    assert linf_distance([0.5, 0.5], [1, 0]) == pytest.approx(0.5)
-
-
-def test_distances_zero_on_identity():
-    p = [0.2, 0.5, 0.3]
-    assert l1_distance(p, p) == 0.0
-    assert linf_distance(p, p) == 0.0
-
-
-def test_mismatched_length_raises():
-    with pytest.raises(ValueError):
-        ks_distance([1.0], [0.5, 0.5])
-
-
-def test_invalid_mass_raises():
-    with pytest.raises(ValueError):
-        ks_distance([0.7, 0.7], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        ks_distance([1.5, -0.5], [0.5, 0.5])
-
-
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
 def test_norm_ordering_and_symmetry(seed, k):
     rng = np.random.default_rng(seed)
     p, q = random_pmf(rng, k), random_pmf(rng, k)
-    ks, l1, li = ks_distance(p, q), l1_distance(p, q), linf_distance(p, q)
-    assert li <= l1 + 1e-12
+    ks, l1 = ks_distance(p, q), np.abs(p - q).sum()
     assert ks <= 0.5 * l1 + 1e-12
     assert 0.5 * l1 <= 1 + 1e-12
     assert ks == pytest.approx(ks_distance(q, p))
-    assert l1 == pytest.approx(l1_distance(q, p))
 
 
 # ------------------------------------------------------------------ transport
@@ -206,31 +180,38 @@ def test_batched_coupling_equals_each_pair(seed, k, b0, b1):
 # ------------------------------------------------------------------ parity gap
 
 
+def columns(seqs):
+    """Per-group output sequences as (group_idx, outputs, n_groups) columns."""
+    group_idx = np.repeat(np.arange(len(seqs)), [len(ys) for ys in seqs])
+    outputs = np.concatenate([np.asarray(ys, dtype=float) for ys in seqs] + [np.empty(0)])
+    return group_idx, outputs, len(seqs)
+
+
 def test_parity_gap_single_group_is_zero():
     g = make_grid(0, 1, 4)
-    assert statistical_parity_gap({"A": [0.1, 0.2, 0.9]}, g) == 0.0
+    assert statistical_parity_gap(*columns([[0.1, 0.2, 0.9]]), g) == 0.0
 
 
 def test_parity_gap_disjoint_point_masses():
     g = make_grid(0, 1, 2)
-    assert statistical_parity_gap({"A": [0.2, 0.2], "B": [0.8]}, g) == pytest.approx(1.0)
+    assert statistical_parity_gap(*columns([[0.2, 0.2], [0.8]]), g) == pytest.approx(1.0)
 
 
 def test_parity_gap_identical_outputs():
     g = make_grid(0, 1, 5)
     ys = [0.1, 0.5, 0.5, 0.9]
-    assert statistical_parity_gap({"A": ys, "B": list(ys)}, g) == 0.0
+    assert statistical_parity_gap(*columns([ys, list(ys)]), g) == 0.0
 
 
 def test_parity_gap_skips_empty_groups():
     g = make_grid(0, 1, 2)
-    assert statistical_parity_gap({"A": [0.1], "B": []}, g) == 0.0
+    assert statistical_parity_gap(*columns([[0.1], []]), g) == 0.0
 
 
 def test_parity_gap_all_empty_raises():
     g = make_grid(0, 1, 2)
     with pytest.raises(ValueError):
-        statistical_parity_gap({"A": [], "B": []}, g)
+        statistical_parity_gap(*columns([[], []]), g)
 
 
 def pairwise_parity_gap(seqs, grid):
@@ -241,13 +222,36 @@ def pairwise_parity_gap(seqs, grid):
                default=0.0)
 
 
+def per_group_parity_gap(seqs, grid):
+    """One group at a time: each nonempty group's CDF from its own integer
+    running counts, then the spread of the CDFs at each bin."""
+    cdfs = [np.cumsum(np.bincount(discretize_many(grid, np.asarray(ys, dtype=float)),
+                                  minlength=grid.k)) / len(ys) for ys in seqs if len(ys)]
+    return float((np.max(cdfs, axis=0) - np.min(cdfs, axis=0)).max())
+
+
+group_outputs = (st.lists(st.lists(st.floats(-0.2, 1.2), max_size=40), min_size=1, max_size=8)
+                 .filter(lambda seqs: any(seqs)))
+
+
 @settings(max_examples=300)
-@given(st.integers(1, 64),
-       st.lists(st.lists(st.floats(-0.2, 1.2), max_size=40), min_size=1, max_size=8)
-       .filter(lambda seqs: any(seqs)))
+@given(st.integers(1, 64), group_outputs)
 def test_parity_gap_matches_pairwise_definition(k, seqs):
     g = make_grid(0, 1, k)
-    assert abs(statistical_parity_gap(seqs, g) - pairwise_parity_gap(seqs, g)) <= 1e-15
+    assert abs(statistical_parity_gap(*columns(seqs), g) - pairwise_parity_gap(seqs, g)) <= 1e-15
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 64), group_outputs, st.randoms(use_true_random=False))
+def test_parity_gap_equals_per_group_reference_bit_for_bit(k, seqs, shuffle):
+    """Empty groups, a single nonempty group and outputs outside [0, 1]
+    included; the row order does not matter."""
+    g = make_grid(0, 1, k)
+    group_idx, outputs, n_groups = columns(seqs)
+    order = list(range(len(outputs)))
+    shuffle.shuffle(order)
+    got = statistical_parity_gap(group_idx[order], outputs[order], n_groups, g)
+    assert got == per_group_parity_gap(seqs, g)
 
 
 # ------------------------------------------------------------------------ mse

@@ -15,9 +15,9 @@ import fairpost.transport
 from fairpost.data_io import GroupedSamples
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import UnknownGroupError
-from fairpost.metrics import ks_distance, statistical_parity_gap
+from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import FairPostprocessor, fit, load
-from fairpost.transport import push_forward
+from lp_oracles import ks_distance
 
 
 def predict_rows(model, rows, rng, mode="sample"):
@@ -40,14 +40,16 @@ def test_k_equals_one_is_exactly_fair():
     preds_a = predict_rows(model, [("A", y) for y in np.linspace(0, 1, 50)], rng)
     preds_b = predict_rows(model, [("B", y) for y in np.linspace(0, 1, 50)], rng)
     assert (preds_a == 0.5).all() and (preds_b == 0.5).all()
-    assert statistical_parity_gap({"A": preds_a, "B": preds_b}, model.grid) == 0.0
+    group_idx = np.repeat([0, 1], [len(preds_a), len(preds_b)])
+    assert statistical_parity_gap(group_idx, np.concatenate([preds_a, preds_b]), 2,
+                                  model.grid) == 0.0
 
 
 def test_single_group_gets_identity_kernel():
     rng = np.random.default_rng(1)
     rows = [("only", float(x)) for x in rng.random(100)]
     model = fit(GroupedSamples.from_rows(rows), (0, 1), 6, 0.3, math.inf, 0)
-    assert np.allclose(model.kernels.matrices[0], np.eye(6), atol=1e-9)
+    assert np.allclose(model.kernels[0], np.eye(6), atol=1e-9)
 
 
 def test_identical_groups_identity_kernels_zero_objective():
@@ -57,7 +59,7 @@ def test_identical_groups_identity_kernels_zero_objective():
     model = fit(GroupedSamples.from_rows(rows), (0, 1), 5, 0.0, math.inf, 0)
     assert model.objective == pytest.approx(0.0, abs=1e-9)
     for a in range(2):
-        assert np.allclose(model.kernels.matrices[a], np.eye(5), atol=1e-7)
+        assert np.allclose(model.kernels[a], np.eye(5), atol=1e-7)
 
 
 def test_predict_identity_kernels_is_pure_discretization():
@@ -129,7 +131,7 @@ def test_pushforward_identity_on_fitted_models():
         samples = two_group_samples(seed=seed)
         model = fit(samples, (0, 1), 7, alpha, eps, seed)
         for a in range(len(model.groups)):
-            got = push_forward(model.kernels, a, model.pmfs[a])
+            got = model.pmfs[a] @ model.kernels[a]
             assert np.abs(got - model.targets[a]).max() <= 1e-9
 
 
@@ -142,7 +144,7 @@ def test_population_fairness_at_fitted_distributions():
     samples = GroupedSamples.from_rows(rows, groups=("A", "B", "ghost"))
     for alpha in (0.0, 0.05, 0.25):
         model = fit(samples, (0, 1), 6, alpha, math.inf, 0)
-        outs = [push_forward(model.kernels, a, model.pmfs[a])
+        outs = [model.pmfs[a] @ model.kernels[a]
                 for a in range(len(model.groups))]
         for pa, pb in itertools.combinations(outs, 2):
             assert ks_distance(pa, pb) <= alpha + 1e-6
@@ -164,7 +166,7 @@ def test_serialization_round_trip_bit_identical(tmp_path):
     model.save(path)
     loaded = load(path)
     assert loaded.groups == model.groups
-    assert np.array_equal(loaded.kernels.matrices, model.kernels.matrices)
+    assert np.array_equal(loaded.kernels, model.kernels)
     assert np.array_equal(loaded.grid.midpoints, model.grid.midpoints)
     rows = [("A", 0.3), ("B", 0.6)] * 25
     a = predict_rows(model, rows, np.random.default_rng(7))
@@ -234,7 +236,7 @@ def test_barycentric_mode_is_row_mean():
     rng = np.random.default_rng(0)
     y = 0.4
     j = fairpost.grid.discretize_many(model.grid, [y])[0]
-    expected = float(model.kernels.matrices[0, j] @ model.grid.midpoints)
+    expected = float(model.kernels[0, j] @ model.grid.midpoints)
     assert model.predict("A", y, rng, mode="barycentric") == pytest.approx(expected)
     # no stream consumption in barycentric mode is not promised; only values
 
@@ -263,7 +265,6 @@ def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
     canned = PrivateGroupDists(
         weights=np.array([0.5, 0.5]),
         pmfs=np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]]),
-        cdfs=np.array([[0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.6, 1.0]]),
     )
     calls = {}
 
@@ -278,4 +279,4 @@ def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
     model = fit(poisoned, (0, 1), k, 0.1, 1.0, 0)
     assert calls["n"] == 10
     assert isinstance(model, FairPostprocessor)
-    assert model.kernels.matrices.shape == (2, k, k)
+    assert model.kernels.shape == (2, k, k)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairpost.pipeline import FairPostprocessor
 from fairpost.grid import make_grid
-from fairpost.transport import TransportKernels, sample_bins
+from fairpost.transport import sample_bins
 
 
 def random_kernels(rng, n_groups, k):
@@ -30,7 +30,7 @@ def model_from_kernels(matrices, s=0.0, t=1.0):
     flat = np.full((n_groups, k), 1.0 / k)
     return FairPostprocessor(
         grid=make_grid(s, t, k), groups=tuple(f"g{a}" for a in range(n_groups)),
-        kernels=TransportKernels(matrices=matrices), alpha=0.1, epsilon=math.inf,
+        kernels=matrices, alpha=0.1, epsilon=math.inf,
         seed=None, weights=np.full(n_groups, 1.0 / n_groups), pmfs=flat,
         targets=flat, barycenter=flat[0], objective=0.0)
 
@@ -43,7 +43,7 @@ def scalar_reference(model, model_rows, ys, uniforms):
     """One uniform per row: searchsorted(cumsum(row), u, side="right"), clamped."""
     out = []
     for a, y, u in zip(model_rows, ys, uniforms):
-        row = model.kernels.matrices[a, nearest_bin(model.grid, y)]
+        row = model.kernels[a, nearest_bin(model.grid, y)]
         b = min(int(np.searchsorted(np.cumsum(row), u, side="right")), model.grid.k - 1)
         out.append(model.grid.midpoints[b])
     return np.array(out, dtype=float)
@@ -102,7 +102,7 @@ def test_sample_mode_matches_scalar_reference_and_stream(batch):
 def test_uniforms_on_cdf_values_match_scalar_reference(batch):
     """Uniforms exactly equal to a CDF entry of the row being read (and 0)."""
     model, universe, group_idx, ys, model_rows, rng = batch
-    cdfs = np.cumsum(model.kernels.matrices, axis=2)
+    cdfs = np.cumsum(model.kernels, axis=2)
     uniforms = np.array([cdfs[a, nearest_bin(model.grid, y), rng.integers(0, model.grid.k)]
                          for a, y in zip(model_rows, ys)])
     uniforms[rng.random(len(ys)) < 0.2] = 0.0
@@ -117,7 +117,7 @@ def test_barycentric_mode_is_per_row_dot_bit_for_bit(batch):
     model, universe, group_idx, ys, model_rows, _ = batch
     stream = np.random.default_rng(0)
     got = model.predict_batch(universe, group_idx, ys, stream, mode="barycentric")
-    expected = [model.kernels.matrices[a, nearest_bin(model.grid, y)] @ model.grid.midpoints
+    expected = [model.kernels[a, nearest_bin(model.grid, y)] @ model.grid.midpoints
                 for a, y in zip(model_rows, ys)]
     assert np.array_equal(got, np.array(expected, dtype=float))
     assert stream.bit_generator.state == np.random.default_rng(0).bit_generator.state
@@ -144,12 +144,13 @@ def test_predict_is_the_one_row_batch():
 
 
 def test_sample_bins_exact_cdf_values_and_clamp():
-    kern = TransportKernels(matrices=np.array([[[0.25, 0.25, 0.5, 0.0],
-                                                 [0.0, 1.0, 0.0, 0.0],
-                                                 [0.0, 0.0, 1.0, 0.0],
-                                                 [0.0, 0.0, 0.0, 1.0]]]))
+    kernels = np.array([[[0.25, 0.25, 0.5, 0.0],
+                         [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0]]])
     u = np.array([0.0, 0.2499, 0.25, 0.5, 0.75, 0.9999, 1.0])
-    got = sample_bins(kern, np.zeros(7, dtype=np.intp), np.zeros(7, dtype=np.intp), u)
+    zeros = np.zeros(7, dtype=np.intp)
+    got = sample_bins(np.cumsum(kernels, axis=2), zeros, zeros, u)
     # side="right": a uniform equal to a CDF value moves past that bin;
     # u = 1.0 runs off the end and is clamped to the last bin
     assert list(got) == [0, 0, 1, 2, 2, 2, 3]

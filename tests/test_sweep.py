@@ -64,14 +64,21 @@ def test_baseline_cell_matches_pure_discretization():
     g = make_grid(0, 1, 6)
     preds = g.midpoints[discretize_many(g, test.scores)]
     assert row.mse_norm == pytest.approx(mse(preds, test.labels))
-    by_group = {a: preds[test.group_idx == i]
-                for i, a in enumerate(samples.groups)}
-    assert row.delta_sp == pytest.approx(statistical_parity_gap(by_group, g))
+    assert row.delta_sp == pytest.approx(
+        statistical_parity_gap(test.group_idx, preds, len(samples.groups), g))
 
 
-def test_cell_failures_recorded_and_run_continues():
+def test_cell_failures_recorded_and_run_continues(monkeypatch):
+    from fairpost import sweep
+    real_fit = sweep.fit
+
+    def fit_failing_at_k2(train, interval, k, *args):
+        if k == 2:
+            raise ValueError("cannot fit")
+        return real_fit(train, interval, k, *args)
+    monkeypatch.setattr(sweep, "fit", fit_failing_at_k2)
     samples = synthetic_samples(30)
-    cfg = config_for(ks=(0, 3), alphas=(0.1,), seeds=1)  # k = 0 cannot fit
+    cfg = config_for(ks=(2, 3), alphas=(0.1,), seeds=1)
     rows = run_sweep(cfg, samples=samples)
     assert len(rows) == 2
     assert rows[0].status.startswith("error:")

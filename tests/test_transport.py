@@ -8,18 +8,14 @@ from hypothesis import given, settings, strategies as st
 from fairpost.barycenter_lp import build_lp, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.grid import make_grid
-from fairpost.transport import (TransportKernels, extract_kernels, push_forward, row_means,
-                                sample_bins)
+from fairpost.transport import extract_kernels, row_means, sample_bins
 
 
 def dists_from_pmfs(pmfs, weights=None):
     pmfs = np.asarray(pmfs, dtype=float)
     if weights is None:
         weights = np.full(len(pmfs), 1.0 / len(pmfs))
-    cdfs = np.cumsum(pmfs, axis=1)
-    cdfs[:, -1] = 1.0
-    return PrivateGroupDists(weights=np.asarray(weights, dtype=float),
-                             pmfs=pmfs, cdfs=cdfs)
+    return PrivateGroupDists(weights=np.asarray(weights, dtype=float), pmfs=pmfs)
 
 
 def random_pmf(rng, k):
@@ -37,10 +33,10 @@ def solved_example():
 def test_kernel_rows_from_lp_example():
     _, d, sol = solved_example()
     kern = extract_kernels(sol, d)
-    assert np.allclose(kern.matrices[0, 0], [0, 1, 0])
-    assert np.allclose(kern.matrices[0, 1], [0, 1, 0])  # zero-mass bin: identity
-    assert np.allclose(kern.matrices[0, 2], [0, 0, 1])
-    assert np.allclose(kern.matrices[1, 2], [0, 1, 0])
+    assert np.allclose(kern[0, 0], [0, 1, 0])
+    assert np.allclose(kern[0, 1], [0, 1, 0])  # zero-mass bin: identity
+    assert np.allclose(kern[0, 2], [0, 0, 1])
+    assert np.allclose(kern[1, 2], [0, 1, 0])
 
 
 def test_identity_couplings_give_identity_kernels():
@@ -49,7 +45,7 @@ def test_identity_couplings_give_identity_kernels():
     d = dists_from_pmfs([random_pmf(rng, 4), random_pmf(rng, 4)])
     kern = extract_kernels(solve(build_lp(d, g, math.inf)), d)
     for a in range(2):
-        assert np.allclose(kern.matrices[a], np.eye(4))
+        assert np.allclose(kern[a], np.eye(4))
 
 
 def test_zero_mass_bins_always_identity_rows():
@@ -62,7 +58,7 @@ def test_zero_mass_bins_always_identity_rows():
     for j in (1, 2, 3):
         row = np.zeros(5)
         row[j] = 1.0
-        assert np.array_equal(kern.matrices[0, j], row)
+        assert np.array_equal(kern[0, j], row)
 
 
 def test_rows_always_stochastic():
@@ -75,8 +71,8 @@ def test_rows_always_stochastic():
                             rng.random(n_groups))
         g = make_grid(0, 1, k)
         kern = extract_kernels(solve(build_lp(d, g, alpha)), d)
-        sums = kern.matrices.sum(axis=2)
-        assert (kern.matrices >= 0).all()
+        sums = kern.sum(axis=2)
+        assert (kern >= 0).all()
         assert np.abs(sums - 1.0).max() <= 1e-9
 
 
@@ -91,7 +87,7 @@ def test_push_forward_reaches_targets():
         sol = solve(build_lp(d, g, alpha))
         kern = extract_kernels(sol, d)
         for a in range(n_groups):
-            got = push_forward(kern, a, d.pmfs[a])
+            got = d.pmfs[a] @ kern[a]
             assert np.abs(got - sol.targets[a]).max() <= 1e-9
 
 
@@ -100,7 +96,7 @@ def test_push_forward_identity_kernel():
     g = make_grid(0, 1, 2)
     kern = extract_kernels(solve(build_lp(d, g, math.inf)), d)
     p = np.array([0.6, 0.4])
-    assert np.allclose(push_forward(kern, 0, p), p)
+    assert np.allclose(p @ kern[0], p)
 
 
 def test_push_forward_point_mass_reads_row():
@@ -108,12 +104,13 @@ def test_push_forward_point_mass_reads_row():
     kern = extract_kernels(sol, d)
     p = np.zeros(3)
     p[0] = 1.0
-    assert np.allclose(push_forward(kern, 0, p), kern.matrices[0, 0])
+    assert np.allclose(p @ kern[0], kern[0, 0])
 
 
 def draw_bins(kern, a, j, u):
     n = len(u)
-    return sample_bins(kern, np.full(n, a), np.full(n, j), np.asarray(u, dtype=float))
+    return sample_bins(np.cumsum(kern, axis=2), np.full(n, a), np.full(n, j),
+                       np.asarray(u, dtype=float))
 
 
 def test_sample_bins_identity_row():
@@ -129,9 +126,9 @@ def test_sample_bins_deterministic_row():
 
 
 def test_sample_bins_monte_carlo_frequencies():
-    kern = TransportKernels(matrices=np.array([[[0.5, 0.5, 0.0],
-                                                [0.0, 1.0, 0.0],
-                                                [0.0, 0.0, 1.0]]]))
+    kern = np.array([[[0.5, 0.5, 0.0],
+                      [0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0]]])
     draws = draw_bins(kern, 0, 0, np.random.default_rng(123).random(10 ** 5))
     freq = np.bincount(draws, minlength=3) / len(draws)
     assert np.abs(freq - [0.5, 0.5, 0.0]).max() < 0.01
@@ -149,7 +146,7 @@ def test_kernel_row_cdfs_are_ordered_on_mass_bearing_rows():
         kern = extract_kernels(sol, d)
         for a in range(2):
             mass_rows = [j for j in range(k) if d.pmfs[a][j] > 0]
-            cdfs = np.cumsum(kern.matrices[a], axis=1)
+            cdfs = np.cumsum(kern[a], axis=1)
             for lo, hi in zip(mass_rows[:-1], mass_rows[1:]):
                 assert (cdfs[lo] >= cdfs[hi] - 1e-9).all()
 
@@ -183,7 +180,7 @@ def test_extract_kernels_matches_per_row_loop_bit_for_bit(n_groups, k, seed):
     couplings[rng.random((n_groups, k)) < 0.1] = -1e-13  # rows clipped to zero
     sol = SimpleNamespace(couplings=couplings)
     kern = extract_kernels(sol, dists_from_pmfs(pmfs))
-    assert np.array_equal(kern.matrices, extract_kernels_loop(couplings, pmfs))
+    assert np.array_equal(kern, extract_kernels_loop(couplings, pmfs))
 
 
 def test_row_means_barycentric_projection():

@@ -11,35 +11,28 @@ from hypothesis import given, settings, strategies as st
 
 from fairpost import __version__
 from fairpost.cli import _write_predictions, main
-from fairpost.data_io import (AffineTransform, BLOCK_ROWS, DatasetSchema, GroupedSamples,
-                              IDENTITY_TRANSFORM, format_floats, load_csv)
+from fairpost.data_io import BLOCK_ROWS, DatasetSchema, GroupedSamples, format_floats, load_csv
 from fairpost.pipeline import fit, load
 
 
-def reference_apply(samples, preds, seed) -> str:
-    raw = samples.transform.to_raw(preds).tolist()
-    raw_scores = samples.transform.to_raw(samples.scores).tolist()
-    labels = [samples.groups[i] for i in samples.group_idx.tolist()]
+def reference_apply(groups, scores, preds, seed) -> str:
+    """The apply output with one ``repr`` per score and prediction."""
     return (f"# fairpost {__version__} master_seed={seed}\ngroup,score,prediction\n"
-            + "".join(f"{g},{y!r},{p!r}\n" for g, y, p in zip(labels, raw_scores, raw)))
+            + "".join(f"{g},{y!r},{p!r}\n" for g, y, p in zip(groups, scores, preds)))
 
 
-def written(samples, preds, seed) -> str:
-    buf = io.StringIO()
-    _write_predictions(buf, samples, preds, seed)
-    return buf.getvalue()
+def group_labels(samples) -> list:
+    return [samples.groups[i] for i in samples.group_idx.tolist()]
 
 
 SPECIAL = [0.0, -0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2]
-TRANSFORMS = [IDENTITY_TRANSFORM, AffineTransform(offset=1.0, scale=3.0),
-              AffineTransform(offset=-0.5, scale=0.1)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
        st.lists(st.floats(-2, 2, allow_subnormal=True), min_size=1, max_size=12),
-       st.sampled_from(TRANSFORMS), st.integers(0, 2**32 - 1))
-def test_apply_writer_matches_per_row_reference(n, pool, transform, seed):
+       st.integers(0, 2**32 - 1))
+def test_apply_writer_matches_per_row_reference(n, pool, seed):
     # predictions repeat a few values (k midpoints in sample mode, G x k row
     # means in barycentric mode); scores are mostly distinct
     rng = np.random.default_rng(seed)
@@ -47,9 +40,12 @@ def test_apply_writer_matches_per_row_reference(n, pool, transform, seed):
     scores = rng.random(n)
     scores[rng.random(n) < 0.1] = -0.0
     samples = GroupedSamples(groups=("A", "b c", "é"), group_idx=rng.integers(0, 3, n),
-                             scores=scores, transform=transform)
+                             scores=scores)
     preds = pool[rng.integers(0, len(pool), n)]
-    assert written(samples, preds, seed) == reference_apply(samples, preds, seed)
+    buf = io.StringIO()
+    _write_predictions(buf, samples, preds, seed)
+    assert buf.getvalue() == reference_apply(group_labels(samples), scores.tolist(),
+                                             preds.tolist(), seed)
 
 
 IDENTITY = DatasetSchema()
@@ -88,7 +84,37 @@ def test_apply_command_matches_per_row_reference(fitted, mode, name, schema):
     preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
                                 np.random.default_rng(11), mode=mode)
     assert model.out_of_range_count > 0
-    assert out.read_text(encoding="utf-8") == reference_apply(samples, preds, 11)
+    # the score is column 1 of both files (the label doubles as the score under AFFINE)
+    scores = [float(line.split(",")[1]) for line in data.read_text().splitlines()[1:]]
+    assert out.read_text(encoding="utf-8") == reference_apply(
+        group_labels(samples), scores, samples.transform.to_raw(preds).tolist(), 11)
+
+
+def test_apply_writes_each_score_as_read(tmp_path):
+    """Under affine-to-unit on (0.1, 0.8) the raw -> internal -> raw round
+    trip moves some scores by one ulp; apply writes the input cells, and its
+    predictions are those of the internal scores."""
+    rng = np.random.default_rng(8)
+    cells = [repr(y) for y in rng.uniform(0.1, 0.8, 3000).tolist()]
+    data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+    data.write_text("group,score\n" + "".join(f"{'AB'[i % 2]},{c}\n"
+                                              for i, c in enumerate(cells)))
+    schema.write_text('{"label": null, "interval": [0.1, 0.8], '
+                      '"normalization": "affine-to-unit"}')
+    affine = DatasetSchema(label_col=None, interval=(0.1, 0.8), normalization="affine-to-unit")
+    tr = affine.transform()
+    assert any(repr(tr.to_raw(tr.to_internal(float(c)))) != c for c in cells)
+    model_path, out = tmp_path / "model.json", tmp_path / "out.csv"
+    assert main(["fit", "--data", str(data), "--schema", str(schema), "--k", "9",
+                 "--alpha", "0.05", "--epsilon", "inf", "--out", str(model_path)]) == 0
+    assert main(["apply", "--model", str(model_path), "--data", str(data), "--schema",
+                 str(schema), "--seed", "3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [score for _, score, _ in rows] == cells
+    samples = load_csv(data, affine)
+    preds = load(model_path).predict_batch(samples.groups, samples.group_idx, samples.scores,
+                                           np.random.default_rng(3))
+    assert [pred for _, _, pred in rows] == [repr(p) for p in tr.to_raw(preds).tolist()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,7 +134,7 @@ def reference_document(m) -> dict:
         "grid": {"s": f(m.grid.s), "t": f(m.grid.t), "k": m.grid.k,
                  "midpoints": [f(v) for v in m.grid.midpoints]},
         "groups": list(m.groups),
-        "kernels": [[f(x) for x in k.ravel()] for k in m.kernels.matrices],
+        "kernels": [[f(x) for x in k.ravel()] for k in m.kernels],
         "fit": {"alpha": f(m.alpha), "epsilon": f(m.epsilon), "k": m.grid.k, "seed": m.seed},
         "transform": {"offset": f(m.transform.offset), "scale": f(m.transform.scale)},
         "diagnostics": {
