@@ -96,6 +96,12 @@ class BarycenterSolution:
     objective: float
 
 
+def _check_alpha(alpha: float) -> None:
+    """The KS radius check of :func:`build_lp`; the sweep config runs it too."""
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+
+
 def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
     """Assemble the LP for the given private distributions and KS radius
     alpha/2.  alpha = +inf drops the KS and center rows entirely; alpha = 0
@@ -103,8 +109,7 @@ def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
     to the center.  Zero-weight groups stay in the instance with zero
     objective weight.
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_alpha(alpha)
     n_groups, k = dists.n_groups, dists.k
     if k != grid.k:
         raise ValueError(f"distributions have k={k}, grid has k={grid.k}")

@@ -37,6 +37,13 @@ def _parse_hyper(value) -> float:
         raise ConfigError(f"expected a number or 'inf', got {value!r}") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer; a float or a boolean is refused, as ``fit --k`` refuses it."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _schema_from_doc(doc, where: str) -> DatasetSchema:
     try:
         return DatasetSchema(
@@ -44,7 +51,6 @@ def _schema_from_doc(doc, where: str) -> DatasetSchema:
             score_col=doc.get("score", "score"),
             label_col=doc.get("label", "label"),
             interval=tuple(doc.get("interval", (0.0, 1.0))),
-            normalization=doc.get("normalization", "none"),
             delimiter=doc.get("delimiter", ","),
         )
     except (AttributeError, TypeError, ValueError) as exc:
@@ -91,8 +97,7 @@ def _cmd_fit(args) -> int:
     alpha = _parse_hyper(args.alpha)
     epsilon = _parse_hyper(args.epsilon)
     try:
-        model = pipeline.fit(samples, schema.internal_interval, args.k,
-                             alpha, epsilon, args.seed)
+        model = pipeline.fit(samples, schema.interval, args.k, alpha, epsilon, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with _writing(args.out):
@@ -109,8 +114,7 @@ def _cmd_fit(args) -> int:
 
 def _write_predictions(fh, samples, preds, seed: int) -> None:
     """The ``apply`` output: a metadata line, the header, then one
-    ``group,score,prediction`` line per row, floats as ``repr``.  Scores and
-    predictions are in raw units."""
+    ``group,score,prediction`` line per row, floats as ``repr``."""
     # predictions take at most G * k distinct values; each is formatted once
     preds = format_floats(preds)
     fh.write(f"# fairpost {__version__} master_seed={seed}\n")
@@ -125,16 +129,13 @@ def _write_predictions(fh, samples, preds, seed: int) -> None:
 def _cmd_apply(args) -> int:
     model = _load_model(args.model)
     schema = _load_schema(args.schema)
-    # scores stay in raw units, so each is written back as it was read; the
-    # label column is read only when it is also the score
+    # the label column is read only when it is also the score
     samples = load_csv(args.data, dataclasses.replace(
-        schema, normalization="none",
-        label_col=schema.label_col if schema.score_col is None else None))
-    tr = schema.transform()
-    preds = model.predict_batch(samples.groups, samples.group_idx, tr.to_internal(samples.scores),
+        schema, label_col=schema.label_col if schema.score_col is None else None))
+    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
                                 np.random.default_rng(args.seed), mode=args.mode)
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        _write_predictions(fh, samples, tr.to_raw(preds), args.seed)
+        _write_predictions(fh, samples, preds, args.seed)
     print(f"wrote {samples.n} predictions to {args.out}")
     return 0
 
@@ -146,12 +147,12 @@ def _cmd_evaluate(args) -> int:
                                 np.random.default_rng(args.seed))
     if samples.labels is None:
         raise DataError("evaluate requires labeled data")
-    tr = samples.transform
+    unit = model.transform.to_internal(preds)
     report = {
         "n": samples.n,
-        "mse_raw": mse(tr.to_raw(preds), tr.to_raw(samples.labels)),
-        "mse_norm": mse(preds, samples.labels),
-        "delta_sp": statistical_parity_gap(samples.group_idx, preds, len(samples.groups),
+        "mse_raw": mse(preds, samples.labels),
+        "mse_norm": mse(unit, model.transform.to_internal(samples.labels)),
+        "delta_sp": statistical_parity_gap(samples.group_idx, unit, len(samples.groups),
                                            model.grid),
         "out_of_range": model.out_of_range_count,
     }
@@ -173,11 +174,11 @@ def _sweep_config(args) -> sweep.SweepConfig:
             data_path=doc["data"],
             schema=schema,
             alphas=tuple(map(_parse_hyper, doc["alphas"])),
-            ks=tuple(int(k) for k in doc["ks"]),
+            ks=tuple(map(_integer, doc["ks"])),
             epsilons=tuple(map(_parse_hyper, doc["epsilons"])),
-            seeds=int(doc.get("seeds", 50)),
+            seeds=_integer(doc.get("seeds", 50)),
             split_ratio=float(doc.get("split_ratio", 0.7)),
-            master_seed=args.seed if args.seed is not None else int(doc.get("master_seed", 0)),
+            master_seed=args.seed if args.seed is not None else _integer(doc.get("master_seed", 0)),
             workers=args.workers,
         )
     except (KeyError, TypeError, ValueError) as exc:

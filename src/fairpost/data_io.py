@@ -1,10 +1,12 @@
-"""CSV ingestion, schema mapping, target normalization, and train/test splitting.
+"""CSV ingestion, schema mapping, and train/test splitting.
 
 The canonical on-disk format is a delimited text file with a header row and
 UTF-8 encoding.  Canonical columns: ``group`` (string), ``score`` (decimal),
 ``label`` (decimal, optional).  Raw-dataset feature handling lives in the
 checked-in recipes under ``scripts/``; the library only consumes the
 canonical layout (or any layout described by a :class:`DatasetSchema`).
+Columns are returned in the units they were read in; a fitted model maps
+them onto its unit grid with the :class:`AffineTransform` it stores.
 
 Text I/O works on blocks of rows, not on one row at a time.
 :func:`load_csv` takes rows from ``csv.reader`` in blocks and checks,
@@ -39,7 +41,7 @@ BLOCK_ROWS = 512
 
 @dataclass(frozen=True)
 class AffineTransform:
-    """Map between raw target units and the internal scale.
+    """Map between raw target units and the unit interval of a model's grid.
 
     raw = offset + scale * internal.  Identity by default.
     """
@@ -54,24 +56,19 @@ class AffineTransform:
         return self.offset + self.scale * np.asarray(z, dtype=float)
 
 
-IDENTITY_TRANSFORM = AffineTransform()
-
-
 @dataclass(frozen=True)
 class DatasetSchema:
     """Column mapping and target-interval declaration for a dataset.
 
     ``score_col=None`` means the label column doubles as the score (the
-    identity-regressor setup); ``normalization="affine-to-unit"`` rescales
-    scores and labels from ``interval`` onto [0, 1], keeping the inverse
-    transform on the loaded samples.
+    identity-regressor setup).  ``interval`` is the raw target interval a
+    fit maps onto its grid; only ``fit`` and ``sweep`` read it.
     """
 
     group_col: str = "group"
     score_col: str | None = "score"
     label_col: str | None = "label"
     interval: tuple[float, float] = (0.0, 1.0)
-    normalization: str = "none"
     delimiter: str = ","
 
     def __post_init__(self):
@@ -79,24 +76,10 @@ class DatasetSchema:
         if len(set(cols)) != len(cols):
             raise ValueError(f"schema column names must be distinct, got {cols}")
         s, t = self.interval
-        if not float(s) < float(t):
-            raise ValueError(f"invalid interval {self.interval}: need s < t")
+        if not 0.0 < float(t) - float(s) < math.inf:
+            raise ValueError(f"invalid interval {self.interval}: need finite s < t")
         if self.score_col is None and self.label_col is None:
             raise ValueError("schema needs a score column or a label column to use as score")
-        if self.normalization not in ("none", "affine-to-unit"):
-            raise ValueError(f"unknown normalization mode {self.normalization!r}")
-
-    @property
-    def internal_interval(self) -> tuple[float, float]:
-        if self.normalization == "affine-to-unit":
-            return (0.0, 1.0)
-        return (float(self.interval[0]), float(self.interval[1]))
-
-    def transform(self) -> AffineTransform:
-        if self.normalization == "affine-to-unit":
-            s, t = self.interval
-            return AffineTransform(offset=float(s), scale=float(t) - float(s))
-        return IDENTITY_TRANSFORM
 
 
 @dataclass(frozen=True)
@@ -104,15 +87,14 @@ class GroupedSamples:
     """Rows of (group, score, optional label) in columnar form.
 
     ``groups`` lists the distinct group labels in first-appearance order;
-    ``group_idx`` indexes into it per row.  Scores and labels are on the
-    internal scale; ``transform`` recovers raw units.
+    ``group_idx`` indexes into it per row.  Scores and labels are in raw
+    units.
     """
 
     groups: tuple
     group_idx: np.ndarray
     scores: np.ndarray
     labels: np.ndarray | None = None
-    transform: AffineTransform = IDENTITY_TRANSFORM
 
     def __post_init__(self):
         if len(self.group_idx) != len(self.scores):
@@ -129,7 +111,7 @@ class GroupedSamples:
         return len(self.scores)
 
     @classmethod
-    def from_rows(cls, rows, groups=None, transform=IDENTITY_TRANSFORM) -> "GroupedSamples":
+    def from_rows(cls, rows, groups=None) -> "GroupedSamples":
         """Build from an iterable of (group, score) or (group, score, label) tuples."""
         rows = list(rows)
         groups = tuple(dict.fromkeys(r[0] for r in rows) if groups is None else groups)
@@ -139,8 +121,7 @@ class GroupedSamples:
         labels = None
         if rows and len(rows[0]) > 2 and rows[0][2] is not None:
             labels = np.array([float(r[2]) for r in rows], dtype=float)
-        return cls(groups=groups, group_idx=gi, scores=scores, labels=labels,
-                   transform=transform)
+        return cls(groups=groups, group_idx=gi, scores=scores, labels=labels)
 
     def subset(self, idx: np.ndarray) -> "GroupedSamples":
         """Row subset; the group-label universe is preserved."""
@@ -149,7 +130,6 @@ class GroupedSamples:
             group_idx=self.group_idx[idx],
             scores=self.scores[idx],
             labels=None if self.labels is None else self.labels[idx],
-            transform=self.transform,
         )
 
 
@@ -224,13 +204,11 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     if rejected:
         log.warning("%s: rejected %d row(s) with empty cells", path, rejected)
 
-    transform = schema.transform()
     return GroupedSamples(
         groups=tuple(index),
         group_idx=np.frombuffer(gi, dtype=np.int64).astype(np.intp),
-        scores=transform.to_internal(np.frombuffer(values[0])),
-        labels=None if schema.label_col is None else transform.to_internal(np.frombuffer(values[-1])),
-        transform=transform,
+        scores=np.frombuffer(values[0]),
+        labels=None if schema.label_col is None else np.frombuffer(values[-1]),
     )
 
 

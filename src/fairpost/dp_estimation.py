@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import GroupedSamples
+from .data_io import AffineTransform, GroupedSamples
 from .grid import Grid, discretize_many
 
 
@@ -62,12 +62,14 @@ class PrivateGroupDists:
         return self.pmfs.shape[1]
 
 
-def empirical_joint(samples: GroupedSamples, grid: Grid) -> np.ndarray:
+def empirical_joint(samples: GroupedSamples, grid: Grid,
+                    transform: AffineTransform = AffineTransform()) -> np.ndarray:
     """Empirical joint PMF over (group, bin): entry (a, j) is the fraction
-    of rows with group a whose score discretizes to bin j."""
+    of rows with group a whose score, mapped by ``transform`` onto the
+    grid's units, discretizes to bin j."""
     if samples.n == 0:
         raise ValueError("empty input: need at least one sample")
-    bins = discretize_many(grid, samples.scores)
+    bins = discretize_many(grid, transform.to_internal(samples.scores))
     counts = np.bincount(samples.group_idx * grid.k + bins,
                          minlength=len(samples.groups) * grid.k)
     return counts.reshape(len(samples.groups), grid.k) / samples.n
@@ -146,12 +148,14 @@ def renormalize_cdf(row: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_private_dists(samples: GroupedSamples, grid: Grid, pp: PrivacyParams,
-                           rng: np.random.Generator) -> PrivateGroupDists:
-    """Full private-estimation pass: empirical joint, Laplace mechanism,
-    clipped weights, per-group CDF renormalization."""
+                           rng: np.random.Generator,
+                           transform: AffineTransform = AffineTransform()) -> PrivateGroupDists:
+    """Full private-estimation pass: empirical joint (of the scores mapped
+    by ``transform`` onto the grid's units), Laplace mechanism, clipped
+    weights, per-group CDF renormalization."""
     if pp.n != samples.n:
         raise ValueError(f"PrivacyParams.n = {pp.n} does not match sample count {samples.n}")
-    joint = empirical_joint(samples, grid)
+    joint = empirical_joint(samples, grid, transform)
     noisy = privatize_joint(joint, pp, rng)
     weights = group_weights(noisy)
     _, pmfs = renormalize_cdf(noisy, weights)

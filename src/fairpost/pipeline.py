@@ -1,16 +1,19 @@
 """End-to-end post-processing: fit kernels from grouped scores, predict.
 
-A fitted model is a :class:`FairPostprocessor`: the grid, the group-label
-universe, one transport kernel per group, and the fitted diagnostics.  The
-raw samples are consumed exactly once, inside the private estimation step;
-everything after that depends on the data only through the private
-estimates.
+A fitted model is a :class:`FairPostprocessor`: the grid on [0, 1], the
+group-label universe, one transport kernel per group, the fitted
+diagnostics, and the affine map of the raw interval onto the grid, through
+which it takes raw scores and returns raw outputs.  The raw samples are
+consumed exactly once, inside the private estimation step; everything
+after that depends on the data only through the private estimates.
 
 Model file format (version 1): a JSON document with the grid, group
 labels, kernels (row-major), diagnostics, the affine raw-units transform,
 and fit metadata.  Every float is rendered as a 17-significant-digit
 decimal string ("inf" for infinity), which round-trips IEEE doubles
-bit-exactly and keeps the file valid JSON regardless of the writer.
+bit-exactly and keeps the file valid JSON regardless of the writer.  A
+file whose grid is not on [0, 1] holds the identity transform and
+predicts in its grid's units.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import barycenter_lp, dp_estimation, transport
-from .data_io import AffineTransform, GroupedSamples, IDENTITY_TRANSFORM, format_floats
+from .data_io import AffineTransform, GroupedSamples, format_floats
 from .errors import UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 
@@ -47,7 +50,8 @@ def _f2s_rows(a) -> list[list[str]]:
 class FairPostprocessor:
     """Fitted fair post-processing model.
 
-    Immutable in spirit after fit; the only mutable member is the
+    Scores and outputs are in raw units; ``transform`` maps them onto the
+    grid.  Immutable in spirit after fit; the only mutable member is the
     out-of-range counter bumped when predict sees a score outside the
     fitted interval.
     """
@@ -63,7 +67,7 @@ class FairPostprocessor:
     targets: np.ndarray
     barycenter: np.ndarray
     objective: float
-    transform: AffineTransform = IDENTITY_TRANSFORM
+    transform: AffineTransform = AffineTransform()
     out_of_range_count: int = field(default=0, compare=False)
 
     @cached_property
@@ -76,8 +80,8 @@ class FairPostprocessor:
 
     def predict(self, a, y: float, rng: np.random.Generator,
                 mode: str = "sample") -> float:
-        """Post-processed output for one (group, score) pair, through the
-        same sampler as :meth:`predict_batch`.
+        """Post-processed output for one (group, raw score) pair, in raw
+        units, through the same sampler as :meth:`predict_batch`.
 
         ``mode="sample"`` draws a bin from the kernel row (the default;
         this is what carries the parity guarantee).  ``mode="barycentric"``
@@ -91,8 +95,8 @@ class FairPostprocessor:
 
     def predict_batch(self, groups, group_idx, scores, rng: np.random.Generator,
                       mode: str = "sample") -> np.ndarray:
-        """Outputs for columnar rows in order: row i has group
-        ``groups[group_idx[i]]`` and score ``scores[i]``, as in
+        """Raw outputs for columnar rows in order: row i has group
+        ``groups[group_idx[i]]`` and raw score ``scores[i]``, as in
         :class:`GroupedSamples`.  Sample mode draws one uniform per row, so
         outputs and stream state equal a loop of :meth:`predict`.  Unknown
         groups are reported with their row index before any draw."""
@@ -115,17 +119,18 @@ class FairPostprocessor:
                          rng: np.random.Generator, mode: str) -> np.ndarray:
         if mode not in ("sample", "barycentric"):
             raise ValueError(f"unknown mode {mode!r}")
-        outside = (ys < self.grid.s) | (ys > self.grid.t)
+        zs = self.transform.to_internal(ys)
+        outside = (zs < self.grid.s) | (zs > self.grid.t)
         if n_outside := int(np.count_nonzero(outside)):
             if self.out_of_range_count == 0:
                 log.warning("score %g outside fitted interval [%g, %g]; clamping",
-                            ys[outside][0], self.grid.s, self.grid.t)
+                            ys[outside][0], *self.transform.to_raw([self.grid.s, self.grid.t]))
             self.out_of_range_count += n_outside
-        j = discretize_many(self.grid, ys)
+        j = discretize_many(self.grid, zs)
         if mode == "barycentric":
-            return self._row_means[idx, j]
+            return self.transform.to_raw(self._row_means[idx, j])
         bins = transport.sample_bins(self._row_cdfs, idx, j, rng.random(len(ys)))
-        return self.grid.midpoints[bins]
+        return self.transform.to_raw(self.grid.midpoints[bins])
 
     def to_document(self) -> dict:
         return {
@@ -156,21 +161,25 @@ class FairPostprocessor:
 
 def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
         alpha: float, epsilon: float, rng) -> FairPostprocessor:
-    """Fit a fair post-processor on grouped scores.
+    """Fit a fair post-processor on grouped raw scores.
 
-    ``rng`` may be an integer seed (recorded in the model metadata) or a
+    The model stores ``AffineTransform(s, t - s)``, which maps the raw
+    ``interval`` [s, t] onto its k-bin grid on [0, 1].  ``rng`` may be an
+    integer seed (recorded in the model metadata) or a
     ``numpy.random.Generator``.  The Laplace mechanism is the only
     randomness consumed at fit time.
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    s, t = float(interval[0]), float(interval[1])
+    if not 0.0 < t - s < np.inf:
+        raise ValueError(f"invalid interval: need finite s < t, got [{s}, {t}]")
+    transform = AffineTransform(offset=s, scale=t - s)
     seed = None
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         rng = np.random.default_rng(seed)
-    grid = make_grid(interval[0], interval[1], k)
+    grid = make_grid(0.0, 1.0, k)
     pp = dp_estimation.PrivacyParams(epsilon=float(epsilon), n=samples.n)
-    dists = dp_estimation.estimate_private_dists(samples, grid, pp, rng)
+    dists = dp_estimation.estimate_private_dists(samples, grid, pp, rng, transform)
     lp = barycenter_lp.build_lp(dists, grid, alpha)
     sol = barycenter_lp.solve(lp)
     kernels = transport.extract_kernels(sol, dists)
@@ -178,8 +187,7 @@ def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
         grid=grid, groups=tuple(samples.groups), kernels=kernels,
         alpha=float(alpha), epsilon=float(epsilon), seed=seed,
         weights=dists.weights, pmfs=dists.pmfs, targets=sol.targets,
-        barycenter=sol.barycenter, objective=sol.objective,
-        transform=samples.transform,
+        barycenter=sol.barycenter, objective=sol.objective, transform=transform,
     )
 
 

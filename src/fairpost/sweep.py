@@ -23,7 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .barycenter_lp import _check_alpha
 from .data_io import DatasetSchema, GroupedSamples, load_csv, split_train_test
+from .dp_estimation import PrivacyParams
+from .grid import make_grid
 from .metrics import mse, statistical_parity_gap
 from .pipeline import fit
 
@@ -45,22 +48,17 @@ class SweepConfig:
             raise ValueError("alpha, k, and epsilon lists must be nonempty")
         if self.seeds < 1:
             raise ValueError(f"need at least one seed, got {self.seeds}")
-        # fit's and split_train_test's checks, made once for the whole grid
+        if self.schema.label_col is None:
+            raise ValueError("sweep requires labeled data for test MSE")
+        # split_train_test's check, and the checks fit runs, made once for the whole grid
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError(f"split ratio must be in (0, 1), got {self.split_ratio}")
         for alpha in self.alphas:
-            if not alpha >= 0:
-                raise ValueError(f"alpha must be nonnegative, got {alpha}")
+            _check_alpha(alpha)
         for k in self.ks:
-            if k < 1:
-                raise ValueError(f"invalid bin count: need k >= 1, got {k}")
+            make_grid(0.0, 1.0, k)
         for eps in self.epsilons:
-            if not eps > 0:
-                raise ValueError(f"epsilon must be positive (or inf), got {eps}")
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.alphas) * len(self.ks) * len(self.epsilons) * self.seeds
+            PrivacyParams(epsilon=eps, n=1)
 
 
 @dataclass(frozen=True)
@@ -100,21 +98,19 @@ def _cell_rng(master_seed: int, cell_index: int) -> np.random.Generator:
 def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
              alpha: float, k: int, epsilon: float, seed: int) -> SweepRow:
     """Fit one cell on its train split and evaluate on its test split."""
-    if samples.labels is None:
-        raise ValueError("sweep requires labeled data for test MSE")
     t0 = time.perf_counter()
     try:
         train, test = split_train_test(samples, cfg.split_ratio,
                                        seed=_split_seed(cfg.master_seed, seed))
         rng = _cell_rng(cfg.master_seed, cell_index)
-        model = fit(train, cfg.schema.internal_interval, k, alpha, epsilon, rng)
+        model = fit(train, cfg.schema.interval, k, alpha, epsilon, rng)
         preds = model.predict_batch(test.groups, test.group_idx, test.scores, rng)
-        tr = samples.transform
+        unit = model.transform.to_internal(preds)
         out = SweepRow(
             alpha=alpha, k=k, epsilon=epsilon, seed=seed,
-            mse_raw=mse(tr.to_raw(preds), tr.to_raw(test.labels)),
-            mse_norm=mse(preds, test.labels),
-            delta_sp=statistical_parity_gap(test.group_idx, preds, len(samples.groups),
+            mse_raw=mse(preds, test.labels),
+            mse_norm=mse(unit, model.transform.to_internal(test.labels)),
+            delta_sp=statistical_parity_gap(test.group_idx, unit, len(samples.groups),
                                             model.grid),
             lp_objective=model.objective,
             status="ok",
@@ -148,6 +144,8 @@ def run_sweep(cfg: SweepConfig, samples: GroupedSamples | None = None) -> list[S
         if cfg.data_path is None:
             raise ValueError("config has no data path and no samples were passed")
         samples = load_csv(cfg.data_path, cfg.schema)
+    elif samples.labels is None:
+        raise ValueError("sweep requires labeled samples for test MSE")
     specs = list(cell_specs(cfg))
     if cfg.workers <= 1 or len(specs) == 1:
         return [run_cell(samples, cfg, *spec) for spec in specs]

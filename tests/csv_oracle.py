@@ -75,13 +75,11 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
     if rejected:
         log.warning("%s: rejected %d row(s) with empty cells", path, rejected)
 
-    transform = schema.transform()
     return GroupedSamples(
         groups=tuple(groups),
         group_idx=np.array(gi, dtype=np.intp),
-        scores=transform.to_internal(np.frombuffer(scores)),
-        labels=None if schema.label_col is None else transform.to_internal(np.frombuffer(labels)),
-        transform=transform,
+        scores=np.frombuffer(scores),
+        labels=None if schema.label_col is None else np.frombuffer(labels),
     )
 
 

@@ -3,6 +3,7 @@ message: 2 for config errors (unwritable outputs included), 3 for data
 errors (unreadable or malformed model files and non-finite cells included)."""
 
 import json
+import math
 
 import pytest
 
@@ -92,8 +93,35 @@ def test_nan_alpha_is_a_config_error(tmp_path, data):
                  "--epsilon", "inf", "--out", str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ks", 2.5), ("ks", True), ("ks", "2"), ("seeds", 1.9), ("seeds", True),
+    ("master_seed", 1.9),
+], ids=["k_float", "k_bool", "k_string", "seeds_float", "seeds_bool", "master_seed_float"])
+def test_non_integral_sweep_counts_are_config_errors(tmp_path, data, capsys, field, value):
+    """k, the seed count and the master seed are JSON integers, as fit --k
+    and --seed take only integers."""
+    doc = {"data": str(data), "alphas": [0.1], "ks": [2], "epsilons": ["inf"], "seeds": 1}
+    doc[field] = [value] if field == "ks" else value
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == (f"config error: config {cfg}: "
+                                       f"expected an integer, got {value!r}\n")
+
+
+def test_label_less_sweep_is_a_config_error(tmp_path, data, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(data), "schema": {"label": None}, "alphas": [0.1],
+                               "ks": [2], "epsilons": ["inf"], "seeds": 1}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == (f"config error: config {cfg}: "
+                                       "sweep requires labeled data for test MSE\n")
+
+
 def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
-    for schema in ({"interval": [1, 0]}, ["not", "a", "dict"]):
+    for schema in ({"interval": [1, 0]}, {"interval": [0, math.inf]}, ["not", "a", "dict"]):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"data": str(data), "schema": schema, "alphas": [0.1],
                                    "ks": [2], "epsilons": ["inf"], "seeds": 1}))

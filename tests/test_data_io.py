@@ -124,13 +124,13 @@ def test_missing_file():
         load_csv("/nonexistent/nowhere.csv", DatasetSchema())
 
 
-def test_normalization_affine_to_unit(tmp_path):
+def test_load_csv_returns_raw_units(tmp_path):
+    """The declared interval does not rescale what is read; a fitted model
+    owns the map onto its grid."""
     path = write(tmp_path, "group,score,label\nA,1.0,1.0\nB,4.0,2.5\n")
-    schema = DatasetSchema(interval=(1.0, 4.0), normalization="affine-to-unit")
-    s = load_csv(path, schema)
-    assert np.allclose(s.scores, [0.0, 1.0])
-    assert np.allclose(s.labels, [0.0, 0.5])
-    assert np.allclose(s.transform.to_raw(s.scores), [1.0, 4.0])
+    s = load_csv(path, DatasetSchema(interval=(1.0, 4.0)))
+    assert s.scores.tolist() == [1.0, 4.0]
+    assert s.labels.tolist() == [1.0, 2.5]
 
 
 @given(st.floats(-100, 100), st.floats(0.5, 50), st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
@@ -222,8 +222,7 @@ def outcome(loader, path, schema):
     try:
         s = loader(path, schema)
         result = ("ok", s.groups, s.group_idx.dtype, s.group_idx.tolist(),
-                  s.scores.tobytes(), None if s.labels is None else s.labels.tobytes(),
-                  s.transform)
+                  s.scores.tobytes(), None if s.labels is None else s.labels.tobytes())
     except DataError as exc:
         result = ("error", str(exc))
     finally:
@@ -243,7 +242,6 @@ SCHEMAS = {
     "canonical": {},
     "no label": {"label_col": None},
     "label as score": {"score_col": None},
-    "affine": {"interval": (1.0, 4.0), "normalization": "affine-to-unit"},
 }
 GOOD_GROUP = st.sampled_from(["A", "B", " A", "C ", "A,x", "B;y", "two\nlines", "cr\r\nlf",
                               'q"uote', "é"])

@@ -12,7 +12,7 @@ import fairpost.grid
 import fairpost.metrics
 import fairpost.pipeline
 import fairpost.transport
-from fairpost.data_io import GroupedSamples
+from fairpost.data_io import AffineTransform, GroupedSamples
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import UnknownGroupError
 from fairpost.metrics import statistical_parity_gap
@@ -231,6 +231,35 @@ def test_fit_validates_hyperparameters():
         fit(samples, (0, 1), 4, math.nan, math.inf, 0)
 
 
+@pytest.mark.parametrize("offset, scale", [(0.0, 1e5), (1.0, 3.0), (-2.5, 0.5)])
+def test_fit_maps_the_raw_interval_onto_the_unit_grid(offset, scale):
+    """Raw scores on [s, t] fit the unit-scale model except for the stored
+    transform (s, t - s), and the model takes and returns raw units."""
+    unit = two_group_samples()
+    raw = GroupedSamples(groups=unit.groups, group_idx=unit.group_idx,
+                         scores=offset + scale * unit.scores)
+    reference = fit(unit, (0, 1), 36, 0.05, 1.0, 0)
+    model = fit(raw, (offset, offset + scale), 36, 0.05, 1.0, 0)
+    assert model.transform == AffineTransform(offset=offset, scale=offset + scale - offset)
+    doc = model.to_document()
+    assert doc == {**reference.to_document(), "transform": doc["transform"]}
+    rng = np.random.default_rng(4)
+    group_idx, ys = rng.integers(0, 2, 200), rng.uniform(-0.1, 1.1, 200)
+    for mode in ("sample", "barycentric"):
+        expected = reference.predict_batch(unit.groups, group_idx, ys,
+                                           np.random.default_rng(5), mode=mode)
+        got = model.predict_batch(unit.groups, group_idx, offset + scale * ys,
+                                  np.random.default_rng(5), mode=mode)
+        assert np.allclose(got, offset + scale * expected, rtol=1e-12, atol=0.0)
+    assert model.out_of_range_count == reference.out_of_range_count > 0
+
+
+def test_fit_rejects_unbounded_intervals():
+    for interval in ((0, math.inf), (-math.inf, 0), (0, math.nan), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="invalid interval"):
+            fit(two_group_samples(), interval, 4, 0.1, math.inf, 0)
+
+
 def test_barycentric_mode_is_row_mean():
     model = fit(two_group_samples(), (0, 1), 5, 0.1, math.inf, 0)
     rng = np.random.default_rng(0)
@@ -268,7 +297,7 @@ def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
     )
     calls = {}
 
-    def stub(samples, grid, pp, rng):
+    def stub(samples, grid, pp, rng, transform):
         calls["n"] = pp.n
         return canned
 

@@ -5,6 +5,7 @@ row (a, j) by inverse CDF, exactly as a loop of scalar draws would; the
 barycentric mode must return the same per-row 1-D dot products.
 """
 
+import dataclasses
 import logging
 import math
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairpost.data_io import AffineTransform
 from fairpost.pipeline import FairPostprocessor
 from fairpost.grid import make_grid
 from fairpost.transport import sample_bins
@@ -157,14 +159,22 @@ def test_sample_bins_exact_cdf_values_and_clamp():
 
 
 def test_out_of_range_warning_logged_once(caplog):
+    """Once per model, naming the raw score and the raw interval."""
     model = model_from_kernels(random_kernels(np.random.default_rng(6), 2, 5))
+    affine = dataclasses.replace(model_from_kernels(random_kernels(np.random.default_rng(6), 2, 5)),
+                                 transform=AffineTransform(offset=1.0, scale=3.0))
     with caplog.at_level(logging.WARNING, logger="fairpost.pipeline"):
         model.predict_batch(model.groups, [0, 1, 0], [1.5, -0.2, 0.4], np.random.default_rng(0))
         model.predict_batch(model.groups, [1], [2.0], np.random.default_rng(0))
         model.predict("g0", -3.0, np.random.default_rng(0))
-    warnings = [r for r in caplog.records if "outside fitted interval" in r.getMessage()]
-    assert len(warnings) == 1 and "1.5" in warnings[0].getMessage()
+        affine.predict_batch(affine.groups, [0, 1, 0], [2.5, 4.25, 1.0], np.random.default_rng(0))
+        affine.predict("g1", 0.5, np.random.default_rng(0))
+    warnings = [r.getMessage() for r in caplog.records
+                if "outside fitted interval" in r.getMessage()]
+    assert warnings == ["score 1.5 outside fitted interval [0, 1]; clamping",
+                        "score 4.25 outside fitted interval [1, 4]; clamping"]
     assert model.out_of_range_count == 4
+    assert affine.out_of_range_count == 2
 
 
 def test_unknown_group_raises_before_any_draw():

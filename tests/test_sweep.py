@@ -86,6 +86,31 @@ def test_cell_failures_recorded_and_run_continues(monkeypatch):
     assert rows[1].status == "ok"
 
 
+def test_sweep_in_raw_units_matches_the_unit_scale_sweep():
+    """Scores and labels on [1, 4] sweep like their [0, 1] originals: the same
+    fits and parity gaps, the same mse_norm, and nine times the mse_raw."""
+    unit = synthetic_samples(200, seed=3)
+    raw = GroupedSamples(groups=unit.groups, group_idx=unit.group_idx,
+                         scores=1.0 + 3.0 * unit.scores, labels=1.0 + 3.0 * unit.labels)
+    grid = dict(alphas=(0.0, 0.1, math.inf), ks=(4, 9), epsilons=(1.0,), seeds=2)
+    expected = run_sweep(config_for(**grid), samples=unit)
+    got = run_sweep(config_for(schema=DatasetSchema(interval=(1.0, 4.0)), **grid), samples=raw)
+    for e, g in zip(expected, got):
+        assert g.status == e.status == "ok"
+        assert (g.delta_sp, g.lp_objective) == (e.delta_sp, e.lp_objective)
+        assert g.mse_norm == pytest.approx(e.mse_norm, rel=1e-12)
+        assert g.mse_raw == pytest.approx(9.0 * e.mse_raw, rel=1e-12)
+    assert any(g.delta_sp > 0 for g in got)
+
+
+def test_label_less_samples_are_rejected_before_any_cell():
+    samples = synthetic_samples(40)
+    unlabeled = GroupedSamples(groups=samples.groups, group_idx=samples.group_idx,
+                               scores=samples.scores)
+    with pytest.raises(ValueError, match="labeled samples"):
+        run_sweep(config_for(), samples=unlabeled)
+
+
 def test_rows_come_back_in_canonical_order():
     cfg = config_for(alphas=(0.0, 0.5), ks=(2, 3), epsilons=(1.0,), seeds=2)
     rows = run_sweep(cfg, samples=synthetic_samples(60))
@@ -178,6 +203,41 @@ def test_cli_fit_apply_evaluate(tmp_path):
     doc = json.loads(report.read_text())
     assert set(doc) >= {"mse_raw", "mse_norm", "delta_sp", "n"}
     assert 0.0 <= doc["delta_sp"] <= 1.0
+
+
+def test_cli_apply_and_evaluate_read_units_from_the_model(tmp_path):
+    """A model fitted on [1, 4] predicts raw scores into [1, 4]; apply and
+    evaluate give the same bytes with the fit's schema and without one."""
+    rng = np.random.default_rng(12)
+    ys = 1.0 + 3.0 * rng.beta(2, 3, 3000)
+    labels = np.clip(ys + rng.normal(0.0, 0.3, 3000), 1.0, 4.0)
+    data = tmp_path / "raw.csv"
+    data.write_text("group,score,label\n" + "".join(
+        f"{'AB'[i % 2]},{y!r},{z!r}\n" for i, (y, z) in enumerate(zip(ys.tolist(),
+                                                                      labels.tolist()))))
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"interval": [1, 4]}')
+    model = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--schema", str(schema), "--k", "8",
+                 "--alpha", "0.05", "--epsilon", "inf", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    assert doc["transform"] == {"offset": "1", "scale": "3"}
+    assert (doc["grid"]["s"], doc["grid"]["t"]) == ("0", "1")
+    outputs = {}
+    for name, extra in (("with", ["--schema", str(schema)]), ("without", [])):
+        for command in ("apply", "evaluate"):
+            out = tmp_path / f"{command}-{name}.out"
+            assert main([command, "--model", str(model), "--data", str(data), "--seed", "2",
+                         "--out", str(out), *extra]) == 0
+            outputs[command, name] = out.read_bytes()
+    assert outputs["apply", "with"] == outputs["apply", "without"]
+    assert outputs["evaluate", "with"] == outputs["evaluate", "without"]
+    preds = [float(line.rsplit(",", 1)[1])
+             for line in outputs["apply", "with"].decode().splitlines()[2:]]
+    assert len(preds) == 3000 and all(1.0 <= p <= 4.0 for p in preds)
+    report = json.loads(outputs["evaluate", "with"])
+    assert report["out_of_range"] == 0
+    assert report["mse_norm"] == pytest.approx(report["mse_raw"] / 9.0, rel=1e-12)
 
 
 def test_cli_fit_dump_lp(tmp_path):

@@ -49,17 +49,18 @@ def test_apply_writer_matches_per_row_reference(n, pool, seed):
 
 
 IDENTITY = DatasetSchema()
-AFFINE = DatasetSchema(score_col=None, interval=(1.0, 4.0), normalization="affine-to-unit")
+AFFINE = DatasetSchema(score_col=None, interval=(1.0, 4.0))
 
 
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
-    """Identity and affine-to-unit models, each with data to apply that
-    crosses a block edge and has rows outside the fitted interval."""
+    """Models fitted on [0, 1] (the identity transform) and on [1, 4], each
+    with data to apply that crosses a block edge and has rows outside the
+    fitted interval."""
     tmp = tmp_path_factory.mktemp("writers")
     rng = np.random.default_rng(5)
     (tmp / "affine.json").write_text(
-        '{"score": null, "interval": [1.0, 4.0], "normalization": "affine-to-unit"}')
+        '{"score": null, "interval": [1.0, 4.0]}')
     for name, n, spread in (("fit", 600, 1.0), ("apply", 2 * BLOCK_ROWS + 7, 1.2)):
         ys = ((rng.random(n) - 0.5) * spread + 0.5).tolist()
         (tmp / f"identity-{name}.csv").write_text("group,score,label\n" + "".join(
@@ -87,34 +88,33 @@ def test_apply_command_matches_per_row_reference(fitted, mode, name, schema):
     # the score is column 1 of both files (the label doubles as the score under AFFINE)
     scores = [float(line.split(",")[1]) for line in data.read_text().splitlines()[1:]]
     assert out.read_text(encoding="utf-8") == reference_apply(
-        group_labels(samples), scores, samples.transform.to_raw(preds).tolist(), 11)
+        group_labels(samples), scores, preds.tolist(), 11)
 
 
 def test_apply_writes_each_score_as_read(tmp_path):
-    """Under affine-to-unit on (0.1, 0.8) the raw -> internal -> raw round
+    """On the interval (0.1, 0.8) the model's raw -> internal -> raw round
     trip moves some scores by one ulp; apply writes the input cells, and its
-    predictions are those of the internal scores."""
+    predictions are those of the raw scores."""
     rng = np.random.default_rng(8)
     cells = [repr(y) for y in rng.uniform(0.1, 0.8, 3000).tolist()]
     data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
     data.write_text("group,score\n" + "".join(f"{'AB'[i % 2]},{c}\n"
                                               for i, c in enumerate(cells)))
-    schema.write_text('{"label": null, "interval": [0.1, 0.8], '
-                      '"normalization": "affine-to-unit"}')
-    affine = DatasetSchema(label_col=None, interval=(0.1, 0.8), normalization="affine-to-unit")
-    tr = affine.transform()
-    assert any(repr(tr.to_raw(tr.to_internal(float(c)))) != c for c in cells)
+    schema.write_text('{"label": null, "interval": [0.1, 0.8]}')
     model_path, out = tmp_path / "model.json", tmp_path / "out.csv"
     assert main(["fit", "--data", str(data), "--schema", str(schema), "--k", "9",
                  "--alpha", "0.05", "--epsilon", "inf", "--out", str(model_path)]) == 0
     assert main(["apply", "--model", str(model_path), "--data", str(data), "--schema",
                  str(schema), "--seed", "3", "--out", str(out)]) == 0
+    model = load(model_path)
+    tr = model.transform
+    assert any(repr(tr.to_raw(tr.to_internal(float(c)))) != c for c in cells)
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     assert [score for _, score, _ in rows] == cells
-    samples = load_csv(data, affine)
-    preds = load(model_path).predict_batch(samples.groups, samples.group_idx, samples.scores,
-                                           np.random.default_rng(3))
-    assert [pred for _, _, pred in rows] == [repr(p) for p in tr.to_raw(preds).tolist()]
+    samples = load_csv(data, DatasetSchema(label_col=None))
+    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
+                                np.random.default_rng(3))
+    assert [pred for _, _, pred in rows] == [repr(p) for p in preds.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
