@@ -26,7 +26,6 @@ from .barycenter_lp import build_lp, lp_text
 from .data_io import BLOCK_ROWS, DatasetSchema, format_floats, load_csv
 from .dp_estimation import PrivateGroupDists
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
-from .metrics import mse, statistical_parity_gap
 
 
 def _parse_hyper(value) -> float:
@@ -143,19 +142,10 @@ def _cmd_apply(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = _load_model(args.model)
     samples = load_csv(args.data, _load_schema(args.schema))
-    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
-                                np.random.default_rng(args.seed))
     if samples.labels is None:
         raise DataError("evaluate requires labeled data")
-    unit = model.transform.to_internal(preds)
-    report = {
-        "n": samples.n,
-        "mse_raw": mse(preds, samples.labels),
-        "mse_norm": mse(unit, model.transform.to_internal(samples.labels)),
-        "delta_sp": statistical_parity_gap(samples.group_idx, unit, len(samples.groups),
-                                           model.grid),
-        "out_of_range": model.out_of_range_count,
-    }
+    report = {"n": samples.n, **sweep.score(model, samples, np.random.default_rng(args.seed)),
+              "out_of_range": model.out_of_range_count}
     payload = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:

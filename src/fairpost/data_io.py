@@ -10,8 +10,8 @@ them onto its unit grid with the :class:`AffineTransform` it stores.
 
 Text I/O works on blocks of rows, not on one row at a time.
 :func:`load_csv` takes rows from ``csv.reader`` in blocks and checks,
-parses and indexes each block column by column; a file that fails a check
-is read again row by row only to name its first bad row.
+parses and indexes each block column by column; the rows of a block that
+fails a check are walked again one by one only to name its first bad row.
 :func:`format_floats` renders a float column for a writer with one call of
 the formatter per distinct value.
 """
@@ -24,7 +24,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, tee
+from itertools import compress, islice
 
 import numpy as np
 
@@ -143,10 +143,10 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     UTF-8 CSV, or an empty result.
 
     Rows are taken from ``csv.reader`` in blocks of :data:`BLOCK_ROWS`, and
-    each check runs over a whole column of a block.  The lines of a block
-    that fails a check are parsed again row by row, so the error names the
-    same physical line and cell as a row-at-a-time parser would.  The file
-    is read once, so a pipe works as well as a regular file.
+    each check runs over a whole column of a block.  The parsed rows of a
+    block that fails a check are walked again one by one, so the error
+    names the same physical line and cell as a row-at-a-time parser would.
+    The file is read once, so a pipe works as well as a regular file.
     """
     score_col = schema.score_col if schema.score_col is not None else schema.label_col
     # the group column, then each numeric column once: a label column that
@@ -162,10 +162,7 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     values = [array("d") for _ in columns[1:]]
     rejected = 0
     with fh:
-        # the reader's lines also go to ``tap``, which keeps the current block's
-        # lines until they are taken out after the block
-        lines, tap = tee(fh)
-        reader = csv.reader(lines, delimiter=schema.delimiter)
+        reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader, None)
         except (csv.Error, UnicodeDecodeError) as exc:
@@ -179,14 +176,12 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
         getters = [operator.itemgetter(position[c]) for c in columns]
         width = 1 + max(position[c] for c in columns)
         line = reader.line_num
-        list(islice(tap, line))  # the header's lines
         while True:
             rows, stop = [], None
             try:
                 rows.extend(islice(reader, BLOCK_ROWS))
             except (csv.Error, UnicodeDecodeError) as exc:
                 stop = exc  # raised once the rows read before it pass
-            text = list(islice(tap, reader.line_num - line))
             if not rows and stop is None:
                 break
             try:
@@ -195,8 +190,7 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
             except ValueError:
                 failed = True
             if failed:
-                _raise_first_bad_row(path, text, line, schema.delimiter, columns, getters, width,
-                                     stop)
+                _raise_first_bad_row(path, rows, line, columns, getters, width, stop)
             line = reader.line_num
 
     if not gi:
@@ -241,28 +235,27 @@ def _parse_block(rows, getters, width: int, index: dict, gi, values) -> int:
     return rejected
 
 
-def _raise_first_bad_row(path, text, offset: int, delimiter: str, columns, getters,
-                         width: int, stop: Exception | None):
-    """Parse the lines ``text`` of a failed block again row by row and raise
-    the :class:`DataError` for its first bad row: a cell that is unparseable
-    or not finite, named by its physical file line (``offset`` is the line
-    before the block), or the csv error that stops the parse.  Without one,
-    ``stop`` (the error that ended the block's read) is the problem."""
-    reader = csv.reader(text, delimiter=delimiter)
-    try:
-        for row in reader:
-            if len(row) < width or not all(map(str.strip, cells := [get(row) for get in getters])):
-                continue  # a blank or rejected row
-            for name, cell in zip(columns[1:], cells[1:]):
-                try:
-                    problem = None if math.isfinite(float(cell)) else "non-finite"
-                except ValueError:
-                    problem = "unparseable"
-                if problem:
-                    raise DataError(f"{path}: {problem} cell at row {offset + reader.line_num}, "
-                                    f"column {name!r}: {cell!r}")
-    except csv.Error as exc:
-        raise _unreadable(path, exc) from exc
+def _raise_first_bad_row(path, rows, line: int, columns, getters, width: int,
+                         stop: Exception | None):
+    """Walk the parsed ``rows`` of a failed block and raise the
+    :class:`DataError` for its first bad row: a cell that is unparseable or
+    not finite, named by its physical file line.  ``line`` is the line
+    before the block; each row ends 1 line further on, plus 1 per line break
+    inside its cells (``\\r\\n``, ``\\n`` or a lone ``\\r``, as the file iterator
+    splits lines).  Without a bad row, ``stop`` (the error that ended the
+    block's read) is the problem."""
+    for row in rows:
+        line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+        if len(row) < width or not all(map(str.strip, cells := [get(row) for get in getters])):
+            continue  # a blank or rejected row
+        for name, cell in zip(columns[1:], cells[1:]):
+            try:
+                problem = None if math.isfinite(float(cell)) else "non-finite"
+            except ValueError:
+                problem = "unparseable"
+            if problem:
+                raise DataError(f"{path}: {problem} cell at row {line}, "
+                                f"column {name!r}: {cell!r}")
     if stop is None:
         raise AssertionError("a failed block holds no bad row")
     raise _unreadable(path, stop) from stop

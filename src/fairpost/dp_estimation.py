@@ -147,14 +147,14 @@ def renormalize_cdf(row: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
     return cdf, pmf
 
 
-def estimate_private_dists(samples: GroupedSamples, grid: Grid, pp: PrivacyParams,
+def estimate_private_dists(samples: GroupedSamples, grid: Grid, epsilon: float,
                            rng: np.random.Generator,
                            transform: AffineTransform = AffineTransform()) -> PrivateGroupDists:
-    """Full private-estimation pass: empirical joint (of the scores mapped
-    by ``transform`` onto the grid's units), Laplace mechanism, clipped
+    """Full private-estimation pass at budget ``epsilon`` on all
+    ``samples.n`` rows: empirical joint (of the scores mapped by
+    ``transform`` onto the grid's units), Laplace mechanism, clipped
     weights, per-group CDF renormalization."""
-    if pp.n != samples.n:
-        raise ValueError(f"PrivacyParams.n = {pp.n} does not match sample count {samples.n}")
+    pp = PrivacyParams(epsilon=float(epsilon), n=samples.n)
     joint = empirical_joint(samples, grid, transform)
     noisy = privatize_joint(joint, pp, rng)
     weights = group_weights(noisy)

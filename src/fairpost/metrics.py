@@ -28,19 +28,24 @@ def monotone_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Quantile (northwest-corner) coupling of mass vectors of shape (..., k)
     on a sorted support, batched over leading axes into (..., k, k).  Each
     piece between the two CDFs' breakpoints puts its width on (bin under p,
-    bin under q); pieces of width <= 1e-15 are float dust and are dropped.
-    Inputs must share the same total mass up to float dust."""
+    bin under q).  A piece of width <= 1e-15 is float dust and is dropped
+    when its bin under p also has a wider piece, so dust never empties a
+    bin.  Inputs must share the same total mass up to float dust."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     k = p.shape[-1]
     widths, bins = _quantile_pieces(np.stack([np.cumsum(p, axis=-1),
                                               np.cumsum(q, axis=-1)], axis=-2))
     lead = widths.shape[:-1]
-    # one bincount over every batch: batch b owns the flat cells b*k*k .. (b+1)*k*k - 1
+    # one bincount over every batch: batch b owns the flat rows b*k .. (b+1)*k - 1
+    # and the flat cells b*k*k .. (b+1)*k*k - 1
     batch = np.arange(math.prod(lead)).reshape(lead + (1,))
-    cells = (batch * k + bins[..., 0, :]) * k + bins[..., 1, :]
-    out = np.bincount(cells.ravel(), weights=np.where(widths > 1e-15, widths, 0.0).ravel(),
-                      minlength=batch.size * k * k)
+    rows = batch * k + bins[..., 0, :]
+    wide = widths > 1e-15
+    keep = wide | (np.bincount(rows.ravel(), weights=wide.ravel(), minlength=batch.size * k)
+                   == 0)[rows]
+    out = np.bincount((rows * k + bins[..., 1, :]).ravel(),
+                      weights=np.where(keep, widths, 0.0).ravel(), minlength=batch.size * k * k)
     return out.reshape(lead + (k, k))
 
 

@@ -178,8 +178,7 @@ def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
         seed = int(rng)
         rng = np.random.default_rng(seed)
     grid = make_grid(0.0, 1.0, k)
-    pp = dp_estimation.PrivacyParams(epsilon=float(epsilon), n=samples.n)
-    dists = dp_estimation.estimate_private_dists(samples, grid, pp, rng, transform)
+    dists = dp_estimation.estimate_private_dists(samples, grid, epsilon, rng, transform)
     lp = barycenter_lp.build_lp(dists, grid, alpha)
     sol = barycenter_lp.solve(lp)
     kernels = transport.extract_kernels(sol, dists)

@@ -28,7 +28,7 @@ from .data_io import DatasetSchema, GroupedSamples, load_csv, split_train_test
 from .dp_estimation import PrivacyParams
 from .grid import make_grid
 from .metrics import mse, statistical_parity_gap
-from .pipeline import fit
+from .pipeline import FairPostprocessor, fit
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,20 @@ def _cell_rng(master_seed: int, cell_index: int) -> np.random.Generator:
         np.random.SeedSequence((master_seed, 2, cell_index))))
 
 
+def score(model: FairPostprocessor, samples: GroupedSamples, rng: np.random.Generator) -> dict:
+    """Predict labeled ``samples`` with ``model`` and score the predictions:
+    ``mse_raw`` against the labels as read, ``mse_norm`` on the model's unit
+    interval, and ``delta_sp``, the parity gap on the model's grid."""
+    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores, rng)
+    unit = model.transform.to_internal(preds)
+    return {
+        "mse_raw": mse(preds, samples.labels),
+        "mse_norm": mse(unit, model.transform.to_internal(samples.labels)),
+        "delta_sp": statistical_parity_gap(samples.group_idx, unit, len(samples.groups),
+                                           model.grid),
+    }
+
+
 def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
              alpha: float, k: int, epsilon: float, seed: int) -> SweepRow:
     """Fit one cell on its train split and evaluate on its test split."""
@@ -104,18 +118,9 @@ def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
                                        seed=_split_seed(cfg.master_seed, seed))
         rng = _cell_rng(cfg.master_seed, cell_index)
         model = fit(train, cfg.schema.interval, k, alpha, epsilon, rng)
-        preds = model.predict_batch(test.groups, test.group_idx, test.scores, rng)
-        unit = model.transform.to_internal(preds)
-        out = SweepRow(
-            alpha=alpha, k=k, epsilon=epsilon, seed=seed,
-            mse_raw=mse(preds, test.labels),
-            mse_norm=mse(unit, model.transform.to_internal(test.labels)),
-            delta_sp=statistical_parity_gap(test.group_idx, unit, len(samples.groups),
-                                            model.grid),
-            lp_objective=model.objective,
-            status="ok",
-            cell_seconds=time.perf_counter() - t0,
-        )
+        out = SweepRow(alpha=alpha, k=k, epsilon=epsilon, seed=seed, **score(model, test, rng),
+                       lp_objective=model.objective, status="ok",
+                       cell_seconds=time.perf_counter() - t0)
     except Exception as exc:  # noqa: BLE001 - per-cell failures must not kill the run
         out = SweepRow(alpha=alpha, k=k, epsilon=epsilon, seed=seed,
                        mse_raw=math.nan, mse_norm=math.nan, delta_sp=math.nan,
@@ -125,21 +130,23 @@ def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
     return out
 
 
+# what a pool worker's cells run on: the parent's samples and config, set once per worker
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(data_path, schema):
-    _WORKER_STATE["samples"] = load_csv(data_path, schema)
+def _worker_init(samples: GroupedSamples, cfg: SweepConfig):
+    _WORKER_STATE.update(samples=samples, cfg=cfg)
 
 
-def _worker_run(args):
-    cfg, spec = args
-    return run_cell(_WORKER_STATE["samples"], cfg, *spec)
+def _worker_run(spec):
+    return run_cell(_WORKER_STATE["samples"], _WORKER_STATE["cfg"], *spec)
 
 
 def run_sweep(cfg: SweepConfig, samples: GroupedSamples | None = None) -> list[SweepRow]:
-    """Run every cell; per-cell failures are recorded in the row and the
-    run continues.  Rows come back in canonical cell order."""
+    """Run every cell on ``samples``, or on the file at ``cfg.data_path`` when
+    none are given; pool workers get the same samples from this process.
+    Per-cell failures are recorded in the row and the run continues.  Rows
+    come back in canonical cell order."""
     if samples is None:
         if cfg.data_path is None:
             raise ValueError("config has no data path and no samples were passed")
@@ -149,13 +156,10 @@ def run_sweep(cfg: SweepConfig, samples: GroupedSamples | None = None) -> list[S
     specs = list(cell_specs(cfg))
     if cfg.workers <= 1 or len(specs) == 1:
         return [run_cell(samples, cfg, *spec) for spec in specs]
-    if cfg.data_path is None:
-        raise ValueError("parallel sweeps need a data path so workers can load the data")
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=cfg.workers, initializer=_worker_init,
-            initargs=(cfg.data_path, cfg.schema)) as pool:
-        rows = list(pool.map(_worker_run, [(cfg, s) for s in specs], chunksize=4))
-    return rows
+            initargs=(samples, cfg)) as pool:
+        return list(pool.map(_worker_run, specs, chunksize=4))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import pytest
 from fairpost.barycenter_lp import build_lp, solve
 from fairpost.cli import main
 from fairpost.data_io import (DatasetSchema, GroupedSamples, load_csv, split_train_test)
-from fairpost.dp_estimation import (PrivacyParams, empirical_joint, estimate_private_dists,
+from fairpost.dp_estimation import (empirical_joint, estimate_private_dists,
                                     group_weights, isotonic_midrange, renormalize_cdf)
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
@@ -353,7 +353,7 @@ def test_criterion_08_ks_error_scaling():
             samples = GroupedSamples(groups=("g",),
                                      group_idx=np.zeros(n, dtype=np.intp),
                                      scores=g.midpoints[bins])
-            dists = estimate_private_dists(samples, g, PrivacyParams(epsilon=eps, n=n), rng)
+            dists = estimate_private_dists(samples, g, eps, rng)
             total += ks_distance(uniform, dists.pmfs[0])
         return total / trials
 

@@ -120,6 +120,14 @@ def test_label_less_sweep_is_a_config_error(tmp_path, data, capsys):
                                        "sweep requires labeled data for test MSE\n")
 
 
+def test_label_less_evaluate_is_a_data_error(tmp_path, data, model, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"label": None}))
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--schema", str(schema)]) == 3
+    assert capsys.readouterr().err == "data error: evaluate requires labeled data\n"
+
+
 def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
     for schema in ({"interval": [1, 0]}, {"interval": [0, math.inf]}, ["not", "a", "dict"]):
         cfg = tmp_path / "sweep.json"

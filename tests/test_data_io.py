@@ -244,7 +244,7 @@ SCHEMAS = {
     "label as score": {"score_col": None},
 }
 GOOD_GROUP = st.sampled_from(["A", "B", " A", "C ", "A,x", "B;y", "two\nlines", "cr\r\nlf",
-                              'q"uote', "é"])
+                              "lone\rcr", 'q"uote', "é"])
 GOOD_NUMBER = st.one_of(
     st.floats(-1e6, 1e6).map(repr), st.integers(-3, 3).map(str),
     st.sampled_from(["0.5", " 0.25 ", "-0.0", "1e-320", "+2"]))
@@ -255,7 +255,8 @@ BAD_CELL = st.sampled_from(["", "  ", "nan", "NaN", " inf ", "-inf", "1e999", "x
 def csv_cases(draw):
     """A CSV text and a schema: valid rows with a few bad cells, blank
     lines and short or long rows dropped in anywhere, padded and quoted
-    cells, cells holding the delimiter, a quote or a line break, and
+    cells, cells holding the delimiter, a quote or a line break (a lone
+    carriage return is quoted unless the terminator is a bare newline), and
     either line terminator."""
     delimiter = draw(st.sampled_from([",", ";"]))
     schema = DatasetSchema(delimiter=delimiter, **SCHEMAS[draw(st.sampled_from(sorted(SCHEMAS)))])

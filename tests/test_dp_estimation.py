@@ -242,9 +242,7 @@ def test_fast_isotonic_matches_literal_argmax(values):
 
 def test_estimate_noiseless_single_group():
     s = GroupedSamples.from_rows([("A", 0.5), ("A", 0.45)])
-    dists = estimate_private_dists(s, make_grid(0, 1, 3),
-                                   PrivacyParams(epsilon=math.inf, n=2),
-                                   np.random.default_rng(0))
+    dists = estimate_private_dists(s, make_grid(0, 1, 3), math.inf, np.random.default_rng(0))
     assert np.allclose(dists.pmfs, [[0, 1, 0]])
     assert dists.weights[0] == pytest.approx(1.0)
 
@@ -255,8 +253,7 @@ def test_estimate_noiseless_matches_empirical_conditionals():
            [("B", float(v)) for v in rng.random(25)]
     s = GroupedSamples.from_rows(rows)
     g = make_grid(0, 1, 6)
-    dists = estimate_private_dists(s, g, PrivacyParams(epsilon=math.inf, n=65),
-                                   np.random.default_rng(0))
+    dists = estimate_private_dists(s, g, math.inf, np.random.default_rng(0))
     joint = empirical_joint(s, g)
     for a in range(2):
         w = joint[a].sum()
@@ -264,21 +261,12 @@ def test_estimate_noiseless_matches_empirical_conditionals():
         assert np.allclose(dists.pmfs[a], joint[a] / w, atol=1e-12)
 
 
-def test_estimate_requires_matching_n():
-    s = GroupedSamples.from_rows([("A", 0.5)])
-    with pytest.raises(ValueError):
-        estimate_private_dists(s, make_grid(0, 1, 2),
-                               PrivacyParams(epsilon=1.0, n=2),
-                               np.random.default_rng(0))
-
-
 def test_estimate_deterministic_bit_exact():
     rows = [("A", 0.1), ("A", 0.7), ("B", 0.4), ("B", 0.2)]
     s = GroupedSamples.from_rows(rows)
     g = make_grid(0, 1, 5)
-    pp = PrivacyParams(epsilon=0.8, n=4)
-    d1 = estimate_private_dists(s, g, pp, np.random.default_rng(11))
-    d2 = estimate_private_dists(s, g, pp, np.random.default_rng(11))
+    d1 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
+    d2 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
     assert np.array_equal(d1.pmfs, d2.pmfs)
     assert np.array_equal(d1.weights, d2.weights)
 
@@ -293,8 +281,7 @@ def test_estimate_output_always_valid(seed):
     s = GroupedSamples.from_rows(rows)
     g = make_grid(0, 1, int(rng.integers(1, 9)))
     eps = float(rng.choice([0.1, 1.0, math.inf]))
-    dists = estimate_private_dists(s, g, PrivacyParams(epsilon=eps, n=n),
-                                   np.random.default_rng(seed + 1))
+    dists = estimate_private_dists(s, g, eps, np.random.default_rng(seed + 1))
     assert (dists.weights >= 0).all()
     assert (dists.pmfs >= 0).all()
     assert np.abs(dists.pmfs.sum(axis=1) - 1.0).max() <= 1e-9

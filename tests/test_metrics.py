@@ -131,9 +131,10 @@ def test_monotone_coupling_tie_split_deterministic():
 
 @st.composite
 def pmf_pairs(draw):
-    """(p, q) on k = 1..120 bins with exact zero masses; q = p for some pairs."""
+    """(p, q) on k = 1..120 bins with exact zero masses and float-dust masses
+    of at most 1e-15; q = p for some pairs."""
     k = draw(st.integers(1, 120))
-    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(1e-18, 1e-15))
 
     def pmf():
         x = np.array(draw(st.lists(mass, min_size=k, max_size=k)))
@@ -161,6 +162,14 @@ def test_monotone_coupling_matches_the_pointer_loop(pair):
     assert np.abs(got.sum(axis=0) - q).max() <= 1e-14
     if np.array_equal(p, q):
         assert np.array_equal(rows, cols)  # the identity coupling
+
+
+def test_monotone_coupling_keeps_a_dust_bin():
+    """A bin of mass 1e-16 keeps its one dust piece instead of losing its row."""
+    p = np.array([0.5, 1e-16, 0.5 - 1e-16])
+    got = monotone_coupling(p, np.array([0.25, 0.5, 0.25]))
+    assert (got.sum(axis=1)[p > 0] > 0).all()
+    assert np.abs(got.sum(axis=1) - p).max() <= 1e-15
 
 
 @settings(max_examples=50, deadline=None)

@@ -297,8 +297,8 @@ def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
     )
     calls = {}
 
-    def stub(samples, grid, pp, rng, transform):
-        calls["n"] = pp.n
+    def stub(samples, grid, epsilon, rng, transform):
+        calls["args"] = (samples, epsilon)
         return canned
 
     monkeypatch.setattr(fairpost.pipeline.dp_estimation, "estimate_private_dists", stub)
@@ -306,6 +306,6 @@ def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
                               group_idx=np.zeros(10, dtype=np.intp),
                               scores=np.full(10, np.nan))
     model = fit(poisoned, (0, 1), k, 0.1, 1.0, 0)
-    assert calls["n"] == 10
+    assert calls["args"] == (poisoned, 1.0)
     assert isinstance(model, FairPostprocessor)
     assert model.kernels.shape == (2, k, k)

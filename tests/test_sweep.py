@@ -1,16 +1,17 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairpost.cli import main
+from fairpost.cli import _sweep_config, build_parser, main
 from fairpost.data_io import DatasetSchema, GroupedSamples, split_train_test
 from fairpost.grid import discretize_many, make_grid
 from fairpost.metrics import mse, statistical_parity_gap
 from fairpost.sweep import (SweepConfig, aggregate, cell_specs, lower_envelope, run_sweep,
-                            write_results_csv)
+                            write_outputs, write_results_csv)
 
 
 def synthetic_samples(n=240, seed=0):
@@ -296,6 +297,35 @@ def test_cli_sweep_writes_deterministic_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     header = (out1 / "results.csv").read_text().splitlines()[0]
     assert header.startswith("#") and "master_seed=11" in header
+
+
+def test_pool_workers_write_the_bytes_of_one_worker(tmp_path):
+    """Pool workers run the parent's samples, for an in-memory sweep and for
+    a sweep of a file: --workers 2 writes what --workers 1 writes."""
+    grid = dict(alphas=(0.0, math.inf), ks=(1, 3), epsilons=(1.0, math.inf), seeds=2)
+    samples = synthetic_samples(120)
+    cfg = sweep_config_file(tmp_path, write_synthetic_csv(tmp_path, n=120),
+                            epsilons=[1.0, "inf"])
+    for workers in (1, 2):
+        rows = run_sweep(config_for(workers=workers, **grid), samples=samples)
+        assert len(rows) == 16 and all(r.status == "ok" for r in rows)
+        (tmp_path / f"memory{workers}").mkdir()
+        write_outputs(tmp_path / f"memory{workers}", rows, 0)
+        assert main(["sweep", "--config", str(cfg), "--workers", str(workers),
+                     "--out", str(tmp_path / f"file{workers}"), "--allow-budget-reuse"]) == 0
+    for run in ("memory", "file"):
+        for name in ("results.csv", "aggregates.csv", "envelope.csv"):
+            assert ((tmp_path / f"{run}1" / name).read_bytes()
+                    == (tmp_path / f"{run}2" / name).read_bytes())
+
+
+def test_law_school_sweep_config_holds_the_paper_grid():
+    """The checked-in Law School config loads as 3,000 cells on [1, 4]."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "law_school_sweep.json"
+    cfg = _sweep_config(build_parser().parse_args(
+        ["sweep", "--config", str(path), "--out", "unused"]))
+    assert len(list(cell_specs(cfg))) == 3000
+    assert (cfg.data_path, cfg.schema.interval) == ("data/law_school.csv", (1.0, 4.0))
 
 
 def test_cli_sweep_budget_guard(tmp_path):
