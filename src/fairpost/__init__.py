@@ -5,7 +5,7 @@ transports applied as post-processing maps."""
 
 __version__ = "0.1.0"
 
-from .barycenter_lp import BarycenterSolution, LpInstance, build_lp, solve
+from .barycenter_lp import BarycenterSolution, LpInstance, build_lp, monotone_coupling, solve
 from .data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                       split_train_test)
 from .dp_estimation import (PrivacyParams, PrivateGroupDists, empirical_joint,
@@ -13,7 +13,7 @@ from .dp_estimation import (PrivacyParams, PrivateGroupDists, empirical_joint,
                             renormalize_cdf)
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
-from .metrics import monotone_coupling, mse, statistical_parity_gap
+from .metrics import mse, statistical_parity_gap
 from .pipeline import FairPostprocessor, fit, load
 from .sweep import SweepConfig, SweepRow, lower_envelope, run_sweep
 from .transport import extract_kernels, sample_bins

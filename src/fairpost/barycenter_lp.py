@@ -19,8 +19,8 @@ solve the equality duals price every coupling column in one pass,
 w_a (v_j - v_l)^2 - y_row[a, j] - y_col[a, l]; the omitted columns pricing
 below -tol join the master, which is solved again.  When none is left the
 restricted optimum is optimal for the full program (Dantzig-Wolfe /
-Gilmore-Gomory pricing).  A restricted master that comes back infeasible is
-replaced by the full program.
+Gilmore-Gomory pricing).  A master that comes back infeasible is a solver
+failure.
 
 Solutions are repaired before they are returned: negative float dust is
 clipped, targets are recomputed from the coupling column sums, and every
@@ -30,7 +30,7 @@ row sums equal p_a, column sums equal the targets, every target lies within
 alpha/2 + 1e-8 of the center in KS distance, and no coupling column prices
 below -tol under the final duals.  The monotone couplings and the seed's
 barycenter are read off one construction: the pieces of [0, 1] between the
-union of the CDFs' breakpoints.
+union of the CDFs' breakpoints, each in the bins of its left end.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from scipy.optimize import linprog
 from .dp_estimation import PrivateGroupDists
 from .errors import SolverFailure
 from .grid import Grid
-from .metrics import _quantile_pieces, monotone_coupling
 
 # dust below this magnitude is clipped; anything more negative is a solver failure
 _NEG_DUST = 1e-9
@@ -158,6 +157,42 @@ def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
                       a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
+def _quantile_pieces(cdfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut [0, 1] at the union of the breakpoints of CDFs of shape (..., m, k).
+    Returns each piece's width, (..., m*k), and its bin under each CDF,
+    (..., m, m*k): the count of CDF entries <= the piece's left end, clamped
+    to k - 1.  No breakpoint lies inside a piece, so this is exact however
+    narrow the piece.  A repeated breakpoint leaves a piece of width 0."""
+    k = cdfs.shape[-1]
+    flat = cdfs.reshape(cdfs.shape[:-2] + (-1,))
+    edges = np.sort(np.concatenate([np.zeros(flat.shape[:-1] + (1,)), flat], axis=-1), axis=-1)
+    bins = (cdfs[..., :, None, :] <= edges[..., None, :-1, None]).sum(axis=-1)
+    return np.diff(edges, axis=-1), np.minimum(bins, k - 1)
+
+
+def monotone_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quantile (northwest-corner) coupling of mass vectors of shape (..., k)
+    on a sorted support, batched over leading axes into (..., k, k).  Each
+    piece between the two CDFs' breakpoints puts its width on (bin under p,
+    bin under q).  A piece of width <= 1e-15 is float dust and is dropped
+    when its bin under p also has a wider piece, so dust never empties a
+    bin.  Inputs must share the same total mass up to float dust."""
+    cdfs = np.cumsum(np.stack([p, q], axis=-2), axis=-1, dtype=float)
+    k = cdfs.shape[-1]
+    widths, bins = _quantile_pieces(cdfs)
+    lead = widths.shape[:-1]
+    # one bincount over every batch: batch b owns the flat rows b*k .. (b+1)*k - 1
+    # and the flat cells b*k*k .. (b+1)*k*k - 1
+    batch = np.arange(math.prod(lead)).reshape(lead + (1,))
+    rows = batch * k + bins[..., 0, :]
+    wide = widths > 1e-15
+    keep = wide | (np.bincount(rows.ravel(), weights=wide.ravel(), minlength=batch.size * k)
+                   == 0)[rows]
+    out = np.bincount((rows * k + bins[..., 1, :]).ravel(),
+                      weights=np.where(keep, widths, 0.0).ravel(), minlength=batch.size * k * k)
+    return out.reshape(lead + (k, k))
+
+
 def _repair(lp: LpInstance, pi: np.ndarray, q: np.ndarray) -> BarycenterSolution:
     """Clip dust, rebuild targets from column sums, and replace each coupling
     by the monotone coupling with the same marginals (equal cost for an
@@ -200,9 +235,8 @@ def _seed_mask(lp: LpInstance) -> np.ndarray:
     wtot = lp.weights.sum()
     w = lp.weights / wtot if wtot > 0 else np.full(lp.n_groups, 1.0 / lp.n_groups)
     widths, bins = _quantile_pieces(cdfs)
-    piece = widths > 0  # repeated breakpoints carry no mass
-    center = np.rint(w @ bins[:, piece]).astype(np.intp)
-    b_cdf = np.cumsum(np.bincount(center, weights=widths[piece], minlength=lp.k))
+    center = np.rint(w @ bins).astype(np.intp)
+    b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
 
     half = lp.alpha / 2.0
     lo = np.concatenate([np.zeros((lp.n_groups, 1)), cdfs[:, :-1]], axis=1) - half
@@ -237,8 +271,8 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     alpha = +inf short-circuits the LP entirely: identity couplings, each
     target equal to its input distribution, zero objective (the
     not-post-processed baseline).  Raises :class:`SolverFailure` when the
-    backend reports anything but clean convergence on a feasible master, or
-    when the solution fails its certificate.
+    backend reports anything but an optimal master (an infeasible one
+    included), or when the solution fails its certificate.
     """
     if math.isinf(lp.alpha):
         couplings = lp.pmfs[:, :, None] * np.eye(lp.k)
@@ -257,10 +291,6 @@ def solve(lp: LpInstance) -> BarycenterSolution:
         res = linprog(lp.cost[keep], A_ub=a_ub[:, keep], b_ub=lp.b_ub,
                       A_eq=a_eq[:, keep], b_eq=lp.b_eq,
                       bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
-        if res.status == 2 and not mask.all():
-            # the band missed a column feasibility needs; fall back to all of them
-            mask[:] = True
-            continue
         if res.status != 0:
             raise SolverFailure(f"LP solve failed (status {res.status}): {res.message}")
         y = res.eqlin.marginals

@@ -157,12 +157,9 @@ def _cmd_evaluate(args) -> int:
 def _sweep_config(args) -> sweep.SweepConfig:
     doc = _read_json(args.config, "config")
     try:
-        schema_doc = doc.get("schema") or {}
-        schema = (_load_schema(schema_doc) if isinstance(schema_doc, str)
-                  else _schema_from_doc(schema_doc, f"config {args.config}"))
         return sweep.SweepConfig(
             data_path=doc["data"],
-            schema=schema,
+            schema=_schema_from_doc(doc.get("schema", {}), f"config {args.config}"),
             alphas=tuple(map(_parse_hyper, doc["alphas"])),
             ks=tuple(map(_integer, doc["ks"])),
             epsilons=tuple(map(_parse_hyper, doc["epsilons"])),

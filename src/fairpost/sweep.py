@@ -48,6 +48,8 @@ class SweepConfig:
             raise ValueError("alpha, k, and epsilon lists must be nonempty")
         if self.seeds < 1:
             raise ValueError(f"need at least one seed, got {self.seeds}")
+        if self.workers < 1:
+            raise ValueError(f"need at least one worker, got {self.workers}")
         if self.schema.label_col is None:
             raise ValueError("sweep requires labeled data for test MSE")
         # split_train_test's check, and the checks fit runs, made once for the whole grid
@@ -132,6 +134,7 @@ def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
 
 # what a pool worker's cells run on: the parent's samples and config, set once per worker
 _WORKER_STATE: dict = {}
+_CELLS_PER_TASK = 4
 
 
 def _worker_init(samples: GroupedSamples, cfg: SweepConfig):
@@ -154,12 +157,14 @@ def run_sweep(cfg: SweepConfig, samples: GroupedSamples | None = None) -> list[S
     elif samples.labels is None:
         raise ValueError("sweep requires labeled samples for test MSE")
     specs = list(cell_specs(cfg))
-    if cfg.workers <= 1 or len(specs) == 1:
+    # a fork pool starts all its workers up front: start no more than there are tasks
+    workers = min(cfg.workers, math.ceil(len(specs) / _CELLS_PER_TASK))
+    if workers == 1:
         return [run_cell(samples, cfg, *spec) for spec in specs]
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_worker_init,
+            max_workers=workers, initializer=_worker_init,
             initargs=(samples, cfg)) as pool:
-        return list(pool.map(_worker_run, specs, chunksize=4))
+        return list(pool.map(_worker_run, specs, chunksize=_CELLS_PER_TASK))
 
 
 @dataclass(frozen=True)

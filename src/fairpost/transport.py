@@ -13,9 +13,8 @@ from .grid import Grid
 
 
 def extract_kernels(sol: BarycenterSolution, dists: PrivateGroupDists) -> np.ndarray:
-    """Row j of group a is the coupling row divided by its input mass;
-    bins carrying no input mass keep the identity row.  Rows are
-    renormalized after the division to absorb float dust."""
+    """Row j of group a is the coupling row divided by its own sum, so it
+    sums to 1 up to rounding; bins carrying no input mass keep the identity row."""
     n_groups, k, _ = sol.couplings.shape
     if dists.n_groups != n_groups or dists.k != k:
         raise ValueError("solution and distributions disagree on shape")

@@ -4,7 +4,8 @@
 ``w2sq_monotone`` is the exact squared-W2 cost of the monotone coupling,
 which is optimal in 1-D with squared cost.  ``monotone_coupling_loop`` is
 the scalar two-pointer construction of the quantile coupling, the
-reference for the closed form in :func:`fairpost.metrics.monotone_coupling`.
+reference for the closed form in
+:func:`fairpost.barycenter_lp.monotone_coupling`.
 ``fixed_target_cost`` solves the plain transport LP with both marginals
 pinned, which bridges the barycenter LP to the monotone-coupling oracle.
 ``full_lp_objective`` solves the full barycenter program, every coupling
@@ -17,10 +18,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from fairpost.barycenter_lp import _HIGHS_OPTIONS
+from fairpost.barycenter_lp import _HIGHS_OPTIONS, monotone_coupling
 from fairpost.errors import SolverFailure
 from fairpost.grid import Grid
-from fairpost.metrics import monotone_coupling
 
 
 def ks_distance(p, q) -> float:

@@ -13,14 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from fairpost.barycenter_lp import build_lp, solve
+from fairpost.barycenter_lp import build_lp, monotone_coupling, solve
 from fairpost.cli import main
 from fairpost.data_io import (DatasetSchema, GroupedSamples, load_csv, split_train_test)
 from fairpost.dp_estimation import (empirical_joint, estimate_private_dists,
                                     group_weights, isotonic_midrange, renormalize_cdf)
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from fairpost.metrics import monotone_coupling, statistical_parity_gap
+from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import fit
 from fairpost.transport import extract_kernels
 from lp_oracles import fixed_target_cost, full_lp_objective, ks_distance, w2sq_monotone

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairpost import barycenter_lp
-from fairpost.barycenter_lp import build_lp, lp_text, solve
+from fairpost.barycenter_lp import build_lp, lp_text, monotone_coupling, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from fairpost.metrics import monotone_coupling
 from lp_oracles import fixed_target_cost, full_lp_objective, ks_distance, w2sq_monotone
 
 
@@ -306,15 +305,15 @@ def test_column_generation_matches_full_lp(lp):
 
 
 def seed_mask_union1d(lp):
-    """The seed mask built over ``np.union1d`` of the breakpoints, the
-    construction ``_seed_mask`` must reproduce bit for bit."""
+    """The seed mask built over ``np.union1d`` of the breakpoints, each piece
+    binned by its left end: the construction ``_seed_mask`` must reproduce
+    bit for bit."""
     cdfs = np.cumsum(lp.pmfs, axis=1)
     wtot = lp.weights.sum()
     w = lp.weights / wtot if wtot > 0 else np.full(lp.n_groups, 1.0 / lp.n_groups)
     edges = np.union1d(0.0, cdfs)
     widths = np.diff(edges)
-    mids = edges[:-1] + widths / 2
-    bins = np.minimum((cdfs[:, None, :] <= mids[:, None]).sum(axis=2), lp.k - 1)
+    bins = np.minimum((cdfs[:, None, :] <= edges[:-1, None]).sum(axis=2), lp.k - 1)
     center = np.rint(w @ bins).astype(np.intp)
     b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
     half = lp.alpha / 2.0
@@ -365,19 +364,29 @@ def recording_linprog(monkeypatch):
     return calls
 
 
-def test_infeasible_master_falls_back_to_every_column(monkeypatch):
+@settings(deadline=None, max_examples=100)
+@given(lp_instances())
+def test_seed_master_is_feasible(lp):
+    """The seed band holds the monotone coupling p_a -> b, so q_a = q = b
+    is feasible and the first master solves to optimality."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recording_linprog(mp)
+        solve(lp)
+    assert calls[0][1] == 0
+
+
+def test_infeasible_master_is_a_solver_failure(monkeypatch):
     """A diagonal-only master pins each target to its input, which alpha = 0
-    makes infeasible for distinct inputs."""
+    makes infeasible for distinct inputs; no second program is tried."""
     rng = np.random.default_rng(11)
     g = make_grid(0, 1, 8)
     lp = build_lp(dists_from_pmfs([random_pmf(rng, 8) for _ in range(3)]), g, 0.0)
     monkeypatch.setattr(barycenter_lp, "_seed_mask", lambda lp: np.tile(
         np.eye(lp.k, dtype=bool), (lp.n_groups, 1, 1)))
     calls = recording_linprog(monkeypatch)
-    sol = solve(lp)
-    assert calls[0] == (3 * 8 + 8 + 3 * 8, 2)
-    assert calls[1] == (lp.n_vars, 0)
-    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+    with pytest.raises(SolverFailure, match=r"status 2\)"):
+        solve(lp)
+    assert calls == [(3 * 8 + 8 + 3 * 8, 2)]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])

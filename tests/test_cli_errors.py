@@ -129,7 +129,10 @@ def test_label_less_evaluate_is_a_data_error(tmp_path, data, model, capsys):
 
 
 def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
-    for schema in ({"interval": [1, 0]}, {"interval": [0, math.inf]}, ["not", "a", "dict"]):
+    """The schema is an inline object: a path string, and a falsy non-object,
+    are refused like any other non-object."""
+    for schema in ({"interval": [1, 0]}, {"interval": [0, math.inf]}, ["not", "a", "dict"],
+                   "schema.json", "", [], None, False):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"data": str(data), "schema": schema, "alphas": [0.1],
                                    "ks": [2], "epsilons": ["inf"], "seeds": 1}))

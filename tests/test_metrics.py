@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairpost.barycenter_lp import monotone_coupling
 from fairpost.grid import discretize_many, make_grid
-from fairpost.metrics import monotone_coupling, mse, statistical_parity_gap
+from fairpost.metrics import mse, statistical_parity_gap
 from lp_oracles import ks_distance, monotone_coupling_loop, w2sq_monotone
 
 
@@ -160,6 +161,8 @@ def test_monotone_coupling_matches_the_pointer_loop(pair):
     assert (np.diff(cols) >= 0).all() and (np.diff(rows) >= 0).all()
     assert np.abs(got.sum(axis=1) - p).max() <= 1e-14
     assert np.abs(got.sum(axis=0) - q).max() <= 1e-14
+    # a row whose CDF step is positive, one ulp included, keeps its mass
+    assert (got.sum(axis=1)[np.diff(np.cumsum(p), prepend=0.0) > 0] > 0).all()
     if np.array_equal(p, q):
         assert np.array_equal(rows, cols)  # the identity coupling
 

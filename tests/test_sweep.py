@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fairpost import sweep
 from fairpost.cli import _sweep_config, build_parser, main
 from fairpost.data_io import DatasetSchema, GroupedSamples, split_train_test
 from fairpost.grid import discretize_many, make_grid
@@ -317,6 +318,51 @@ def test_pool_workers_write_the_bytes_of_one_worker(tmp_path):
         for name in ("results.csv", "aggregates.csv", "envelope.csv"):
             assert ((tmp_path / f"{run}1" / name).read_bytes()
                     == (tmp_path / f"{run}2" / name).read_bytes())
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no
+    process, and runs the initializer and every task in this process."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, specs, chunksize):
+        return map(fn, specs)
+
+
+@pytest.mark.parametrize("seeds, workers, pools", [
+    (3, 64, [3]), (3, 2, [2]), (1, 64, []), (3, 1, []),
+], ids=["capped_by_tasks", "capped_by_workers", "one_task_runs_here", "one_worker_runs_here"])
+def test_pool_holds_no_more_workers_than_tasks(monkeypatch, seeds, workers, pools):
+    """Cells go to workers four at a time, and a fork pool starts all its
+    workers up front: the 4 * seeds cells make seeds tasks."""
+    sizes = []
+    monkeypatch.setattr(sweep.concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: RecordingPool(sizes, **kw))
+    monkeypatch.setattr(sweep, "_WORKER_STATE", {})
+    cfg = config_for(alphas=(0.0, math.inf), ks=(1, 3), seeds=seeds, workers=workers)
+    rows = run_sweep(cfg, samples=synthetic_samples(120))
+    assert len(rows) == 4 * seeds and all(r.status == "ok" for r in rows)
+    assert sizes == pools
+
+
+def test_fewer_than_one_worker_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="need at least one worker, got 0"):
+        config_for(workers=0)
+    cfg = sweep_config_file(tmp_path, write_synthetic_csv(tmp_path))
+    assert main(["sweep", "--config", str(cfg), "--workers", "0",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config {cfg}: need at least one worker, got 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_law_school_sweep_config_holds_the_paper_grid():
