@@ -20,7 +20,13 @@ w_a (v_j - v_l)^2 - y_row[a, j] - y_col[a, l]; the omitted columns pricing
 below -tol join the master, which is solved again.  When none is left the
 restricted optimum is optimal for the full program (Dantzig-Wolfe /
 Gilmore-Gomory pricing).  A master that comes back infeasible is a solver
-failure.
+failure.  One HiGHS object holds the master for the whole solve: the seed
+master is passed once and solved with dual simplex, each round's entering
+columns are appended to it, and primal simplex re-solves from the basis
+HiGHS already has, which the new columns leave primal feasible.  A master
+column is built from its indices: coupling column (a, j, l) costs
+w_a (v_j - v_l)^2 and has one +1 in row sum a*k + j and one in column sum
+a*k + l; only the O(G*k) Q and S columns are read from the full program.
 
 Solutions are repaired before they are returned: negative float dust is
 clipped, targets are recomputed from the coupling column sums, and every
@@ -35,16 +41,20 @@ union of the CDFs' breakpoints, each in the bins of its left end.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus, MatrixFormat,
+                                           _Highs)
 
 from .dp_estimation import PrivateGroupDists
 from .errors import SolverFailure
 from .grid import Grid
+
+log = logging.getLogger(__name__)
 
 # dust below this magnitude is clipped; anything more negative is a solver failure
 _NEG_DUST = 1e-9
@@ -62,6 +72,13 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# the rest of the settings scipy's linprog(method="highs") makes, so that a
+# solve needing one run matches it bit for bit; strategy 1 is dual simplex
+_HIGHS_RUN_OPTIONS = {**_HIGHS_OPTIONS, "presolve": "on", "simplex_strategy": 1,
+                      "output_flag": False, "log_to_console": False}
+# entering columns leave the optimal basis primal feasible but not dual
+# feasible, so later rounds re-solve from it with primal simplex (strategy 4)
+_WARM_STRATEGY = 4
 
 
 @dataclass(frozen=True)
@@ -264,15 +281,84 @@ def _certify(lp: LpInstance, sol: BarycenterSolution, worst_price: float) -> Non
         raise SolverFailure("solution fails its certificate: " + "; ".join(faults))
 
 
+@dataclass(frozen=True)
+class HighsRun:
+    """One HiGHS run on the master: the model status and its message, then,
+    for an optimal master only, the primal values of the master columns, the
+    duals of the equality rows and the simplex iterations of this run."""
+
+    status: HighsModelStatus
+    message: str
+    x: np.ndarray | None
+    duals: np.ndarray | None
+    nit: int
+
+
+def linprog(highs: _Highs, n_ub: int) -> HighsRun:
+    """Run HiGHS once on the master ``highs`` holds, from the basis it has.
+    The master's first ``n_ub`` rows are the inequality rows.
+
+    The name is the hook through which benchmark tracing and tests wrap
+    "solve one master"; it stays until the benchmark names a lasting one."""
+    highs.run()
+    status = highs.getModelStatus()
+    message = highs.modelStatusToString(status)
+    nit = highs.getInfo().simplex_iteration_count
+    if status != HighsModelStatus.kOptimal:
+        return HighsRun(status, message, None, None, nit)
+    sol = highs.getSolution()
+    return HighsRun(status, message, np.array(sol.col_value),
+                    np.array(sol.row_dual)[n_ub:], nit)
+
+
+def _coupling_columns(lp: LpInstance, cols: np.ndarray, n_ub: int):
+    """Costs and CSC starts, rows and values of the master columns of the
+    coupling variables ``cols``: (a, j, l) has a +1 in row sum a*k + j and in
+    column sum a*k + l, after the ``n_ub`` inequality rows."""
+    k = lp.k
+    rows = np.empty((len(cols), 2), dtype=np.int32)
+    rows[:, 0] = n_ub + cols // k
+    rows[:, 1] = n_ub + lp.n_groups * k + cols // (k * k) * k + cols % k
+    starts = np.arange(0, 2 * len(cols) + 1, 2, dtype=np.int32)
+    return lp.cost[cols], starts, rows.ravel(), np.ones(2 * len(cols))
+
+
+def _seed_master(lp: LpInstance, cols: np.ndarray) -> HighsLp:
+    """The master over coupling columns ``cols`` and every Q and S column:
+    the a_ub rows, then the a_eq rows, as linprog orders them."""
+    nc = lp.n_groups * lp.k * lp.k
+    n_ub = lp.a_ub.shape[0]
+    cost, starts, rows, values = _coupling_columns(lp, cols, n_ub)
+    rest = sparse.vstack([lp.a_ub[:, nc:], lp.a_eq[:, nc:]]).tocsc()
+    master = HighsLp()
+    master.num_col_ = master.a_matrix_.num_col_ = len(cols) + rest.shape[1]
+    master.num_row_ = master.a_matrix_.num_row_ = rest.shape[0]
+    master.a_matrix_.format_ = MatrixFormat.kColwise
+    master.col_cost_ = np.concatenate([cost, lp.cost[nc:]])
+    master.col_lower_ = np.zeros(master.num_col_)
+    master.col_upper_ = np.full(master.num_col_, np.inf)
+    master.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), lp.b_eq])
+    master.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
+    master.a_matrix_.start_ = np.concatenate([starts, starts[-1] + rest.indptr[1:]])
+    master.a_matrix_.index_ = np.concatenate([rows, rest.indices])
+    master.a_matrix_.value_ = np.concatenate([values, rest.data])
+    return master
+
+
+def _accepted(status: HighsStatus, what: str) -> None:
+    if status == HighsStatus.kError:
+        raise SolverFailure(f"HiGHS rejected {what}")
+
+
 def solve(lp: LpInstance) -> BarycenterSolution:
     """Solve the instance to optimality by column generation, then repair and
     certify the solution.
 
     alpha = +inf short-circuits the LP entirely: identity couplings, each
     target equal to its input distribution, zero objective (the
-    not-post-processed baseline).  Raises :class:`SolverFailure` when the
-    backend reports anything but an optimal master (an infeasible one
-    included), or when the solution fails its certificate.
+    not-post-processed baseline).  Raises :class:`SolverFailure` when HiGHS
+    reports anything but an optimal master (an infeasible one included), or
+    when the solution fails its certificate.
     """
     if math.isinf(lp.alpha):
         couplings = lp.pmfs[:, :, None] * np.eye(lp.k)
@@ -283,26 +369,42 @@ def solve(lp: LpInstance) -> BarycenterSolution:
 
     gk = lp.n_groups * lp.k
     nc = gk * lp.k
+    n_ub = lp.a_ub.shape[0]
     price = lp.cost[:nc].reshape(lp.n_groups, lp.k, lp.k)
-    a_eq, a_ub = lp.a_eq.tocsc(), lp.a_ub.tocsc()
     mask = _seed_mask(lp)
+    seed = np.flatnonzero(mask)
+    highs = _Highs()
+    for name, value in _HIGHS_RUN_OPTIONS.items():
+        _accepted(highs.setOptionValue(name, value), f"option {name}={value!r}")
+    _accepted(highs.passModel(_seed_master(lp, seed)), "the seed master")
+    # the variable index of each master column, in HiGHS's column order
+    var = np.concatenate([seed, np.arange(nc, lp.n_vars)])
+    runs = iterations = 0
     while True:
-        keep = np.concatenate([np.flatnonzero(mask), np.arange(nc, lp.n_vars)])
-        res = linprog(lp.cost[keep], A_ub=a_ub[:, keep], b_ub=lp.b_ub,
-                      A_eq=a_eq[:, keep], b_eq=lp.b_eq,
-                      bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
-        if res.status != 0:
-            raise SolverFailure(f"LP solve failed (status {res.status}): {res.message}")
-        y = res.eqlin.marginals
-        reduced = (price - y[:gk].reshape(lp.n_groups, lp.k, 1)
-                   - y[gk:].reshape(lp.n_groups, 1, lp.k))
+        res = linprog(highs, n_ub)
+        runs += 1
+        iterations += res.nit
+        if res.status != HighsModelStatus.kOptimal:
+            raise SolverFailure(
+                f"LP solve failed (HiGHS model status {int(res.status)}: {res.message})")
+        reduced = (price - res.duals[:gk].reshape(lp.n_groups, lp.k, 1)
+                   - res.duals[gk:].reshape(lp.n_groups, 1, lp.k))
         entering = (reduced < -_PRICE_TOL) & ~mask
         if not entering.any():
             break
         mask |= entering
+        _accepted(highs.setOptionValue("simplex_strategy", _WARM_STRATEGY),
+                  f"option simplex_strategy={_WARM_STRATEGY}")
+        new = np.flatnonzero(entering)
+        cost, starts, rows, values = _coupling_columns(lp, new, n_ub)
+        _accepted(highs.addCols(len(new), cost, np.zeros(len(new)), np.full(len(new), np.inf),
+                                len(values), starts[:-1], rows, values), "the entering columns")
+        var = np.concatenate([var, new])
+    log.debug("barycenter LP k=%d alpha=%g: %d master columns, %d HiGHS runs, "
+              "%d simplex iterations", lp.k, lp.alpha, len(var), runs, iterations)
 
     x = np.zeros(lp.n_vars)
-    x[keep] = res.x
+    x[var] = res.x
     pi = x[:nc].reshape(lp.n_groups, lp.k, lp.k)
     q = np.diff(x[nc:nc + lp.k], prepend=0.0)
     sol = _repair(lp, pi, q)

@@ -1,9 +1,13 @@
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat
 
 from fairpost import barycenter_lp
 from fairpost.barycenter_lp import build_lp, lp_text, monotone_coupling, solve
@@ -352,13 +356,15 @@ def test_repair_rejects_massless_and_non_optimal_couplings():
 
 
 def recording_linprog(monkeypatch):
-    """Wrap the solver's linprog; returns the (columns, status) of each call."""
+    """Wrap the solver's linprog; returns the (HiGHS object, master columns,
+    run) of each call, the columns counted as the run starts."""
     calls = []
     real = barycenter_lp.linprog
 
-    def wrapped(c, **kwargs):
-        res = real(c, **kwargs)
-        calls.append((len(c), res.status))
+    def wrapped(highs, n_ub):
+        cols = highs.getNumCol()
+        res = real(highs, n_ub)
+        calls.append((highs, cols, res))
         return res
     monkeypatch.setattr(barycenter_lp, "linprog", wrapped)
     return calls
@@ -372,7 +378,7 @@ def test_seed_master_is_feasible(lp):
     with pytest.MonkeyPatch.context() as mp:
         calls = recording_linprog(mp)
         solve(lp)
-    assert calls[0][1] == 0
+    assert calls[0][2].status == HighsModelStatus.kOptimal
 
 
 def test_infeasible_master_is_a_solver_failure(monkeypatch):
@@ -384,27 +390,129 @@ def test_infeasible_master_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(barycenter_lp, "_seed_mask", lambda lp: np.tile(
         np.eye(lp.k, dtype=bool), (lp.n_groups, 1, 1)))
     calls = recording_linprog(monkeypatch)
-    with pytest.raises(SolverFailure, match=r"status 2\)"):
+    with pytest.raises(SolverFailure, match=r"HiGHS model status 8: Infeasible\)"):
         solve(lp)
-    assert calls == [(3 * 8 + 8 + 3 * 8, 2)]
+    assert [(cols, res.status) for _, cols, res in calls] == [
+        (3 * 8 + 8 + 3 * 8, HighsModelStatus.kInfeasible)]
+
+
+def test_a_call_highs_rejects_is_a_solver_failure(monkeypatch):
+    """An option, model or column batch that HiGHS refuses stops the solve
+    instead of leaving a master that no longer matches its columns."""
+    rng = np.random.default_rng(12)
+    lp = build_lp(dists_from_pmfs([random_pmf(rng, 10) for _ in range(3)], [0.5, 0.3, 0.2]),
+                  make_grid(0, 1, 10), 0.05)
+    monkeypatch.setattr(barycenter_lp, "_seed_mask", uniform_seed_mask)
+    for method, what in (("setOptionValue", "option primal_feasibility_tolerance=1e-10"),
+                         ("passModel", "the seed master"),
+                         ("addCols", "the entering columns")):
+        refusing = type("Refusing", (barycenter_lp._Highs,),
+                        {method: lambda self, *args: HighsStatus.kError})
+        with monkeypatch.context() as mp:
+            mp.setattr(barycenter_lp, "_Highs", refusing)
+            with pytest.raises(SolverFailure, match=f"^HiGHS rejected {re.escape(what)}$"):
+                solve(lp)
+
+
+def uniform_seed_mask(lp):
+    """The monotone supports to the uniform pmf: a feasible master
+    (q_a = q = uniform) that is not optimal, so pricing must add columns."""
+    uniform = np.full(lp.k, 1.0 / lp.k)
+    return np.array([monotone_coupling(p, uniform) > 0 for p in lp.pmfs])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
 def test_pricing_grows_a_feasible_master_to_the_optimum(monkeypatch, alpha):
-    """The monotone supports to the uniform pmf give a feasible master
-    (q_a = q = uniform) that is not optimal; pricing must add columns."""
+    """From the uniform seed every round adds columns, up to the optimum."""
     rng = np.random.default_rng(12)
     k = 10
     pmfs = [random_pmf(rng, k) for _ in range(3)]
     lp = build_lp(dists_from_pmfs(pmfs, [0.5, 0.3, 0.2]), make_grid(0, 1, k), alpha)
-    uniform = np.full(k, 1.0 / k)
-    monkeypatch.setattr(barycenter_lp, "_seed_mask", lambda lp: np.array(
-        [monotone_coupling(p, uniform) > 0 for p in lp.pmfs]))
+    monkeypatch.setattr(barycenter_lp, "_seed_mask", uniform_seed_mask)
     calls = recording_linprog(monkeypatch)
     sol = solve(lp)
-    assert len(calls) > 1 and all(status == 0 for _, status in calls)
-    assert calls[-1][0] > calls[0][0]
+    assert len(calls) > 1 and all(res.status == HighsModelStatus.kOptimal
+                                  for _, _, res in calls)
+    cols = [n for _, n, _ in calls]
+    assert all(later > earlier for earlier, later in zip(cols, cols[1:]))
     assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+
+
+def master_matrix(master):
+    """The constraint matrix of a HighsLp as CSC; HiGHS may hold it row-wise."""
+    a = master.a_matrix_
+    shape = (master.num_row_, master.num_col_)
+    if a.format_ == MatrixFormat.kColwise:
+        return sparse.csc_matrix((a.value_, a.index_, a.start_), shape=shape)
+    return sparse.csr_matrix((a.value_, a.index_, a.start_), shape=shape).tocsc()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("seed_mask", ["uniform", "default"])
+def test_rounds_warm_start_one_master_built_from_indices(monkeypatch, alpha, seed_mask):
+    """Every run of one solve gets the same HiGHS object, which grows by
+    exactly the columns the previous run's duals price in, and every master
+    column equals the full program's column of the same variable.  The
+    first run is dual simplex, as in scipy's linprog; warm runs are primal."""
+    rng = np.random.default_rng(13)
+    k, n_groups = 12, 3
+    pmfs = [random_pmf(rng, k) ** 3 for _ in range(n_groups)]
+    lp = build_lp(dists_from_pmfs([p / p.sum() for p in pmfs], [0.5, 0.3, 0.2]),
+                  make_grid(0, 1, k), alpha)
+    if seed_mask == "uniform":
+        monkeypatch.setattr(barycenter_lp, "_seed_mask", uniform_seed_mask)
+    runs = []
+    real = barycenter_lp.linprog
+
+    def wrapped(highs, n_ub):
+        master, strategy = highs.getLp(), highs.getOptionValue("simplex_strategy")[1]
+        res = real(highs, n_ub)
+        runs.append((highs, n_ub, master, res, strategy))
+        return res
+    monkeypatch.setattr(barycenter_lp, "linprog", wrapped)
+    sol = solve(lp)
+    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+    if seed_mask == "uniform":
+        assert len(runs) > 1
+
+    gk, nc = n_groups * k, n_groups * k * k
+    n_ub = lp.a_ub.shape[0]
+    full = sparse.vstack([lp.a_ub, lp.a_eq]).tocsc()
+    price = lp.cost[:nc].reshape(n_groups, k, k)
+    mask = barycenter_lp._seed_mask(lp)
+    var = np.concatenate([np.flatnonzero(mask), np.arange(nc, lp.n_vars)])
+    for i, (highs, run_n_ub, master, res, strategy) in enumerate(runs):
+        assert highs is runs[0][0]
+        assert run_n_ub == n_ub
+        assert strategy == (1 if i == 0 else 4)
+        assert master.num_col_ == len(var)
+        matrix, expected = master_matrix(master), full[:, var]
+        for col in range(len(var)):
+            got, want = matrix.getcol(col), expected.getcol(col)
+            assert np.array_equal(got.indices, want.indices), (col, var[col])
+            assert np.array_equal(got.data, want.data), (col, var[col])
+        assert np.array_equal(master.col_cost_, lp.cost[var])
+        assert np.array_equal(master.row_lower_, np.concatenate([np.full(n_ub, -np.inf),
+                                                                 lp.b_eq]))
+        assert np.array_equal(master.row_upper_, np.concatenate([lp.b_ub, lp.b_eq]))
+        reduced = (price - res.duals[:gk].reshape(n_groups, k, 1)
+                   - res.duals[gk:].reshape(n_groups, 1, k))
+        entering = (reduced < -barycenter_lp._PRICE_TOL) & ~mask
+        mask |= entering
+        var = np.concatenate([var, np.flatnonzero(entering)])
+    assert not entering.any()
+
+
+def test_solve_logs_its_master_size_runs_and_iterations(caplog):
+    rng = np.random.default_rng(14)
+    lp = build_lp(dists_from_pmfs([random_pmf(rng, 9) for _ in range(2)]),
+                  make_grid(0, 1, 9), 0.05)
+    with caplog.at_level(logging.DEBUG, logger="fairpost.barycenter_lp"):
+        solve(lp)
+    [record] = [r for r in caplog.records if r.name == "fairpost.barycenter_lp"]
+    assert record.levelno == logging.DEBUG
+    assert re.fullmatch(r"barycenter LP k=9 alpha=0\.05: \d+ master columns, "
+                        r"[1-9]\d* HiGHS runs, \d+ simplex iterations", record.getMessage())
 
 
 # ------------------------------------------------------------------- lp dump

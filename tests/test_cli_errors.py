@@ -2,6 +2,7 @@
 message: 2 for config errors (unwritable outputs included), 3 for data
 errors (unreadable or malformed model files and non-finite cells included)."""
 
+import dataclasses
 import json
 import math
 
@@ -143,17 +144,21 @@ def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
 def test_solution_failing_its_certificate_is_a_solver_error(tmp_path, data, monkeypatch,
                                                             capsys, corrupt):
     """Corrupt every linprog result: zeroed center running sums break the
-    KS bound, shifted equality duals price every column below -tol."""
+    KS bound, shifted equality duals price every column below -tol.  The
+    Q and S columns follow the seed master's coupling columns."""
     from fairpost import barycenter_lp
     real = barycenter_lp.linprog
     n_groups, k = 2, 4
+    seed_cols = []
 
-    def corrupted(c, **kwargs):
-        res = real(c, **kwargs)
+    def corrupted(highs, n_ub):
+        seed_cols.append(highs.getNumCol())
+        res = real(highs, n_ub)
         if corrupt == "center":
-            res.x[len(c) - k - n_groups * k:len(c) - n_groups * k] = 0.0
+            q_end = seed_cols[0] - n_groups * k
+            res.x[q_end - k:q_end] = 0.0
         else:
-            res.eqlin.marginals = res.eqlin.marginals + 1.0
+            res = dataclasses.replace(res, duals=res.duals + 1.0)
         return res
     monkeypatch.setattr(barycenter_lp, "linprog", corrupted)
     assert main(["fit", "--data", str(data), "--k", str(k), "--alpha", "0.1",
