@@ -26,7 +26,8 @@ columns are appended to it, and primal simplex re-solves from the basis
 HiGHS already has, which the new columns leave primal feasible.  A master
 column is built from its indices: coupling column (a, j, l) costs
 w_a (v_j - v_l)^2 and has one +1 in row sum a*k + j and one in column sum
-a*k + l; only the O(G*k) Q and S columns are read from the full program.
+a*k + l.  So :func:`build_lp` assembles only the O(G*k) Q and S columns,
+the coupling costs and the right-hand sides, never the G*k*k program.
 
 Solutions are repaired before they are returned: negative float dust is
 clipped, targets are recomputed from the coupling column sums, and every
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus, MatrixFormat,
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat, ObjSense,
                                            _Highs)
 
 from .dp_estimation import PrivateGroupDists
@@ -83,9 +84,13 @@ _WARM_STRATEGY = 4
 
 @dataclass(frozen=True)
 class LpInstance:
-    """The full program, all G*k*k coupling columns included.  Variable
-    layout: couplings first (group-major, then row, then column), the center
-    running sums Q, then the target running sums S_a (group-major)."""
+    """What the master is built from.  The program's variables are the
+    couplings (group-major, then row, then column), the center running sums
+    Q, then the target running sums S_a (group-major); ``n_vars`` counts
+    them all.  ``cost`` holds the G*k*k coupling costs, since Q and S cost
+    nothing.  ``a_eq`` and ``a_ub`` hold only the Q and S columns, the
+    fixed block of every master; a coupling column is built from its
+    indices.  ``tests/lp_oracles.py`` assembles the full program."""
 
     n_groups: int
     k: int
@@ -119,11 +124,11 @@ def _check_alpha(alpha: float) -> None:
 
 
 def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
-    """Assemble the LP for the given private distributions and KS radius
-    alpha/2.  alpha = +inf drops the KS and center rows entirely; alpha = 0
-    keeps the KS rows as paired <= 0 constraints, forcing every target equal
-    to the center.  Zero-weight groups stay in the instance with zero
-    objective weight.
+    """Assemble the master's fixed block for the given private distributions
+    and KS radius alpha/2.  alpha = +inf drops the KS and center rows
+    entirely; alpha = 0 keeps the KS rows as paired <= 0 constraints, forcing
+    every target equal to the center.  Zero-weight groups stay in the
+    instance with zero objective weight.
     """
     _check_alpha(alpha)
     n_groups, k = dists.n_groups, dists.k
@@ -134,39 +139,34 @@ def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
     pmfs = np.asarray(dists.pmfs, dtype=float)
 
     gk = n_groups * k
-    nc = gk * k                     # coupling variables
-    n_vars = nc + k + gk
-
     sq = (v[:, None] - v[None, :]) ** 2
-    cost = np.zeros(n_vars)
-    cost[:nc] = np.repeat(weights, k * k) * np.tile(sq.ravel(), n_groups)
+    cost = np.repeat(weights, k * k) * np.tile(sq.ravel(), n_groups)
 
-    cvars = np.arange(nc)
+    # block columns: Q(0..k-1), then S_a(l) at k + a * k + l
     steps = np.arange(gk)           # (a, l) as a * k + l
     later = steps[steps % k != 0]   # the steps with an S_a(l - 1) term
-    s_var = nc + k + steps
-    # rows 0..gk: sum_l pi_a(j, l) = p_a(j)
+    s_var = k + steps
+    # rows 0..gk, sum_l pi_a(j, l) = p_a(j), hold coupling entries only;
     # rows gk..2gk: sum_j pi_a(j, l) - S_a(l) + S_a(l - 1) = 0
-    eq_rows = np.concatenate([cvars // k, gk + (cvars // (k * k)) * k + cvars % k,
-                              gk + steps, gk + later])
-    eq_cols = np.concatenate([cvars, cvars, s_var, s_var[later] - 1])
-    eq_data = np.concatenate([np.ones(2 * nc), -np.ones(gk), np.ones(len(later))])
-    a_eq = sparse.coo_matrix((eq_data, (eq_rows, eq_cols)), shape=(2 * gk, n_vars)).tocsr()
+    eq_data = np.concatenate([-np.ones(gk), np.ones(len(later))])
+    a_eq = sparse.coo_matrix((eq_data, (gk + np.concatenate([steps, later]),
+                                        np.concatenate([s_var, s_var[later] - 1]))),
+                             shape=(2 * gk, k + gk)).tocsr()
     b_eq = np.concatenate([pmfs.ravel(), np.zeros(gk)])
 
     if math.isinf(alpha):
         a_ub, b_ub = None, None
     else:
         # KS rows: +-(S_a(L) - Q(L)) <= alpha / 2; center rows: Q(L - 1) - Q(L) <= 0
-        q_var = nc + steps % k
+        q_var = steps % k
         mono = 2 * gk + np.arange(k - 1)
         ub_rows = np.concatenate([steps, steps, gk + steps, gk + steps, mono, mono])
         ub_cols = np.concatenate([s_var, q_var, s_var, q_var,
-                                  nc + np.arange(k - 1), nc + 1 + np.arange(k - 1)])
+                                  np.arange(k - 1), 1 + np.arange(k - 1)])
         ub_data = np.concatenate([np.ones(gk), -np.ones(gk), -np.ones(gk), np.ones(gk),
                                   np.ones(k - 1), -np.ones(k - 1)])
         a_ub = sparse.coo_matrix((ub_data, (ub_rows, ub_cols)),
-                                 shape=(2 * gk + k - 1, n_vars)).tocsr()
+                                 shape=(2 * gk + k - 1, k + gk)).tocsr()
         b_ub = np.concatenate([np.full(2 * gk, alpha / 2.0), np.zeros(k - 1)])
 
     return LpInstance(n_groups=n_groups, k=k, alpha=float(alpha), weights=weights,
@@ -252,7 +252,9 @@ def _seed_mask(lp: LpInstance) -> np.ndarray:
     wtot = lp.weights.sum()
     w = lp.weights / wtot if wtot > 0 else np.full(lp.n_groups, 1.0 / lp.n_groups)
     widths, bins = _quantile_pieces(cdfs)
-    center = np.rint(w @ bins).astype(np.intp)
+    # not w @ bins: BLAS may fuse the multiply-adds or not depending on the
+    # number of pieces, which moves a center that lands on a half bin
+    center = np.rint((w[:, None] * bins).sum(axis=0)).astype(np.intp)
     b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
 
     half = lp.alpha / 2.0
@@ -323,26 +325,23 @@ def _coupling_columns(lp: LpInstance, cols: np.ndarray, n_ub: int):
     return lp.cost[cols], starts, rows.ravel(), np.ones(2 * len(cols))
 
 
-def _seed_master(lp: LpInstance, cols: np.ndarray) -> HighsLp:
-    """The master over coupling columns ``cols`` and every Q and S column:
-    the a_ub rows, then the a_eq rows, as linprog orders them."""
-    nc = lp.n_groups * lp.k * lp.k
+def _seed_master(lp: LpInstance, cols: np.ndarray) -> tuple:
+    """The master over coupling columns ``cols`` and every Q and S column,
+    the a_ub rows, then the a_eq rows, as linprog orders them: the arguments
+    of ``_Highs.passModel``'s array overload, which reads the int32 buffers
+    whole (a ``HighsLp`` copies them element by element).  It refuses the
+    model unless ``integrality`` holds one entry per column."""
     n_ub = lp.a_ub.shape[0]
     cost, starts, rows, values = _coupling_columns(lp, cols, n_ub)
-    rest = sparse.vstack([lp.a_ub[:, nc:], lp.a_eq[:, nc:]]).tocsc()
-    master = HighsLp()
-    master.num_col_ = master.a_matrix_.num_col_ = len(cols) + rest.shape[1]
-    master.num_row_ = master.a_matrix_.num_row_ = rest.shape[0]
-    master.a_matrix_.format_ = MatrixFormat.kColwise
-    master.col_cost_ = np.concatenate([cost, lp.cost[nc:]])
-    master.col_lower_ = np.zeros(master.num_col_)
-    master.col_upper_ = np.full(master.num_col_, np.inf)
-    master.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), lp.b_eq])
-    master.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
-    master.a_matrix_.start_ = np.concatenate([starts, starts[-1] + rest.indptr[1:]])
-    master.a_matrix_.index_ = np.concatenate([rows, rest.indices])
-    master.a_matrix_.value_ = np.concatenate([values, rest.data])
-    return master
+    rest = sparse.vstack([lp.a_ub, lp.a_eq]).tocsc()
+    num_col = len(cols) + rest.shape[1]
+    value = np.concatenate([values, rest.data])
+    return (num_col, rest.shape[0], len(value), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+            np.concatenate([cost, np.zeros(rest.shape[1])]), np.zeros(num_col),
+            np.full(num_col, np.inf), np.concatenate([np.full(n_ub, -np.inf), lp.b_eq]),
+            np.concatenate([lp.b_ub, lp.b_eq]),
+            np.concatenate([starts[:-1], starts[-1] + rest.indptr[:-1]]),
+            np.concatenate([rows, rest.indices]), value, np.zeros(num_col, dtype=np.int32))
 
 
 def _accepted(status: HighsStatus, what: str) -> None:
@@ -370,13 +369,13 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     gk = lp.n_groups * lp.k
     nc = gk * lp.k
     n_ub = lp.a_ub.shape[0]
-    price = lp.cost[:nc].reshape(lp.n_groups, lp.k, lp.k)
+    price = lp.cost.reshape(lp.n_groups, lp.k, lp.k)
     mask = _seed_mask(lp)
     seed = np.flatnonzero(mask)
     highs = _Highs()
     for name, value in _HIGHS_RUN_OPTIONS.items():
         _accepted(highs.setOptionValue(name, value), f"option {name}={value!r}")
-    _accepted(highs.passModel(_seed_master(lp, seed)), "the seed master")
+    _accepted(highs.passModel(*_seed_master(lp, seed)), "the seed master")
     # the variable index of each master column, in HiGHS's column order
     var = np.concatenate([seed, np.arange(nc, lp.n_vars)])
     runs = iterations = 0
@@ -410,45 +409,3 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     sol = _repair(lp, pi, q)
     _certify(lp, sol, float(reduced.min()))
     return sol
-
-
-def lp_text(lp: LpInstance) -> str:
-    """Render the full instance in CPLEX LP interchange format (12
-    significant digits) for cross-checking with external solvers."""
-
-    def num(x: float) -> str:
-        return format(float(x), ".12g")
-
-    def var_name(i: int) -> str:
-        nc = lp.n_groups * lp.k * lp.k
-        if i < nc:
-            a, rest = divmod(i, lp.k * lp.k)
-            j, l = divmod(rest, lp.k)
-            return f"pi_{a}_{j}_{l}"
-        if i < nc + lp.k:
-            return f"Q_{i - nc}"
-        a, j = divmod(i - nc - lp.k, lp.k)
-        return f"S_{a}_{j}"
-
-    def terms(row) -> str:
-        parts = []
-        for i, coef in zip(row.indices, row.data):
-            sign = "-" if coef < 0 else "+"
-            parts.append(f"{sign} {num(abs(coef))} {var_name(i)}")
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else joined
-
-    lines = ["\\ barycenter transport LP", "Minimize"]
-    obj = " ".join(f"+ {num(c)} {var_name(i)}" for i, c in enumerate(lp.cost) if c != 0)
-    lines.append(" obj: " + (obj[2:] if obj else "0 " + var_name(0)))
-    lines.append("Subject To")
-    for r in range(lp.a_eq.shape[0]):
-        lines.append(f" eq{r}: {terms(lp.a_eq.getrow(r))} = {num(lp.b_eq[r])}")
-    if lp.a_ub is not None:
-        for r in range(lp.a_ub.shape[0]):
-            lines.append(f" ub{r}: {terms(lp.a_ub.getrow(r))} <= {num(lp.b_ub[r])}")
-    lines.append("Bounds")
-    for i in range(lp.n_vars):
-        lines.append(f" 0 <= {var_name(i)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

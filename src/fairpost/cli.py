@@ -22,9 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, pipeline, sweep
-from .barycenter_lp import build_lp, lp_text
 from .data_io import BLOCK_ROWS, DatasetSchema, format_floats, load_csv
-from .dp_estimation import PrivateGroupDists
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 
 
@@ -101,12 +99,6 @@ def _cmd_fit(args) -> int:
         raise ConfigError(str(exc)) from exc
     with _writing(args.out):
         model.save(args.out)
-    if args.dump_lp:
-        # rebuilt from the released diagnostics; no second pass over the data
-        dists = PrivateGroupDists(weights=model.weights, pmfs=model.pmfs)
-        instance = build_lp(dists, model.grid, alpha)
-        with _writing(args.dump_lp), open(args.dump_lp, "w", encoding="utf-8") as fh:
-            fh.write(lp_text(instance))
     print(f"wrote model to {args.out} (objective {model.objective:.6g})")
     return 0
 
@@ -204,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--epsilon", required=True, help="privacy budget (number or 'inf')")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out", required=True, help="model JSON output path")
-    f.add_argument("--dump-lp", default=None, help="also dump the LP instance as text")
     f.set_defaults(func=_cmd_fit)
 
     a = sub.add_parser("apply", help="post-process scores with a fitted model")

@@ -35,10 +35,14 @@ def make_grid(s: float, t: float, k: int) -> Grid:
 def discretize_many(grid: Grid, ys: np.ndarray) -> np.ndarray:
     """Index of the midpoint nearest to each y (0-based).
 
-    Ties at bin boundaries break to the lower index; y outside [s, t]
-    clamps to the nearest end bin.
+    Ties at bin boundaries break to the lower index; y outside [s, t],
+    +-inf included, clamps to the nearest end bin.  A NaN has no bin:
+    ValueError names the index of the first.
     """
     ys = np.asarray(ys, dtype=float)
+    nan = np.isnan(ys)
+    if nan.any():
+        raise ValueError(f"row {int(np.argmax(nan))}: NaN has no bin")
     mid = grid.midpoints
     hi = np.minimum(np.searchsorted(mid, ys), grid.k - 1)
     lo = np.maximum(hi - 1, 0)

@@ -120,13 +120,13 @@ class FairPostprocessor:
         if mode not in ("sample", "barycentric"):
             raise ValueError(f"unknown mode {mode!r}")
         zs = self.transform.to_internal(ys)
+        j = discretize_many(self.grid, zs)
         outside = (zs < self.grid.s) | (zs > self.grid.t)
         if n_outside := int(np.count_nonzero(outside)):
             if self.out_of_range_count == 0:
                 log.warning("score %g outside fitted interval [%g, %g]; clamping",
                             ys[outside][0], *self.transform.to_raw([self.grid.s, self.grid.t]))
             self.out_of_range_count += n_outside
-        j = discretize_many(self.grid, zs)
         if mode == "barycentric":
             return self.transform.to_raw(self._row_means[idx, j])
         bins = transport.sample_bins(self._row_cdfs, idx, j, rng.random(len(ys)))

@@ -8,11 +8,15 @@ reference for the closed form in
 :func:`fairpost.barycenter_lp.monotone_coupling`.
 ``fixed_target_cost`` solves the plain transport LP with both marginals
 pinned, which bridges the barycenter LP to the monotone-coupling oracle.
-``full_lp_objective`` solves the full barycenter program, every coupling
-column included, in one HiGHS call: the reference for column generation in
-``barycenter_lp.solve``.  They live with the tests because nothing in the
-package needs them.
+``full_program`` assembles the full barycenter program, every coupling
+column included, and ``full_lp_objective`` solves it in one HiGHS call: the
+reference for column generation in ``barycenter_lp.solve``, whose masters
+take their Q and S columns from ``build_lp``.  They live with the tests
+because nothing in the package needs them.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -66,9 +70,65 @@ def fixed_target_cost(p, q, grid: Grid) -> float:
     return float(res.fun)
 
 
+class FullProgram(NamedTuple):
+    cost: np.ndarray
+    a_eq: sparse.csr_matrix
+    b_eq: np.ndarray
+    a_ub: sparse.csr_matrix | None
+    b_ub: np.ndarray | None
+
+
+def full_program(lp) -> FullProgram:
+    """The full program of the instance ``lp`` (``build_lp``'s output), all
+    G*k*k coupling columns included.  Variable layout: couplings first
+    (group-major, then row, then column), the center running sums Q, then
+    the target running sums S_a (group-major).  Equality rows pin each
+    coupling's row sums to p_a and make its column sums the steps of S_a; the
+    inequality rows are the paired KS rows +-(S_a(L) - Q(L)) <= alpha/2, then
+    the center rows Q(L - 1) <= Q(L), none of them at alpha = inf."""
+    n_groups, k = lp.n_groups, lp.k
+    v = lp.midpoints
+
+    gk = n_groups * k
+    nc = gk * k                     # coupling variables
+    n_vars = nc + k + gk
+
+    sq = (v[:, None] - v[None, :]) ** 2
+    cost = np.zeros(n_vars)
+    cost[:nc] = np.repeat(lp.weights, k * k) * np.tile(sq.ravel(), n_groups)
+
+    cvars = np.arange(nc)
+    steps = np.arange(gk)           # (a, l) as a * k + l
+    later = steps[steps % k != 0]   # the steps with an S_a(l - 1) term
+    s_var = nc + k + steps
+    # rows 0..gk: sum_l pi_a(j, l) = p_a(j)
+    # rows gk..2gk: sum_j pi_a(j, l) - S_a(l) + S_a(l - 1) = 0
+    eq_rows = np.concatenate([cvars // k, gk + (cvars // (k * k)) * k + cvars % k,
+                              gk + steps, gk + later])
+    eq_cols = np.concatenate([cvars, cvars, s_var, s_var[later] - 1])
+    eq_data = np.concatenate([np.ones(2 * nc), -np.ones(gk), np.ones(len(later))])
+    a_eq = sparse.coo_matrix((eq_data, (eq_rows, eq_cols)), shape=(2 * gk, n_vars)).tocsr()
+    b_eq = np.concatenate([lp.pmfs.ravel(), np.zeros(gk)])
+
+    if math.isinf(lp.alpha):
+        return FullProgram(cost, a_eq, b_eq, None, None)
+    q_var = nc + steps % k
+    mono = 2 * gk + np.arange(k - 1)
+    ub_rows = np.concatenate([steps, steps, gk + steps, gk + steps, mono, mono])
+    ub_cols = np.concatenate([s_var, q_var, s_var, q_var,
+                              nc + np.arange(k - 1), nc + 1 + np.arange(k - 1)])
+    ub_data = np.concatenate([np.ones(gk), -np.ones(gk), -np.ones(gk), np.ones(gk),
+                              np.ones(k - 1), -np.ones(k - 1)])
+    a_ub = sparse.coo_matrix((ub_data, (ub_rows, ub_cols)),
+                             shape=(2 * gk + k - 1, n_vars)).tocsr()
+    b_ub = np.concatenate([np.full(2 * gk, lp.alpha / 2.0), np.zeros(k - 1)])
+    return FullProgram(cost, a_eq, b_eq, a_ub, b_ub)
+
+
 def full_lp_objective(lp) -> float:
-    """Optimal objective of the full program that ``build_lp`` assembled."""
-    res = linprog(lp.cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+    """Optimal objective of the full program of the instance ``lp``."""
+    full = full_program(lp)
+    res = linprog(full.cost, A_ub=full.a_ub, b_ub=full.b_ub, A_eq=full.a_eq, b_eq=full.b_eq,
                   bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise SolverFailure(f"full LP failed (status {res.status}): {res.message}")

@@ -10,11 +10,12 @@ from scipy import sparse
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat
 
 from fairpost import barycenter_lp
-from fairpost.barycenter_lp import build_lp, lp_text, monotone_coupling, solve
+from fairpost.barycenter_lp import build_lp, monotone_coupling, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from lp_oracles import fixed_target_cost, full_lp_objective, ks_distance, w2sq_monotone
+from lp_oracles import (fixed_target_cost, full_lp_objective, full_program, ks_distance,
+                        w2sq_monotone)
 
 
 def dists_from_pmfs(pmfs, weights=None):
@@ -48,29 +49,40 @@ def test_variable_and_row_counts():
     g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]], [0.5, 0.5])
     lp = build_lp(d, g, 0.1)
+    full = full_program(lp)
     # couplings, center running sums Q, target running sums S_a
-    assert lp.n_vars == 2 * 9 + 3 + 2 * 3 == 27
+    assert lp.n_vars == 2 * 9 + 3 + 2 * 3 == 27 == len(full.cost)
     # row marginals, column marginals as running-sum steps
-    assert lp.a_eq.shape[0] == 2 * 2 * 3
-    assert lp.a_eq.nnz == 2 * 2 * 9 + 2 * (2 * 3 - 1)
+    assert full.a_eq.shape[0] == 2 * 2 * 3
+    assert full.a_eq.nnz == 2 * 2 * 9 + 2 * (2 * 3 - 1)
     # paired KS rows with two nonzeros each, then k - 1 center rows
-    assert lp.a_ub.shape[0] == 2 * 2 * 3 + 2
-    assert np.array_equal(np.diff(lp.a_ub.indptr), [2] * 14)
+    assert full.a_ub.shape[0] == 2 * 2 * 3 + 2
+    assert np.array_equal(np.diff(full.a_ub.indptr), [2] * 14)
+    # build_lp keeps the coupling costs and only the 3 + 6 Q and S columns:
+    # the S steps of the column-marginal rows, and every inequality entry
+    assert lp.cost.shape == (2 * 9,)
+    assert lp.a_eq.shape == (12, 9) and lp.a_eq.nnz == 2 * (2 * 3 - 1)
+    assert lp.a_ub.shape == (14, 9) and lp.a_ub.nnz == 2 * 14
 
 
 def test_infinite_alpha_omits_ks_rows():
     g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]])
     lp = build_lp(d, g, math.inf)
+    full = full_program(lp)
+    assert full.a_ub is None and full.b_ub is None
     assert lp.a_ub is None and lp.b_ub is None
+    assert lp.a_eq.nnz == 2 * (2 * 3 - 1)
 
 
 def test_zero_alpha_keeps_paired_rows_at_zero():
     g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]])
     lp = build_lp(d, g, 0.0)
-    assert lp.a_ub.shape[0] == 12 + 2
-    assert (lp.b_ub == 0).all()
+    full = full_program(lp)
+    assert full.a_ub.shape[0] == 12 + 2
+    assert (full.b_ub == 0).all()
+    assert lp.a_ub.nnz == 2 * 14 and (lp.b_ub == 0).all()
 
 
 def test_negative_alpha_rejected():
@@ -285,7 +297,7 @@ MASSES = st.one_of(st.just(0.0), st.floats(1e-30, 1e-15), st.floats(1e-3, 1.0))
 
 
 @st.composite
-def lp_instances(draw):
+def lp_instances(draw, alphas=(0.0, 0.01, 0.05, 0.2, 2.0)):
     n_groups = draw(st.integers(1, 5))
     k = draw(st.integers(1, 40))
     pmfs = []
@@ -296,8 +308,36 @@ def lp_instances(draw):
         pmfs.append(x / x.sum())
     weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
                             min_size=n_groups, max_size=n_groups))
-    alpha = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 2.0]))
+    alpha = draw(st.sampled_from(alphas))
     return build_lp(dists_from_pmfs(pmfs, weights), make_grid(0, 1, k), alpha)
+
+
+def same_csr(got, want):
+    """Equal shape, dtype, entries and entry order, once both are canonical."""
+    got, want = got.tocsr(), want.tocsr()
+    got.sort_indices()
+    want.sort_indices()
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and all(np.array_equal(getattr(got, name), getattr(want, name))
+                    for name in ("indptr", "indices", "data")))
+
+
+@settings(deadline=None, max_examples=200)
+@given(lp_instances(alphas=(0.0, 0.05, 2.0, math.inf)))
+def test_build_lp_is_the_full_programs_q_and_s_block(lp):
+    """build_lp's matrices are the oracle's Q and S columns, and its costs
+    the oracle's coupling costs, bit for bit; the right-hand sides agree."""
+    full = full_program(lp)
+    nc = lp.n_groups * lp.k * lp.k
+    assert lp.n_vars == len(full.cost)
+    assert np.array_equal(lp.cost, full.cost[:nc]) and not full.cost[nc:].any()
+    assert same_csr(lp.a_eq, full.a_eq[:, nc:])
+    assert np.array_equal(lp.b_eq, full.b_eq)
+    if math.isinf(lp.alpha):
+        assert lp.a_ub is None and lp.b_ub is None and full.a_ub is None
+    else:
+        assert same_csr(lp.a_ub, full.a_ub[:, nc:])
+        assert np.array_equal(lp.b_ub, full.b_ub)
 
 
 @settings(deadline=None, max_examples=40)
@@ -318,7 +358,7 @@ def seed_mask_union1d(lp):
     edges = np.union1d(0.0, cdfs)
     widths = np.diff(edges)
     bins = np.minimum((cdfs[:, None, :] <= edges[:-1, None]).sum(axis=2), lp.k - 1)
-    center = np.rint(w @ bins).astype(np.intp)
+    center = np.rint((w[:, None] * bins).sum(axis=0)).astype(np.intp)
     b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
     half = lp.alpha / 2.0
     lo = np.concatenate([np.zeros((lp.n_groups, 1)), cdfs[:, :-1]], axis=1) - half
@@ -452,7 +492,7 @@ def master_matrix(master):
 def test_rounds_warm_start_one_master_built_from_indices(monkeypatch, alpha, seed_mask):
     """Every run of one solve gets the same HiGHS object, which grows by
     exactly the columns the previous run's duals price in, and every master
-    column equals the full program's column of the same variable.  The
+    column equals the oracle full program's column of the same variable.  The
     first run is dual simplex, as in scipy's linprog; warm runs are primal."""
     rng = np.random.default_rng(13)
     k, n_groups = 12, 3
@@ -476,9 +516,10 @@ def test_rounds_warm_start_one_master_built_from_indices(monkeypatch, alpha, see
         assert len(runs) > 1
 
     gk, nc = n_groups * k, n_groups * k * k
-    n_ub = lp.a_ub.shape[0]
-    full = sparse.vstack([lp.a_ub, lp.a_eq]).tocsc()
-    price = lp.cost[:nc].reshape(n_groups, k, k)
+    full = full_program(lp)
+    n_ub = full.a_ub.shape[0]
+    matrix_full = sparse.vstack([full.a_ub, full.a_eq]).tocsc()
+    price = lp.cost.reshape(n_groups, k, k)
     mask = barycenter_lp._seed_mask(lp)
     var = np.concatenate([np.flatnonzero(mask), np.arange(nc, lp.n_vars)])
     for i, (highs, run_n_ub, master, res, strategy) in enumerate(runs):
@@ -486,15 +527,15 @@ def test_rounds_warm_start_one_master_built_from_indices(monkeypatch, alpha, see
         assert run_n_ub == n_ub
         assert strategy == (1 if i == 0 else 4)
         assert master.num_col_ == len(var)
-        matrix, expected = master_matrix(master), full[:, var]
+        matrix, expected = master_matrix(master), matrix_full[:, var]
         for col in range(len(var)):
             got, want = matrix.getcol(col), expected.getcol(col)
             assert np.array_equal(got.indices, want.indices), (col, var[col])
             assert np.array_equal(got.data, want.data), (col, var[col])
-        assert np.array_equal(master.col_cost_, lp.cost[var])
+        assert np.array_equal(master.col_cost_, full.cost[var])
         assert np.array_equal(master.row_lower_, np.concatenate([np.full(n_ub, -np.inf),
-                                                                 lp.b_eq]))
-        assert np.array_equal(master.row_upper_, np.concatenate([lp.b_ub, lp.b_eq]))
+                                                                 full.b_eq]))
+        assert np.array_equal(master.row_upper_, np.concatenate([full.b_ub, full.b_eq]))
         reduced = (price - res.duals[:gk].reshape(n_groups, k, 1)
                    - res.duals[gk:].reshape(n_groups, 1, k))
         entering = (reduced < -barycenter_lp._PRICE_TOL) & ~mask
@@ -514,20 +555,3 @@ def test_solve_logs_its_master_size_runs_and_iterations(caplog):
     assert re.fullmatch(r"barycenter LP k=9 alpha=0\.05: \d+ master columns, "
                         r"[1-9]\d* HiGHS runs, \d+ simplex iterations", record.getMessage())
 
-
-# ------------------------------------------------------------------- lp dump
-
-
-def test_lp_text_dump_structure():
-    g = make_grid(0, 1, 2)
-    d = dists_from_pmfs([[0.25, 0.75]], [1.0])
-    lp = build_lp(d, g, 0.5)
-    text = lp_text(lp)
-    assert text.startswith("\\")
-    for section in ("Minimize", "Subject To", "Bounds", "End"):
-        assert section in text
-    for name in ("pi_0_0_0", "pi_0_1_1", "Q_0", "S_0_1"):
-        assert name in text
-    # marginal row carries the input mass at 12 significant digits
-    assert "= 0.25" in text
-    assert "<= 0.25" in text  # alpha / 2

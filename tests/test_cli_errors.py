@@ -56,15 +56,22 @@ def test_model_with_invalid_kernels_is_a_data_error(tmp_path, data, model, capsy
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_fit_refuses_the_removed_dump_lp_flag(tmp_path, data, capsys):
+    """fit has no --dump-lp; argparse refuses it with exit 2 before any fit."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(data), "--k", "2", "--alpha", "0.1", "--epsilon", "inf",
+              "--out", str(tmp_path / "m.json"), "--dump-lp", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dump-lp x" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_unwritable_outputs_are_config_errors(tmp_path, data, model, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")
     nowhere = str(blocker / "out")  # a path below a regular file
     assert main(["fit", "--data", str(data), "--k", "2", "--alpha", "0.1",
                  "--epsilon", "inf", "--out", nowhere]) == 2
-    assert main(["fit", "--data", str(data), "--k", "2", "--alpha", "0.1",
-                 "--epsilon", "inf", "--out", str(tmp_path / "m2.json"),
-                 "--dump-lp", nowhere]) == 2
     assert main(["apply", "--model", str(model), "--data", str(data), "--out", nowhere]) == 2
     assert main(["apply", "--model", str(model), "--data", str(data),
                  "--out", str(tmp_path)]) == 2  # a directory
@@ -75,7 +82,7 @@ def test_unwritable_outputs_are_config_errors(tmp_path, data, model, capsys):
                                "epsilons": ["inf"], "seeds": 1}))
     assert main(["sweep", "--config", str(cfg), "--out", nowhere]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 6 and all(line.startswith("config error: cannot write") for line in err)
+    assert len(err) == 5 and all(line.startswith("config error: cannot write") for line in err)
 
 
 def test_non_finite_cells_are_data_errors(tmp_path, model, capsys):

@@ -247,6 +247,14 @@ def test_estimate_noiseless_single_group():
     assert dists.weights[0] == pytest.approx(1.0)
 
 
+def test_estimate_refuses_nan_scores_by_row():
+    """A NaN score has no bin: it is refused, not put in the top bin."""
+    s = GroupedSamples.from_rows([("A", 0.2), ("A", 0.7), ("B", math.nan), ("B", math.nan)])
+    for epsilon in (math.inf, 1.0):
+        with pytest.raises(ValueError, match=r"^row 2: NaN has no bin$"):
+            estimate_private_dists(s, make_grid(0, 1, 4), epsilon, np.random.default_rng(0))
+
+
 def test_estimate_noiseless_matches_empirical_conditionals():
     rng = np.random.default_rng(3)
     rows = [("A", float(v)) for v in rng.random(40)] + \

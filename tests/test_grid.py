@@ -51,6 +51,14 @@ def test_discretize_clamps_out_of_range():
     g = make_grid(0, 1, 4)
     assert discretize(g, 1.7) == 3
     assert discretize(g, -2.0) == 0
+    assert discretize(g, np.inf) == 3
+    assert discretize(g, -np.inf) == 0
+
+
+def test_discretize_names_the_first_nan():
+    g = make_grid(0, 1, 4)
+    with pytest.raises(ValueError, match=r"^row 2: NaN has no bin$"):
+        discretize_many(g, [0.1, np.inf, np.nan, 0.3, np.nan])
 
 
 grids = st.tuples(

@@ -160,6 +160,24 @@ def test_out_of_range_scores_counted_not_fatal():
     assert model.out_of_range_count == 2
 
 
+def test_nan_scores_are_refused_not_binned():
+    """predict and predict_batch name the first NaN's row; no draw is made,
+    no score is counted out of range, and fit refuses NaN training scores."""
+    model = fit(two_group_samples(), (0, 1), 4, 0.1, math.inf, 0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^row 0: NaN has no bin$"):
+        model.predict("A", math.nan, rng)
+    rows = [("A", 0.1), ("B", 2.0), ("A", 0.5), ("B", math.nan), ("A", math.nan)]
+    for mode in ("sample", "barycentric"):
+        with pytest.raises(ValueError, match=r"^row 3: NaN has no bin$"):
+            predict_rows(model, rows, rng, mode=mode)
+    assert rng.bit_generator.state == state and model.out_of_range_count == 0
+    samples = GroupedSamples.from_rows([("A", 0.2), ("A", 0.6), ("B", math.nan)])
+    with pytest.raises(ValueError, match=r"^row 2: NaN has no bin$"):
+        fit(samples, (0, 1), 4, 0.1, math.inf, 0)
+
+
 def test_serialization_round_trip_bit_identical(tmp_path):
     model = fit(two_group_samples(), (0, 1), 9, 0.15, 0.7, 123)
     path = tmp_path / "model.json"

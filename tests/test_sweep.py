@@ -242,17 +242,6 @@ def test_cli_apply_and_evaluate_read_units_from_the_model(tmp_path):
     assert report["mse_norm"] == pytest.approx(report["mse_raw"] / 9.0, rel=1e-12)
 
 
-def test_cli_fit_dump_lp(tmp_path):
-    data = write_synthetic_csv(tmp_path)
-    model = tmp_path / "model.json"
-    dump = tmp_path / "instance.lp"
-    rc = main(["fit", "--data", str(data), "--k", "3", "--alpha", "0.2",
-               "--epsilon", "inf", "--out", str(model), "--dump-lp", str(dump)])
-    assert rc == 0
-    text = dump.read_text()
-    assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
-
-
 def test_cli_exit_codes(tmp_path):
     data = write_synthetic_csv(tmp_path)
     model = tmp_path / "model.json"
