@@ -88,9 +88,16 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _load_scores(path: str, schema: DatasetSchema):
+    """The rows of ``path`` as ``fit`` and ``apply`` use them: the label
+    column is read only when it is also the score."""
+    return load_csv(path, dataclasses.replace(
+        schema, label_col=schema.label_col if schema.score_col is None else None))
+
+
 def _cmd_fit(args) -> int:
     schema = _load_schema(args.schema)
-    samples = load_csv(args.data, schema)
+    samples = _load_scores(args.data, schema)
     alpha = _parse_hyper(args.alpha)
     epsilon = _parse_hyper(args.epsilon)
     try:
@@ -105,7 +112,10 @@ def _cmd_fit(args) -> int:
 
 def _write_predictions(fh, samples, preds, seed: int) -> None:
     """The ``apply`` output: a metadata line, the header, then one
-    ``group,score,prediction`` line per row, floats as ``repr``."""
+    ``group,score,prediction`` line per row.  Each score is its cell's text
+    as read, stripped (a cell that ``float`` accepts holds no delimiter,
+    quote or line break, so it needs no quoting); each prediction is the
+    ``repr`` of its value."""
     # predictions take at most G * k distinct values; each is formatted once
     preds = format_floats(preds)
     fh.write(f"# fairpost {__version__} master_seed={seed}\n")
@@ -113,16 +123,13 @@ def _write_predictions(fh, samples, preds, seed: int) -> None:
     for i in range(0, samples.n, BLOCK_ROWS):
         block = slice(i, i + BLOCK_ROWS)
         lines = zip(map(samples.groups.__getitem__, samples.group_idx[block].tolist()),
-                    map(repr, samples.scores[block].tolist()), preds[block])
+                    samples.score_text[block], preds[block])
         fh.write("\n".join(map(",".join, lines)) + "\n")
 
 
 def _cmd_apply(args) -> int:
     model = _load_model(args.model)
-    schema = _load_schema(args.schema)
-    # the label column is read only when it is also the score
-    samples = load_csv(args.data, dataclasses.replace(
-        schema, label_col=schema.label_col if schema.score_col is None else None))
+    samples = _load_scores(args.data, _load_schema(args.schema))
     preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
                                 np.random.default_rng(args.seed), mode=args.mode)
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="\n") as fh:

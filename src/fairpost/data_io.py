@@ -12,8 +12,11 @@ Text I/O works on blocks of rows, not on one row at a time.
 :func:`load_csv` takes rows from ``csv.reader`` in blocks and checks,
 parses and indexes each block column by column; the rows of a block that
 fails a check are walked again one by one only to name its first bad row.
-:func:`format_floats` renders a float column for a writer with one call of
-the formatter per distinct value.
+Each numeric cell is stripped once, and the stripped text of the score
+cells is kept beside the parsed scores, so that ``apply`` writes every
+score as it was read without formatting a float.  :func:`format_floats`
+renders a float column for a writer with one call of the formatter per
+distinct value.
 """
 
 from __future__ import annotations
@@ -88,19 +91,24 @@ class GroupedSamples:
 
     ``groups`` lists the distinct group labels in first-appearance order;
     ``group_idx`` indexes into it per row.  Scores and labels are in raw
-    units.
+    units.  ``score_text`` is an object array of each score's cell text,
+    stripped, as :func:`load_csv` read it; samples built any other way
+    have none.
     """
 
     groups: tuple
     group_idx: np.ndarray
     scores: np.ndarray
     labels: np.ndarray | None = None
+    score_text: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.group_idx) != len(self.scores):
             raise ValueError("group_idx and scores length mismatch")
         if self.labels is not None and len(self.labels) != len(self.scores):
             raise ValueError("labels length mismatch")
+        if self.score_text is not None and len(self.score_text) != len(self.scores):
+            raise ValueError("score_text length mismatch")
         if len(self.group_idx) and not (
             self.group_idx.min() >= 0 and self.group_idx.max() < len(self.groups)
         ):
@@ -130,6 +138,7 @@ class GroupedSamples:
             group_idx=self.group_idx[idx],
             scores=self.scores[idx],
             labels=None if self.labels is None else self.labels[idx],
+            score_text=None if self.score_text is None else self.score_text[idx],
         )
 
 
@@ -160,6 +169,7 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     index: dict = {}
     gi = array("q")
     values = [array("d") for _ in columns[1:]]
+    score_text: list = []
     rejected = 0
     with fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -185,7 +195,7 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
             if not rows and stop is None:
                 break
             try:
-                rejected += _parse_block(rows, getters, width, index, gi, values)
+                rejected += _parse_block(rows, getters, width, index, gi, values, score_text)
                 failed = stop is not None
             except ValueError:
                 failed = True
@@ -203,25 +213,27 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
         group_idx=np.frombuffer(gi, dtype=np.int64).astype(np.intp),
         scores=np.frombuffer(values[0]),
         labels=None if schema.label_col is None else np.frombuffer(values[-1]),
+        score_text=np.array(score_text, dtype=object),
     )
 
 
-def _parse_block(rows, getters, width: int, index: dict, gi, values) -> int:
+def _parse_block(rows, getters, width: int, index: dict, gi, values, score_text) -> int:
     """Append a block's kept rows to the columns: each row's group index
-    into ``index`` (first-appearance order) and its numbers to ``values``.
-    ``getters`` pick the group cell, then each numeric cell.  Returns the
-    block's count of rejected rows; raises ``ValueError`` for a cell that
-    is unparseable or not finite."""
+    into ``index`` (first-appearance order), its numbers to ``values`` and
+    its stripped score cell to ``score_text``.  ``getters`` pick the group
+    cell, then each numeric cell, the score first.  Returns the block's
+    count of rejected rows; raises ``ValueError`` for a cell that is
+    unparseable or not finite."""
     rejected = 0
     if min(map(len, rows), default=width) < width:
         # blank rows are skipped, as csv.DictReader does; short rows are rejected
         kept = [row for row in rows if len(row) >= width]
         rejected += sum(map(bool, rows)) - len(kept)
         rows = kept
-    labels, *numbers = [list(map(get, rows)) for get in getters]
-    labels = list(map(str.strip, labels))
-    if not (all(labels) and all(all(map(str.strip, col)) for col in numbers)):
-        keep = list(map(all, zip(labels, *(map(str.strip, col) for col in numbers))))
+    # one strip per cell serves the empty-cell check, the parse and the kept text
+    labels, *numbers = [list(map(str.strip, map(get, rows))) for get in getters]
+    if not all(map(all, (labels, *numbers))):
+        keep = list(map(all, zip(labels, *numbers)))
         rejected += keep.count(False)  # a declared cell is empty
         labels, *numbers = [list(compress(col, keep)) for col in (labels, *numbers)]
     for column, cells in zip(values, numbers):
@@ -229,6 +241,7 @@ def _parse_block(rows, getters, width: int, index: dict, gi, values) -> int:
         column.extend(map(float, cells))
         if not np.isfinite(np.frombuffer(column)[start:]).all():
             raise ValueError("non-finite cell")
+    score_text.extend(numbers[0])
     for g in dict.fromkeys(labels):
         index.setdefault(g, len(index))
     gi.extend(map(index.__getitem__, labels))

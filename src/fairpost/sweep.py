@@ -18,7 +18,7 @@ import concurrent.futures
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,6 +156,8 @@ def run_sweep(cfg: SweepConfig, samples: GroupedSamples | None = None) -> list[S
         samples = load_csv(cfg.data_path, cfg.schema)
     elif samples.labels is None:
         raise ValueError("sweep requires labeled samples for test MSE")
+    # a sweep writes no score: its cells' splits and its workers skip the text
+    samples = replace(samples, score_text=None)
     specs = list(cell_specs(cfg))
     # a fork pool starts all its workers up front: start no more than there are tasks
     workers = min(cfg.workers, math.ceil(len(specs) / _CELLS_PER_TASK))

@@ -1,10 +1,11 @@
 """Row-by-row CSV parser: the reference for ``fairpost.data_io.load_csv``.
 
 ``load_csv_rows`` takes one row at a time from ``csv.reader`` and applies
-every check to that row before it reads the next, so its samples, its
-rejected-row warning and the text of each ``DataError`` are what the
-block-wise parser in the package must reproduce.  It lives with the tests
-because nothing in the package needs it.
+every check to that row before it reads the next, so its samples, the
+stripped text of its score cells, its rejected-row warning and the text of
+each ``DataError`` are what the block-wise parser in the package must
+reproduce.  It lives with the tests because nothing in the package needs
+it.
 """
 
 import csv
@@ -32,7 +33,7 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
         raise DataError(f"cannot open {path}: {exc}") from exc
     groups: list = []
     index: dict = {}
-    gi, scores, labels = [], array("d"), array("d")
+    gi, scores, labels, score_text = [], array("d"), array("d"), []
     rejected = 0
     with fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -65,6 +66,7 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
                     groups.append(g)
                 gi.append(index[g])
                 scores.append(values[0])
+                score_text.append(cells[1].strip())
                 if schema.label_col is not None:
                     labels.append(values[-1])
         except (csv.Error, UnicodeDecodeError) as exc:
@@ -80,6 +82,7 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
         group_idx=np.array(gi, dtype=np.intp),
         scores=np.frombuffer(scores),
         labels=None if schema.label_col is None else np.frombuffer(labels),
+        score_text=np.array(score_text, dtype=object),
     )
 
 

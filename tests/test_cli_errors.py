@@ -189,6 +189,24 @@ def test_apply_ignores_labels_it_does_not_use(tmp_path, data, model, bad_label):
     assert main(["evaluate", "--model", str(model), "--data", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("label", [None, "nan", "x", ""])
+def test_fit_ignores_labels_it_does_not_use(tmp_path, data, label):
+    """fit reads only the group and score columns: a file without labels, or
+    with a bad or empty label cell, fits to the bytes of the full file."""
+    lines = data.read_text().splitlines()
+    if label is None:
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    else:
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + label
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join(lines) + "\n")
+    models = [tmp_path / "full.json", tmp_path / "other.json"]
+    for path, out in zip((data, other), models):
+        assert main(["fit", "--data", str(path), "--k", "4", "--alpha", "0.1",
+                     "--epsilon", "1", "--seed", "3", "--out", str(out)]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
 def test_label_as_score_is_still_checked_by_apply(tmp_path, model):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"score": None}))

@@ -215,14 +215,16 @@ class _Records(logging.Handler):
 
 def outcome(loader, path, schema):
     """Everything a caller can observe of one load: the samples bit for bit
-    (or the DataError text) and the warnings logged."""
+    and the score cells' text (or the DataError text) and the warnings
+    logged."""
     handler = _Records()
     logger = logging.getLogger("fairpost.data_io")
     logger.addHandler(handler)
     try:
         s = loader(path, schema)
         result = ("ok", s.groups, s.group_idx.dtype, s.group_idx.tolist(),
-                  s.scores.tobytes(), None if s.labels is None else s.labels.tobytes())
+                  s.scores.tobytes(), None if s.labels is None else s.labels.tobytes(),
+                  s.score_text.dtype, s.score_text.tolist())
     except DataError as exc:
         result = ("error", str(exc))
     finally:
@@ -247,7 +249,7 @@ GOOD_GROUP = st.sampled_from(["A", "B", " A", "C ", "A,x", "B;y", "two\nlines", 
                               "lone\rcr", 'q"uote', "é"])
 GOOD_NUMBER = st.one_of(
     st.floats(-1e6, 1e6).map(repr), st.integers(-3, 3).map(str),
-    st.sampled_from(["0.5", " 0.25 ", "-0.0", "1e-320", "+2"]))
+    st.sampled_from(["0.5", " 0.25 ", "-0.0", "1e-320", "+2", "+2e-1", "0.50", "1_0", "\t-0 "]))
 BAD_CELL = st.sampled_from(["", "  ", "nan", "NaN", " inf ", "-inf", "1e999", "x", "0.5.5", "1,5"])
 
 

@@ -1,6 +1,6 @@
-"""The block writers spell every float exactly as the per-value reference:
-``f"{g},{y!r},{p!r}"`` per row for ``apply``, and ``format(x, ".17g")`` per
-entry for the model document."""
+"""The block writers spell every value exactly as the per-value reference:
+``f"{g},{y},{p!r}"`` per row for ``apply``, with ``y`` the score's cell
+text as read, and ``format(x, ".17g")`` per entry for the model document."""
 
 import io
 import math
@@ -15,10 +15,10 @@ from fairpost.data_io import BLOCK_ROWS, DatasetSchema, GroupedSamples, format_f
 from fairpost.pipeline import fit, load
 
 
-def reference_apply(groups, scores, preds, seed) -> str:
-    """The apply output with one ``repr`` per score and prediction."""
+def reference_apply(groups, score_text, preds, seed) -> str:
+    """The apply output with each score's text and one ``repr`` per prediction."""
     return (f"# fairpost {__version__} master_seed={seed}\ngroup,score,prediction\n"
-            + "".join(f"{g},{y!r},{p!r}\n" for g, y, p in zip(groups, scores, preds)))
+            + "".join(f"{g},{y},{p!r}\n" for g, y, p in zip(groups, score_text, preds)))
 
 
 def group_labels(samples) -> list:
@@ -39,13 +39,13 @@ def test_apply_writer_matches_per_row_reference(n, pool, seed):
     pool = np.array(pool + SPECIAL)
     scores = rng.random(n)
     scores[rng.random(n) < 0.1] = -0.0
+    text = [repr(y) for y in scores.tolist()]
     samples = GroupedSamples(groups=("A", "b c", "é"), group_idx=rng.integers(0, 3, n),
-                             scores=scores)
+                             scores=scores, score_text=np.array(text, dtype=object))
     preds = pool[rng.integers(0, len(pool), n)]
     buf = io.StringIO()
     _write_predictions(buf, samples, preds, seed)
-    assert buf.getvalue() == reference_apply(group_labels(samples), scores.tolist(),
-                                             preds.tolist(), seed)
+    assert buf.getvalue() == reference_apply(group_labels(samples), text, preds.tolist(), seed)
 
 
 IDENTITY = DatasetSchema()
@@ -86,9 +86,9 @@ def test_apply_command_matches_per_row_reference(fitted, mode, name, schema):
                                 np.random.default_rng(11), mode=mode)
     assert model.out_of_range_count > 0
     # the score is column 1 of both files (the label doubles as the score under AFFINE)
-    scores = [float(line.split(",")[1]) for line in data.read_text().splitlines()[1:]]
+    text = [line.split(",")[1] for line in data.read_text().splitlines()[1:]]
     assert out.read_text(encoding="utf-8") == reference_apply(
-        group_labels(samples), scores, preds.tolist(), 11)
+        group_labels(samples), text, preds.tolist(), 11)
 
 
 def test_apply_writes_each_score_as_read(tmp_path):
@@ -115,6 +115,34 @@ def test_apply_writes_each_score_as_read(tmp_path):
     preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
                                 np.random.default_rng(3))
     assert [pred for _, _, pred in rows] == [repr(p) for p in preds.tolist()]
+
+
+# each spelling of a score and its repr: apply echoes the stripped cell
+SPELLINGS = [(" 0.25 ", "0.25", "0.25"), ("+2e-1", "+2e-1", "0.2"), ("0.50", "0.50", "0.5"),
+             ('"0.5"', "0.5", "0.5"), ("1_0", "1_0", "10.0"), ("-0", "-0", "-0.0"),
+             ("\t7e-1\t", "7e-1", "0.7")]
+
+
+@pytest.mark.parametrize("mode", ["sample", "barycentric"])
+def test_apply_echoes_other_spellings_as_read(tmp_path, mode):
+    """A score cell is written as its stripped text, not re-spelled, and
+    predicts exactly as its value spelled as ``repr``."""
+    rows = [("AB"[i % 2], *SPELLINGS[i % len(SPELLINGS)]) for i in range(4 * len(SPELLINGS))]
+    spelled, as_repr = tmp_path / "spelled.csv", tmp_path / "repr.csv"
+    spelled.write_text("group,score\n" + "".join(f"{g},{cell}\n" for g, cell, _, _ in rows))
+    as_repr.write_text("group,score\n" + "".join(f"{g},{y}\n" for g, _, _, y in rows))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--data", str(as_repr), "--k", "5", "--alpha", "0.05", "--epsilon",
+                 "inf", "--out", str(model)]) == 0
+    written = []
+    for data in (spelled, as_repr):
+        out = tmp_path / f"out-{data.stem}.csv"
+        assert main(["apply", "--model", str(model), "--data", str(data), "--mode", mode,
+                     "--seed", "2", "--out", str(out)]) == 0
+        written.append([line.split(",") for line in out.read_text().splitlines()[2:]])
+    assert [score for _, score, _ in written[0]] == [text for _, _, text, _ in rows]
+    assert [score for _, score, _ in written[1]] == [y for _, _, _, y in rows]
+    assert [pred for _, _, pred in written[0]] == [pred for _, _, pred in written[1]]
 
 
 @settings(max_examples=100, deadline=None)
