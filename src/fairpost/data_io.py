@@ -32,13 +32,14 @@ from itertools import compress, islice
 import numpy as np
 
 from .errors import DataError
+from .grid import check_interval
 
 log = logging.getLogger(__name__)
 
 # Rows per block when reading a CSV file (and writing one, in the CLI).  A
 # few hundred rows spread the per-block costs thin, while the row lists of a
 # block die young: thousands of live ones make the cyclic collector run full
-# collections in a process that has imported numpy and scipy.
+# collections in a process that has imported numpy.
 BLOCK_ROWS = 512
 
 
@@ -46,11 +47,15 @@ BLOCK_ROWS = 512
 class AffineTransform:
     """Map between raw target units and the unit interval of a model's grid.
 
-    raw = offset + scale * internal.  Identity by default.
+    raw = offset + scale * internal.  Identity by default.  The raw
+    interval [offset, offset + scale] must pass :func:`check_interval`.
     """
 
     offset: float = 0.0
     scale: float = 1.0
+
+    def __post_init__(self):
+        check_interval(self.offset, self.offset + self.scale)
 
     def to_internal(self, y):
         return (np.asarray(y, dtype=float) - self.offset) / self.scale
@@ -79,8 +84,7 @@ class DatasetSchema:
         if len(set(cols)) != len(cols):
             raise ValueError(f"schema column names must be distinct, got {cols}")
         s, t = self.interval
-        if not 0.0 < float(t) - float(s) < math.inf:
-            raise ValueError(f"invalid interval {self.interval}: need finite s < t")
+        check_interval(float(s), float(t))
         if self.score_col is None and self.label_col is None:
             raise ValueError("schema needs a score column or a label column to use as score")
 
@@ -89,11 +93,11 @@ class DatasetSchema:
 class GroupedSamples:
     """Rows of (group, score, optional label) in columnar form.
 
-    ``groups`` lists the distinct group labels in first-appearance order;
-    ``group_idx`` indexes into it per row.  Scores and labels are in raw
-    units.  ``score_text`` is an object array of each score's cell text,
-    stripped, as :func:`load_csv` read it; samples built any other way
-    have none.
+    ``groups`` lists the distinct group labels in first-appearance order
+    (a repeated label is refused); ``group_idx`` indexes into it per row.
+    Scores and labels are in raw units.  ``score_text`` is an object array
+    of each score's cell text, stripped, as :func:`load_csv` read it;
+    samples built any other way have none.
     """
 
     groups: tuple
@@ -109,6 +113,8 @@ class GroupedSamples:
             raise ValueError("labels length mismatch")
         if self.score_text is not None and len(self.score_text) != len(self.scores):
             raise ValueError("score_text length mismatch")
+        if len(set(self.groups)) != len(self.groups):
+            raise ValueError(f"repeated group labels in {list(self.groups)}")
         if len(self.group_idx) and not (
             self.group_idx.min() >= 0 and self.group_idx.max() < len(self.groups)
         ):

@@ -7,6 +7,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def check_interval(s: float, t: float) -> None:
+    """The rule for every interval a grid or a model maps: 0 < t - s < inf.
+    Raises ValueError otherwise, NaN ends included."""
+    if not 0.0 < t - s < np.inf:
+        raise ValueError(f"invalid interval: need finite s < t, got [{s}, {t}]")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform bins on [s, t]; ``midpoints[j] = s + (j + 1/2) * (t - s) / k``."""
@@ -20,11 +27,11 @@ class Grid:
 def make_grid(s: float, t: float, k: int) -> Grid:
     """Build a k-bin grid on [s, t].
 
-    Raises ValueError for an invalid interval (s >= t) or bin count (k < 1).
+    Raises ValueError for an interval that breaks :func:`check_interval` or
+    a bin count below 1.
     """
     s, t = float(s), float(t)
-    if not s < t:
-        raise ValueError(f"invalid interval: need s < t, got [{s}, {t}]")
+    check_interval(s, t)
     if k < 1:
         raise ValueError(f"invalid bin count: need k >= 1, got {k}")
     midpoints = s + (np.arange(k) + 0.5) * (t - s) / k

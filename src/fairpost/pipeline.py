@@ -105,8 +105,11 @@ class FairPostprocessor:
 
     def _model_rows(self, groups, group_idx: np.ndarray) -> np.ndarray:
         """Model group index of each row; each distinct label is looked up once."""
-        if group_idx.min(initial=0) < 0:
-            raise ValueError(f"negative group index {group_idx.min()}")
+        bad = (group_idx < 0) | (group_idx >= len(groups))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"row {i}: {'negative ' if group_idx[i] < 0 else ''}group index "
+                             f"{group_idx[i]} out of range for {len(groups)} group labels")
         lut = np.array([self.groups.index(g) if g in self.groups else -1 for g in groups], np.intp)
         idx = lut[group_idx]
         if (idx < 0).any():
@@ -170,8 +173,6 @@ def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
     randomness consumed at fit time.
     """
     s, t = float(interval[0]), float(interval[1])
-    if not 0.0 < t - s < np.inf:
-        raise ValueError(f"invalid interval: need finite s < t, got [{s}, {t}]")
     transform = AffineTransform(offset=s, scale=t - s)
     seed = None
     if isinstance(rng, (int, np.integer)):
@@ -194,9 +195,11 @@ def load(path) -> FairPostprocessor:
     """Load a model saved by :meth:`FairPostprocessor.save`.
 
     Raises OSError for an unreadable file and ValueError for anything but
-    a well-formed model of this version, including kernels that are not
-    G x k x k for the G groups, nonnegative, with rows summing to 1 within
-    1e-9 (the sampler relies on nondecreasing row CDFs ending at 1)."""
+    a well-formed model of this version: a grid or transform whose interval
+    breaks :func:`~fairpost.grid.check_interval`, repeated group labels, or
+    kernels that are not G x k x k for the G groups, nonnegative, with rows
+    summing to 1 within 1e-9 (the sampler relies on nondecreasing row CDFs
+    ending at 1)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -209,6 +212,8 @@ def load(path) -> FairPostprocessor:
         if not np.array_equal([float(x) for x in g["midpoints"]], grid.midpoints):
             raise ValueError(f"{path}: stored midpoints disagree with the grid parameters")
         k, groups, kernels = grid.k, tuple(doc["groups"]), doc["kernels"]
+        if len(set(groups)) != len(groups):
+            raise ValueError(f"{path}: repeated group labels in {list(groups)}")
         if len(kernels) != len(groups) or any(len(row) != k * k for row in kernels):
             raise ValueError(f"{path}: kernels must hold {len(groups)} groups x {k * k} entries")
         matrices = np.array([[float(x) for x in row] for row in kernels]).reshape(-1, k, k)

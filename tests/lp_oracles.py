@@ -9,9 +9,9 @@ reference for the closed form in
 ``fixed_target_cost`` solves the plain transport LP with both marginals
 pinned, which bridges the barycenter LP to the monotone-coupling oracle.
 ``full_program`` assembles the full barycenter program, every coupling
-column included, and ``full_lp_objective`` solves it in one HiGHS call: the
-reference for column generation in ``barycenter_lp.solve``, whose masters
-take their Q and S columns from ``build_lp``.  They live with the tests
+column included, written independently of ``barycenter_lp``: the
+specification that ``build_lp``'s Q and S columns and the program
+``barycenter_lp.linprog`` solves are held to.  They live with the tests
 because nothing in the package needs them.
 """
 
@@ -123,16 +123,6 @@ def full_program(lp) -> FullProgram:
                              shape=(2 * gk + k - 1, n_vars)).tocsr()
     b_ub = np.concatenate([np.full(2 * gk, lp.alpha / 2.0), np.zeros(k - 1)])
     return FullProgram(cost, a_eq, b_eq, a_ub, b_ub)
-
-
-def full_lp_objective(lp) -> float:
-    """Optimal objective of the full program of the instance ``lp``."""
-    full = full_program(lp)
-    res = linprog(full.cost, A_ub=full.a_ub, b_ub=full.b_ub, A_eq=full.a_eq, b_eq=full.b_eq,
-                  bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise SolverFailure(f"full LP failed (status {res.status}): {res.message}")
-    return float(res.fun)
 
 
 def monotone_coupling_loop(p, q) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from fairpost.barycenter_lp import build_lp, monotone_coupling, solve
+from fairpost.barycenter_lp import build_lp, linprog, solve
 from fairpost.cli import main
 from fairpost.data_io import (DatasetSchema, GroupedSamples, load_csv, split_train_test)
 from fairpost.dp_estimation import (empirical_joint, estimate_private_dists,
@@ -23,7 +23,7 @@ from fairpost.grid import make_grid
 from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import fit
 from fairpost.transport import extract_kernels
-from lp_oracles import fixed_target_cost, full_lp_objective, ks_distance, w2sq_monotone
+from lp_oracles import fixed_target_cost, ks_distance, w2sq_monotone
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 LAW_SCHOOL_CSV = DATA_DIR / "law_school.csv"
@@ -150,9 +150,9 @@ def enumerate_simplex(k, denominator):
 
 
 def both_routes(lp):
-    """The objective by column generation (``solve``) and by the full program
-    in one HiGHS call; the two must agree within 1e-9."""
-    routes = (solve(lp).objective, full_lp_objective(lp))
+    """The objective by the isotonic reduction (``solve``) and by the full
+    program in one HiGHS call (``linprog``); the two must agree within 1e-9."""
+    routes = (solve(lp).objective, linprog(lp).objective)
     assert routes[0] == pytest.approx(routes[1], abs=1e-9)
     return routes
 
@@ -212,7 +212,7 @@ def test_criterion_03_lp_correctness():
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(3, f"LP (column generation and full program) matches the transport, "
+    report(3, f"LP (isotonic reduction and full program) matches the transport, "
               f"quantile-average, and enumeration oracles ({elapsed:.2f}s)")
 
 
@@ -232,7 +232,7 @@ def test_criterion_04_feasibility_and_target_fairness():
         pmfs = [random_pmf(rng, k) for _ in range(n_groups)]
         g = make_grid(0, 1, k)
         lp = build_lp(dists_from_pmfs(pmfs, weights), g, alpha)
-        sol = solve(lp)  # solve() raises if rearrangement moves cost > 1e-9
+        sol = solve(lp)  # solve() raises if the solution fails its certificate
         for a in range(n_groups):
             assert np.abs(sol.couplings[a].sum(axis=1) - pmfs[a]).max() <= 1e-6
             assert np.abs(sol.couplings[a].sum(axis=0) - sol.targets[a]).max() <= 1e-6

@@ -5,17 +5,15 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat
 
 from fairpost import barycenter_lp
-from fairpost.barycenter_lp import build_lp, monotone_coupling, solve
+from fairpost.barycenter_lp import build_lp, linprog, monotone_coupling, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from lp_oracles import (fixed_target_cost, full_lp_objective, full_program, ks_distance,
-                        w2sq_monotone)
+from lp_oracles import fixed_target_cost, full_program, ks_distance, w2sq_monotone
 
 
 def dists_from_pmfs(pmfs, weights=None):
@@ -290,24 +288,48 @@ def test_objective_monotone_in_alpha():
         assert lo <= hi + 1e-8
 
 
-# ---------------------------------------------------------- column generation
+
+
+def test_infinite_alpha_couplings_are_exact_diagonals():
+    rng = np.random.default_rng(3)
+    pmfs = [random_pmf(rng, 6) for _ in range(3)]
+    sol = solve(build_lp(dists_from_pmfs(pmfs), make_grid(0, 1, 6), math.inf))
+    for a in range(3):
+        assert np.array_equal(sol.couplings[a], np.diag(pmfs[a]))
+
+
+# ---------------------------------------------------- the reference program
 
 # a bin's mass: empty, float dust, or an ordinary share
 MASSES = st.one_of(st.just(0.0), st.floats(1e-30, 1e-15), st.floats(1e-3, 1.0))
+# Group weights with an integer relation, such as 0.1 + 0.1 + 0.1 + ... = 0.5,
+# let the slopes of different groups' Phi cancel, which can leave several
+# optimal target sets.  Distinct square roots of primes have no such relation.
+TIED_WEIGHTS = (0.0, 0.1, 0.5, 1.0)
+FREE_WEIGHTS = tuple(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0]) / 10)
 
 
-@st.composite
-def lp_instances(draw, alphas=(0.0, 0.01, 0.05, 0.2, 2.0)):
-    n_groups = draw(st.integers(1, 5))
-    k = draw(st.integers(1, 40))
+def pmf_lists(draw, n, k):
     pmfs = []
-    for _ in range(n_groups):
+    for _ in range(n):
         x = np.array(draw(st.lists(MASSES, min_size=k, max_size=k)))
         if x.sum() == 0:
             x[draw(st.integers(0, k - 1))] = 1.0
         pmfs.append(x / x.sum())
-    weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]),
-                            min_size=n_groups, max_size=n_groups))
+    return pmfs
+
+
+@st.composite
+def lp_instances(draw, alphas=(0.0, 0.01, 0.05, 0.2, 2.0), max_k=40):
+    n_groups = draw(st.integers(1, 5))
+    k = draw(st.integers(1, max_k))
+    pmfs = pmf_lists(draw, n_groups, k)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.sampled_from(TIED_WEIGHTS),
+                                min_size=n_groups, max_size=n_groups))
+    else:
+        drop = draw(st.lists(st.booleans(), min_size=n_groups, max_size=n_groups))
+        weights = np.where(drop, 0.0, draw(st.permutations(FREE_WEIGHTS))[:n_groups])
     alpha = draw(st.sampled_from(alphas))
     return build_lp(dists_from_pmfs(pmfs, weights), make_grid(0, 1, k), alpha)
 
@@ -340,211 +362,144 @@ def test_build_lp_is_the_full_programs_q_and_s_block(lp):
         assert np.array_equal(lp.b_ub, full.b_ub)
 
 
+class Captured(Exception):
+    pass
+
+
+@settings(deadline=None, max_examples=50)
+@given(lp_instances(alphas=(0.0, 0.05, math.inf)))
+def test_linprog_hands_highs_the_full_program(lp):
+    """The reference solves exactly the oracle's full program."""
+    args = {}
+
+    def capture(c, **kwargs):
+        args.update(kwargs, c=c)
+        raise Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "linprog", capture)
+        with pytest.raises(Captured):
+            linprog(lp)
+    full = full_program(lp)
+    assert np.array_equal(args["c"], full.cost)
+    assert same_csr(args["A_eq"], full.a_eq) and np.array_equal(args["b_eq"], full.b_eq)
+    if math.isinf(lp.alpha):
+        assert args["A_ub"] is None and args["b_ub"] is None
+    else:
+        assert same_csr(args["A_ub"], full.a_ub) and np.array_equal(args["b_ub"], full.b_ub)
+    assert (args["bounds"], args["method"]) == ((0, None), "highs")
+
+
 @settings(deadline=None, max_examples=40)
 @given(lp_instances())
-def test_column_generation_matches_full_lp(lp):
-    sol = solve(lp)
-    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+def test_isotonic_solve_matches_the_linprog_reference(lp):
+    """Objectives agree within 1e-9 on every instance.  The targets of
+    positive-weight groups agree within 1e-9 too when those weights are
+    distinct square roots of primes; with tied weights the reference may
+    pick another optimal target set."""
+    sol, ref = solve(lp), linprog(lp)
+    assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
     assert_solution_invariants(lp, sol, lp.alpha)
+    positive = lp.weights > 0
+    if set(lp.weights[positive]) <= set(FREE_WEIGHTS):
+        assert np.abs(sol.targets[positive] - ref.targets[positive]).max(initial=0.0) <= 1e-9
 
 
-def seed_mask_union1d(lp):
-    """The seed mask built over ``np.union1d`` of the breakpoints, each piece
-    binned by its left end: the construction ``_seed_mask`` must reproduce
-    bit for bit."""
-    cdfs = np.cumsum(lp.pmfs, axis=1)
-    wtot = lp.weights.sum()
-    w = lp.weights / wtot if wtot > 0 else np.full(lp.n_groups, 1.0 / lp.n_groups)
-    edges = np.union1d(0.0, cdfs)
-    widths = np.diff(edges)
-    bins = np.minimum((cdfs[:, None, :] <= edges[:-1, None]).sum(axis=2), lp.k - 1)
-    center = np.rint((w[:, None] * bins).sum(axis=0)).astype(np.intp)
-    b_cdf = np.cumsum(np.bincount(center, weights=widths, minlength=lp.k))
-    half = lp.alpha / 2.0
-    lo = np.concatenate([np.zeros((lp.n_groups, 1)), cdfs[:, :-1]], axis=1) - half
-    hi = cdfs + half
-    b_lo = np.concatenate([[0.0], b_cdf[:-1]])
-    return (lo[:, :, None] <= b_cdf) & (b_lo <= hi[:, :, None])
+# ------------------------------------------------------ the isotonic reduction
 
 
-@settings(deadline=None, max_examples=200)
-@given(lp_instances())
-def test_seed_mask_matches_the_union1d_construction(lp):
-    assert np.array_equal(barycenter_lp._seed_mask(lp), seed_mask_union1d(lp))
+def psi(cdf, n, s):
+    """psi_n(s) for the CDF values ``cdf`` at the gaps, by its definition:
+    sum_{m <= n} c_mn (F(m) - s)_+ + sum_{m >= n} c_mn (s - F(m))_+ with
+    c_mn = 2 for m != n and 1 for m = n, at each s of the array ``s``."""
+    m = np.arange(len(cdf))
+    c = np.where(m == n, 1.0, 2.0)
+    s = np.asarray(s, dtype=float)[..., None]
+    return ((c * np.where(m <= n, np.maximum(cdf - s, 0.0), 0.0)).sum(axis=-1)
+            + (c * np.where(m >= n, np.maximum(s - cdf, 0.0), 0.0)).sum(axis=-1))
 
 
-def test_infinite_alpha_couplings_are_exact_diagonals():
-    rng = np.random.default_rng(3)
-    pmfs = [random_pmf(rng, 6) for _ in range(3)]
-    sol = solve(build_lp(dists_from_pmfs(pmfs), make_grid(0, 1, 6), math.inf))
-    for a in range(3):
-        assert np.array_equal(sol.couplings[a], np.diag(pmfs[a]))
+@st.composite
+def pmf_pairs(draw):
+    k = draw(st.integers(1, 40))
+    return pmf_lists(draw, 2, k)
 
 
-def test_repair_rejects_massless_and_non_optimal_couplings():
-    lp = build_lp(dists_from_pmfs([[0.5, 0.5], [0.5, 0.5]]), make_grid(0, 1, 2), 0.1)
-    q = np.array([0.5, 0.5])
-    identity = np.array([np.diag(q)] * 2)
-    assert np.array_equal(barycenter_lp._repair(lp, identity.copy(), q).couplings, identity)
-    empty = identity.copy()
-    empty[1] = 0.0
-    with pytest.raises(SolverFailure, match="group 1 carries no mass"):
-        barycenter_lp._repair(lp, empty, q)
-    crossed = np.array([[[0.0, 0.5], [0.5, 0.0]]] * 2)
-    with pytest.raises(SolverFailure, match="monotone rearrangement changed the objective"):
-        barycenter_lp._repair(lp, crossed, q)
-
-
-def recording_linprog(monkeypatch):
-    """Wrap the solver's linprog; returns the (HiGHS object, master columns,
-    run) of each call, the columns counted as the run starts."""
-    calls = []
-    real = barycenter_lp.linprog
-
-    def wrapped(highs, n_ub):
-        cols = highs.getNumCol()
-        res = real(highs, n_ub)
-        calls.append((highs, cols, res))
-        return res
-    monkeypatch.setattr(barycenter_lp, "linprog", wrapped)
-    return calls
+@settings(deadline=None, max_examples=300)
+@given(pmf_pairs())
+def test_w2_is_separable_in_the_target_cdf(pair):
+    """W2^2(p, q) = d^2 sum_n psi_n(F_q(n)) over the k - 1 gaps, the cost of
+    the monotone coupling on a grid of spacing d."""
+    p, q = pair
+    k = len(p)
+    grid = make_grid(0, 1, k)
+    sq = (grid.midpoints[:, None] - grid.midpoints[None, :]) ** 2
+    direct = float((sq * monotone_coupling(p, q)).sum())
+    fp, fq = np.cumsum(p)[:-1], np.cumsum(q)[:-1]
+    separable = sum(float(psi(fp, n, fq[n])) for n in range(k - 1)) / k ** 2
+    assert separable == pytest.approx(direct, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=100)
-@given(lp_instances())
-def test_seed_master_is_feasible(lp):
-    """The seed band holds the monotone coupling p_a -> b, so q_a = q = b
-    is feasible and the first master solves to optimality."""
-    with pytest.MonkeyPatch.context() as mp:
-        calls = recording_linprog(mp)
-        solve(lp)
-    assert calls[0][2].status == HighsModelStatus.kOptimal
+@given(lp_instances(max_k=12))
+def test_phi_table_follows_its_definition(lp):
+    """Each entry is sum_a w_a d^2 psi_{a,n}(clip(F_a(n), x - alpha/2, x + alpha/2))
+    at a breakpoint x, and the breakpoints are every F_a(n) +- alpha/2."""
+    h = lp.alpha / 2
+    gaps = np.cumsum(lp.pmfs, axis=1)[:, :-1]
+    x, table = barycenter_lp._phi_table(lp, gaps)
+    assert np.array_equal(x, np.unique(np.concatenate([gaps.ravel() - h, gaps.ravel() + h])))
+    want = np.zeros((lp.k - 1, len(x)))
+    for w, f in zip(lp.weights, gaps):
+        for n in range(lp.k - 1):
+            want[n] += w * psi(f, n, np.clip(f[n], x - h, x + h)) / lp.k ** 2
+    assert np.allclose(table, want, rtol=0, atol=1e-12)
 
 
-def test_infeasible_master_is_a_solver_failure(monkeypatch):
-    """A diagonal-only master pins each target to its input, which alpha = 0
-    makes infeasible for distinct inputs; no second program is tried."""
-    rng = np.random.default_rng(11)
-    g = make_grid(0, 1, 8)
-    lp = build_lp(dists_from_pmfs([random_pmf(rng, 8) for _ in range(3)]), g, 0.0)
-    monkeypatch.setattr(barycenter_lp, "_seed_mask", lambda lp: np.tile(
-        np.eye(lp.k, dtype=bool), (lp.n_groups, 1, 1)))
-    calls = recording_linprog(monkeypatch)
-    with pytest.raises(SolverFailure, match=r"HiGHS model status 8: Infeasible\)"):
-        solve(lp)
-    assert [(cols, res.status) for _, cols, res in calls] == [
-        (3 * 8 + 8 + 3 * 8, HighsModelStatus.kInfeasible)]
-
-
-def test_a_call_highs_rejects_is_a_solver_failure(monkeypatch):
-    """An option, model or column batch that HiGHS refuses stops the solve
-    instead of leaving a master that no longer matches its columns."""
+def certified_instance():
+    """Three groups on 10 bins whose isotonic solution has several blocks,
+    the first two at distinct breakpoints."""
     rng = np.random.default_rng(12)
-    lp = build_lp(dists_from_pmfs([random_pmf(rng, 10) for _ in range(3)], [0.5, 0.3, 0.2]),
-                  make_grid(0, 1, 10), 0.05)
-    monkeypatch.setattr(barycenter_lp, "_seed_mask", uniform_seed_mask)
-    for method, what in (("setOptionValue", "option primal_feasibility_tolerance=1e-10"),
-                         ("passModel", "the seed master"),
-                         ("addCols", "the entering columns")):
-        refusing = type("Refusing", (barycenter_lp._Highs,),
-                        {method: lambda self, *args: HighsStatus.kError})
-        with monkeypatch.context() as mp:
-            mp.setattr(barycenter_lp, "_Highs", refusing)
-            with pytest.raises(SolverFailure, match=f"^HiGHS rejected {re.escape(what)}$"):
-                solve(lp)
+    pmfs = [random_pmf(rng, 10) for _ in range(3)]
+    return build_lp(dists_from_pmfs(pmfs, [0.5, 0.3, 0.2]), make_grid(0, 1, 10), 0.05)
 
 
-def uniform_seed_mask(lp):
-    """The monotone supports to the uniform pmf: a feasible master
-    (q_a = q = uniform) that is not optimal, so pricing must add columns."""
-    uniform = np.full(lp.k, 1.0 / lp.k)
-    return np.array([monotone_coupling(p, uniform) > 0 for p in lp.pmfs])
+def swap_first_blocks(table, starts, picks):
+    picks[[0, 1]] = picks[[1, 0]]
+    return starts, picks
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
-def test_pricing_grows_a_feasible_master_to_the_optimum(monkeypatch, alpha):
-    """From the uniform seed every round adds columns, up to the optimum."""
-    rng = np.random.default_rng(12)
-    k = 10
-    pmfs = [random_pmf(rng, k) for _ in range(3)]
-    lp = build_lp(dists_from_pmfs(pmfs, [0.5, 0.3, 0.2]), make_grid(0, 1, k), alpha)
-    monkeypatch.setattr(barycenter_lp, "_seed_mask", uniform_seed_mask)
-    calls = recording_linprog(monkeypatch)
-    sol = solve(lp)
-    assert len(calls) > 1 and all(res.status == HighsModelStatus.kOptimal
-                                  for _, _, res in calls)
-    cols = [n for _, n, _ in calls]
-    assert all(later > earlier for earlier, later in zip(cols, cols[1:]))
-    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
+def shift_last_block(table, starts, picks):
+    picks[-1] += 1
+    return starts, picks
 
 
-def master_matrix(master):
-    """The constraint matrix of a HighsLp as CSC; HiGHS may hold it row-wise."""
-    a = master.a_matrix_
-    shape = (master.num_row_, master.num_col_)
-    if a.format_ == MatrixFormat.kColwise:
-        return sparse.csc_matrix((a.value_, a.index_, a.start_), shape=shape)
-    return sparse.csr_matrix((a.value_, a.index_, a.start_), shape=shape).tocsc()
+def pool_first_blocks(table, starts, picks):
+    """Blocks 0 and 1 pooled at the minimizer of their summed Phi: in order
+    and at its minimum, but block 0 alone is cheaper lower and block 1 alone
+    is cheaper higher."""
+    pooled = table[:starts[2]].sum(axis=0)
+    return np.delete(starts, 1), np.concatenate([[np.argmin(pooled)], picks[2:]])
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2])
-@pytest.mark.parametrize("seed_mask", ["uniform", "default"])
-def test_rounds_warm_start_one_master_built_from_indices(monkeypatch, alpha, seed_mask):
-    """Every run of one solve gets the same HiGHS object, which grows by
-    exactly the columns the previous run's duals price in, and every master
-    column equals the oracle full program's column of the same variable.  The
-    first run is dual simplex, as in scipy's linprog; warm runs are primal."""
-    rng = np.random.default_rng(13)
-    k, n_groups = 12, 3
-    pmfs = [random_pmf(rng, k) ** 3 for _ in range(n_groups)]
-    lp = build_lp(dists_from_pmfs([p / p.sum() for p in pmfs], [0.5, 0.3, 0.2]),
-                  make_grid(0, 1, k), alpha)
-    if seed_mask == "uniform":
-        monkeypatch.setattr(barycenter_lp, "_seed_mask", uniform_seed_mask)
-    runs = []
-    real = barycenter_lp.linprog
-
-    def wrapped(highs, n_ub):
-        master, strategy = highs.getLp(), highs.getOptionValue("simplex_strategy")[1]
-        res = real(highs, n_ub)
-        runs.append((highs, n_ub, master, res, strategy))
-        return res
-    monkeypatch.setattr(barycenter_lp, "linprog", wrapped)
-    sol = solve(lp)
-    assert sol.objective == pytest.approx(full_lp_objective(lp), abs=1e-9)
-    if seed_mask == "uniform":
-        assert len(runs) > 1
-
-    gk, nc = n_groups * k, n_groups * k * k
-    full = full_program(lp)
-    n_ub = full.a_ub.shape[0]
-    matrix_full = sparse.vstack([full.a_ub, full.a_eq]).tocsc()
-    price = lp.cost.reshape(n_groups, k, k)
-    mask = barycenter_lp._seed_mask(lp)
-    var = np.concatenate([np.flatnonzero(mask), np.arange(nc, lp.n_vars)])
-    for i, (highs, run_n_ub, master, res, strategy) in enumerate(runs):
-        assert highs is runs[0][0]
-        assert run_n_ub == n_ub
-        assert strategy == (1 if i == 0 else 4)
-        assert master.num_col_ == len(var)
-        matrix, expected = master_matrix(master), matrix_full[:, var]
-        for col in range(len(var)):
-            got, want = matrix.getcol(col), expected.getcol(col)
-            assert np.array_equal(got.indices, want.indices), (col, var[col])
-            assert np.array_equal(got.data, want.data), (col, var[col])
-        assert np.array_equal(master.col_cost_, full.cost[var])
-        assert np.array_equal(master.row_lower_, np.concatenate([np.full(n_ub, -np.inf),
-                                                                 full.b_eq]))
-        assert np.array_equal(master.row_upper_, np.concatenate([full.b_ub, full.b_eq]))
-        reduced = (price - res.duals[:gk].reshape(n_groups, k, 1)
-                   - res.duals[gk:].reshape(n_groups, 1, k))
-        entering = (reduced < -barycenter_lp._PRICE_TOL) & ~mask
-        mask |= entering
-        var = np.concatenate([var, np.flatnonzero(entering)])
-    assert not entering.any()
+@pytest.mark.parametrize("corrupt, faults", [
+    (swap_first_blocks, ["isotonic blocks out of order"]),
+    (shift_last_block, ["misses its minimum"]),
+    (pool_first_blocks, ["is cheaper one breakpoint lower", "is cheaper one breakpoint higher"]),
+])
+def test_certificate_refuses_a_non_optimal_isotonic_solution(monkeypatch, corrupt, faults):
+    lp = certified_instance()
+    real = barycenter_lp._isotonic
+    starts, picks = real(barycenter_lp._phi_table(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1])
+    assert len(starts) > 2 and picks[0] < picks[1] < picks[2]
+    monkeypatch.setattr(barycenter_lp, "_isotonic", lambda table: corrupt(table, *real(table)))
+    with pytest.raises(SolverFailure, match="^solution fails its certificate") as err:
+        solve(lp)
+    for fault in faults:
+        assert fault in str(err.value)
 
 
-def test_solve_logs_its_master_size_runs_and_iterations(caplog):
+def test_solve_logs_its_block_count(caplog):
     rng = np.random.default_rng(14)
     lp = build_lp(dists_from_pmfs([random_pmf(rng, 9) for _ in range(2)]),
                   make_grid(0, 1, 9), 0.05)
@@ -552,6 +507,5 @@ def test_solve_logs_its_master_size_runs_and_iterations(caplog):
         solve(lp)
     [record] = [r for r in caplog.records if r.name == "fairpost.barycenter_lp"]
     assert record.levelno == logging.DEBUG
-    assert re.fullmatch(r"barycenter LP k=9 alpha=0\.05: \d+ master columns, "
-                        r"[1-9]\d* HiGHS runs, \d+ simplex iterations", record.getMessage())
-
+    assert re.fullmatch(r"barycenter k=9 alpha=0\.05: [1-8] isotonic blocks over "
+                        r"[1-9]\d* breakpoints", record.getMessage())

@@ -2,10 +2,10 @@
 message: 2 for config errors (unwritable outputs included), 3 for data
 errors (unreadable or malformed model files and non-finite cells included)."""
 
-import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fairpost.cli import main
@@ -54,6 +54,29 @@ def test_model_with_invalid_kernels_is_a_data_error(tmp_path, data, model, capsy
     model.write_text(json.dumps(doc))
     assert run_apply_and_evaluate(model, data, tmp_path) == [3, 3]
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, key, value, fault", [
+    ("transform", "scale", "nan", "invalid interval"),
+    ("transform", "scale", "0", "invalid interval"),
+    ("transform", "scale", "-1", "invalid interval"),
+    ("transform", "scale", "inf", "invalid interval"),
+    ("grid", "t", "inf", "invalid interval"),
+    ("groups", 1, "A", "repeated group labels"),
+])
+def test_model_breaking_a_model_rule_is_a_data_error(tmp_path, data, model, capsys,
+                                                     field, key, value, fault):
+    """A model file's grid and transform intervals must pass the interval
+    rule and its group labels must be distinct; apply refuses any other
+    with exit 3 and one line on stderr, before it predicts anything."""
+    doc = json.loads(model.read_text())
+    doc[field][key] = value
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "p.csv"
+    assert main(["apply", "--model", str(model), "--data", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: cannot load model") and fault in err[0]
+    assert not out.exists()
 
 
 def test_fit_refuses_the_removed_dump_lp_flag(tmp_path, data, capsys):
@@ -147,32 +170,29 @@ def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("corrupt", ["center", "duals"])
+@pytest.mark.parametrize("corrupt", ["coupling", "block"])
 def test_solution_failing_its_certificate_is_a_solver_error(tmp_path, data, monkeypatch,
                                                             capsys, corrupt):
-    """Corrupt every linprog result: zeroed center running sums break the
-    KS bound, shifted equality duals price every column below -tol.  The
-    Q and S columns follow the seed master's coupling columns."""
+    """Corrupt the solve: halved couplings miss the input pmfs, and the last
+    isotonic block moved to its costliest breakpoint misses its minimum."""
     from fairpost import barycenter_lp
-    real = barycenter_lp.linprog
-    n_groups, k = 2, 4
-    seed_cols = []
+    if corrupt == "coupling":
+        real = barycenter_lp.monotone_coupling
+        monkeypatch.setattr(barycenter_lp, "monotone_coupling", lambda p, q: 0.5 * real(p, q))
+    else:
+        real = barycenter_lp._isotonic
 
-    def corrupted(highs, n_ub):
-        seed_cols.append(highs.getNumCol())
-        res = real(highs, n_ub)
-        if corrupt == "center":
-            q_end = seed_cols[0] - n_groups * k
-            res.x[q_end - k:q_end] = 0.0
-        else:
-            res = dataclasses.replace(res, duals=res.duals + 1.0)
-        return res
-    monkeypatch.setattr(barycenter_lp, "linprog", corrupted)
-    assert main(["fit", "--data", str(data), "--k", str(k), "--alpha", "0.1",
+        def costliest(table):
+            starts, picks = real(table)
+            picks[-1] = np.argmax(table[starts[-1]:].sum(axis=0))
+            return starts, picks
+        monkeypatch.setattr(barycenter_lp, "_isotonic", costliest)
+    assert main(["fit", "--data", str(data), "--k", "4", "--alpha", "0.1",
                  "--epsilon", "inf", "--out", str(tmp_path / "m.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("solver error: solution fails its certificate")
-    assert ("KS(target, barycenter)" if corrupt == "center" else "prices at") in err
+    assert err.count("\n") == 1
+    assert ("coupling row sums miss" if corrupt == "coupling" else "misses its minimum") in err
 
 
 @pytest.mark.parametrize("bad_label", ["nan", "x"])

@@ -15,6 +15,7 @@ from fairpost import data_io
 from fairpost.data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                               split_train_test)
 from fairpost.errors import DataError
+from fairpost.grid import make_grid
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -149,6 +150,24 @@ def test_schema_rejects_duplicate_columns():
 def test_schema_rejects_bad_interval():
     with pytest.raises(ValueError):
         DatasetSchema(interval=(2.0, 2.0))
+
+
+@pytest.mark.parametrize("s, t", [(2.0, 2.0), (1.0, 0.0), (0.0, np.inf), (-np.inf, 0.0),
+                                  (np.nan, 1.0), (0.0, np.nan), (-1e308, 1e308)])
+def test_grid_schema_and_transform_share_the_interval_rule(s, t):
+    """0 < t - s < inf, stated once in grid.check_interval, holds for a
+    grid, a schema's interval and a transform's [offset, offset + scale]."""
+    for build in (lambda: make_grid(s, t, 3), lambda: DatasetSchema(interval=(s, t)),
+                  lambda: AffineTransform(offset=s, scale=t - s)):
+        with pytest.raises(ValueError, match="invalid interval"):
+            build()
+
+
+def test_repeated_group_labels_rejected():
+    with pytest.raises(ValueError, match="repeated group labels"):
+        GroupedSamples(groups=("A", "A"), group_idx=np.array([0, 1]), scores=np.zeros(2))
+    with pytest.raises(ValueError, match="repeated group labels"):
+        GroupedSamples.from_rows([("A", 0.5)], groups=("A", "B", "A"))
 
 
 def samples_of_size(n, seed=0):

@@ -2,7 +2,10 @@ import ast
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +218,12 @@ def saved_document(tmp_path):
     (lambda d: d["kernels"][0].__setitem__(8, "0.999"), "sum to 1"),
     (lambda d: d.pop("diagnostics"), "malformed model file"),
     (lambda d: d["grid"].__setitem__("k", None), "malformed model file"),
+    (lambda d: d["transform"].__setitem__("scale", "nan"), "invalid interval"),
+    (lambda d: d["transform"].__setitem__("scale", "0"), "invalid interval"),
+    (lambda d: d["transform"].__setitem__("scale", "-1"), "invalid interval"),
+    (lambda d: d["transform"].__setitem__("scale", "inf"), "invalid interval"),
+    (lambda d: d["grid"].__setitem__("t", "inf"), "invalid interval"),
+    (lambda d: d["groups"].__setitem__(1, "A"), "repeated group labels"),
 ])
 def test_load_validates_kernels_and_structure(tmp_path, corrupt, message):
     path, doc = saved_document(tmp_path)
@@ -286,6 +295,30 @@ def test_barycentric_mode_is_row_mean():
     expected = float(model.kernels[0, j] @ model.grid.midpoints)
     assert model.predict("A", y, rng, mode="barycentric") == pytest.approx(expected)
     # no stream consumption in barycentric mode is not promised; only values
+
+
+def test_cli_import_fit_and_apply_load_no_scipy(tmp_path):
+    """scipy is a test dependency only: a fresh interpreter imports
+    fairpost.cli, fits and applies without loading any scipy module."""
+    data = tmp_path / "data.csv"
+    data.write_text("group,score\n" + "".join(f"{'AB'[i % 2]},{i / 40!r}\n" for i in range(40)))
+    model, out = tmp_path / "model.json", tmp_path / "out.csv"
+    script = (
+        "import sys\n"
+        "import fairpost.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        f"assert fairpost.cli.main(['fit', '--data', {str(data)!r}, '--k', '6', '--alpha', '0.05',"
+        f" '--epsilon', '1', '--out', {str(model)!r}]) == 0\n"
+        f"assert fairpost.cli.main(['apply', '--model', {str(model)!r}, '--data', {str(data)!r},"
+        f" '--out', {str(out)!r}]) == 0\n"
+        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(sorted(set(loaded)))\n")
+    src = str(pathlib.Path(fairpost.pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------- privacy

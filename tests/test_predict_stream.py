@@ -192,6 +192,12 @@ def test_negative_group_index_rejected():
         model.predict_batch(model.groups, [0, -1], [0.5, 0.5], np.random.default_rng(0))
 
 
+def test_group_index_past_the_labels_rejected():
+    model = model_from_kernels(random_kernels(np.random.default_rng(9), 2, 3))
+    with pytest.raises(ValueError, match="row 2: group index 2 out of range for 2 group labels"):
+        model.predict_batch(model.groups, [0, 1, 2], [0.5, 0.5, 0.5], np.random.default_rng(0))
+
+
 def test_unknown_mode_rejected():
     model = model_from_kernels(random_kernels(np.random.default_rng(8), 1, 3))
     with pytest.raises(ValueError, match="unknown mode"):
