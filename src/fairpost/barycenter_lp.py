@@ -350,20 +350,23 @@ def linprog(lp: LpInstance) -> BarycenterSolution:
                               objective=float(res.fun))
 
 
+def _midrange(running: np.ndarray) -> np.ndarray:
+    """The stored center: the midrange of the CDFs in ``running``, differenced."""
+    return np.diff((running.max(axis=0) + running.min(axis=0)) / 2.0, prepend=0.0)
+
+
 def solve(lp: LpInstance) -> BarycenterSolution:
     """Solve the instance exactly by the isotonic reduction, then certify
     the solution.
 
     alpha = +inf short-circuits entirely: identity couplings, each target
     equal to its input distribution, zero objective (the not-post-processed
-    baseline).  Raises :class:`SolverFailure` when the solution fails its
-    certificate.
+    baseline), and the midrange center that every alpha stores.  Raises
+    :class:`SolverFailure` when the solution fails its certificate.
     """
     if math.isinf(lp.alpha):
-        couplings = lp.pmfs[:, :, None] * np.eye(lp.k)
-        center = np.average(lp.pmfs, axis=0,
-                            weights=lp.weights if lp.weights.sum() > 0 else None)
-        return BarycenterSolution(couplings=couplings, barycenter=center,
+        return BarycenterSolution(couplings=lp.pmfs[:, :, None] * np.eye(lp.k),
+                                  barycenter=_midrange(np.cumsum(lp.pmfs, axis=1)),
                                   targets=lp.pmfs.copy(), objective=0.0)
 
     h = lp.alpha / 2.0
@@ -378,9 +381,7 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     couplings = monotone_coupling(lp.pmfs, targets)
     sq = (lp.midpoints[:, None] - lp.midpoints[None, :]) ** 2
     sol = BarycenterSolution(
-        couplings=couplings,
-        barycenter=np.diff((running.max(axis=0) + running.min(axis=0)) / 2.0, prepend=0.0),
-        targets=targets,
+        couplings=couplings, barycenter=_midrange(running), targets=targets,
         objective=float((lp.weights * (sq * couplings).sum(axis=(1, 2))).sum()))
     log.debug("barycenter k=%d alpha=%g: %d isotonic blocks over %d breakpoints",
               lp.k, lp.alpha, len(starts), len(x))

@@ -191,47 +191,51 @@ def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
     )
 
 
+def _floats(cells) -> np.ndarray:
+    """Stored floats, or rows of them, through ``float``, which refuses a null."""
+    return np.array([_floats(c) if isinstance(c, list) else float(c) for c in cells])
+
+
 def load(path) -> FairPostprocessor:
     """Load a model saved by :meth:`FairPostprocessor.save`.
 
-    Raises OSError for an unreadable file and ValueError for anything but
-    a well-formed model of this version: a grid or transform whose interval
-    breaks :func:`~fairpost.grid.check_interval`, repeated group labels, or
-    kernels that are not G x k x k for the G groups, nonnegative, with rows
-    summing to 1 within 1e-9 (the sampler relies on nondecreasing row CDFs
-    ending at 1)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
+    Raises OSError for an unreadable file and ValueError naming ``path`` for
+    anything but a well-formed model of this version: a grid or transform
+    whose interval breaks :func:`~fairpost.grid.check_interval`, repeated
+    group labels, or kernels that are not G x k x k for the G groups,
+    nonnegative, with rows summing to 1 within 1e-9 (the sampler relies on
+    nondecreasing row CDFs ending at 1)."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"not a {MODEL_FORMAT} file")
+        if doc.get("version") != MODEL_VERSION:
+            raise ValueError(f"unsupported model version {doc.get('version')}")
         g = doc["grid"]
         grid = make_grid(float(g["s"]), float(g["t"]), int(g["k"]))
-        if not np.array_equal([float(x) for x in g["midpoints"]], grid.midpoints):
-            raise ValueError(f"{path}: stored midpoints disagree with the grid parameters")
+        if not np.array_equal(_floats(g["midpoints"]), grid.midpoints):
+            raise ValueError("stored midpoints disagree with the grid parameters")
         k, groups, kernels = grid.k, tuple(doc["groups"]), doc["kernels"]
         if len(set(groups)) != len(groups):
-            raise ValueError(f"{path}: repeated group labels in {list(groups)}")
+            raise ValueError(f"repeated group labels in {list(groups)}")
         if len(kernels) != len(groups) or any(len(row) != k * k for row in kernels):
-            raise ValueError(f"{path}: kernels must hold {len(groups)} groups x {k * k} entries")
-        matrices = np.array([[float(x) for x in row] for row in kernels]).reshape(-1, k, k)
+            raise ValueError(f"kernels must hold {len(groups)} groups x {k * k} entries")
+        matrices = _floats(kernels).reshape(-1, k, k)
         if not (matrices >= 0.0).all():
-            raise ValueError(f"{path}: kernel entries must be nonnegative")
+            raise ValueError("kernel entries must be nonnegative")
         if not (np.abs(matrices.sum(axis=2) - 1.0) <= 1e-9).all():
-            raise ValueError(f"{path}: kernel rows must sum to 1 within 1e-9")
+            raise ValueError("kernel rows must sum to 1 within 1e-9")
         d, tr, fit_meta = doc["diagnostics"], doc["transform"], doc["fit"]
         return FairPostprocessor(
             grid=grid, groups=groups, kernels=matrices,
             alpha=float(fit_meta["alpha"]), epsilon=float(fit_meta["epsilon"]),
-            seed=fit_meta["seed"],
-            weights=np.array([float(x) for x in d["weights"]]),
-            pmfs=np.array([[float(x) for x in row] for row in d["pmfs"]]),
-            targets=np.array([[float(x) for x in row] for row in d["targets"]]),
-            barycenter=np.array([float(x) for x in d["barycenter"]]),
+            seed=fit_meta["seed"], weights=_floats(d["weights"]), pmfs=_floats(d["pmfs"]),
+            targets=_floats(d["targets"]), barycenter=_floats(d["barycenter"]),
             objective=float(d["objective"]),
             transform=AffineTransform(offset=float(tr["offset"]), scale=float(tr["scale"])),
         )
+    except ValueError as exc:  # JSON and Unicode decode errors are ValueErrors too
+        raise ValueError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc

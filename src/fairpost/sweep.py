@@ -185,17 +185,12 @@ class CellAggregate:
 def aggregate(rows: list[SweepRow]) -> list[CellAggregate]:
     """Seed-averaged metrics per (alpha, k, epsilon) over successful rows."""
     cells: dict[tuple, list[SweepRow]] = {}
-    order = []
     for r in rows:
-        key = (r.alpha, r.k, r.epsilon)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
+        ok = cells.setdefault((r.alpha, r.k, r.epsilon), [])
         if r.status == "ok":
-            cells[key].append(r)
+            ok.append(r)
     out = []
-    for key in order:
-        ok = cells[key]
+    for key, ok in cells.items():
         if not ok:
             out.append(CellAggregate(*key, 0, math.nan, math.nan, math.nan,
                                      math.nan, math.nan))

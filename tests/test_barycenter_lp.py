@@ -144,12 +144,15 @@ def test_alpha_two_never_binds():
 def test_infinite_alpha_short_circuit():
     rng = np.random.default_rng(1)
     g = make_grid(0, 1, 4)
-    pmfs = [random_pmf(rng, 4) for _ in range(2)]
+    pmfs = [random_pmf(rng, 4) for _ in range(3)]
     sol = solve(build_lp(dists_from_pmfs(pmfs), g, math.inf))
     assert sol.objective == 0.0
     assert np.allclose(sol.targets, pmfs)
-    for a in range(2):
+    for a in range(3):
         assert np.allclose(sol.couplings[a], np.diag(pmfs[a]))
+    # the center every alpha stores: the midrange of the targets' CDFs, differenced
+    cdfs = np.cumsum(pmfs, axis=1)
+    assert np.allclose(np.cumsum(sol.barycenter), (cdfs.max(axis=0) + cdfs.min(axis=0)) / 2)
 
 
 # ------------------------------------------------------------ oracle bridges

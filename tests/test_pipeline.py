@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -46,6 +47,35 @@ def test_k_equals_one_is_exactly_fair():
     group_idx = np.repeat([0, 1], [len(preds_a), len(preds_b)])
     assert statistical_parity_gap(group_idx, np.concatenate([preds_a, preds_b]), 2,
                                   model.grid) == 0.0
+
+
+BETA_POPULATIONS = [(2.0, 5.0), (5.0, 2.0), (2.0, 2.0), (0.7, 0.9)]
+BETA_SHARES = [0.4, 0.3, 0.2, 0.1]
+
+
+def population_parity_gap(model) -> float:
+    """The largest KS distance between the groups' exact output
+    distributions: each Beta population's bin masses pushed through its
+    group's kernel, with no sampling."""
+    from scipy.stats import beta
+    edges = np.linspace(0.0, 1.0, model.grid.k + 1)
+    outs = [np.diff(beta.cdf(edges, a, b)) @ model.kernels[model.groups.index(g)]
+            for g, (a, b) in zip("ABCD", BETA_POPULATIONS)]
+    return max(ks_distance(p, q) for p, q in itertools.combinations(outs, 2))
+
+
+def test_fewer_bins_favor_fairness_on_exact_populations():
+    """The paper's bin-count claim, on known populations: at alpha = 0.05
+    and epsilon = 0.1 the mean population parity gap over 10 fit seeds is
+    larger at k = 100 than at k = 4."""
+    rng = np.random.default_rng(0)
+    counts = [int(20_000 * share) for share in BETA_SHARES]
+    samples = GroupedSamples(
+        groups=("A", "B", "C", "D"), group_idx=np.repeat(np.arange(4), counts),
+        scores=np.concatenate([rng.beta(a, b, n) for (a, b), n in zip(BETA_POPULATIONS, counts)]))
+    gaps = {k: np.mean([population_parity_gap(fit(samples, (0, 1), k, 0.05, 0.1, seed))
+                        for seed in range(10)]) for k in (4, 100)}
+    assert gaps[100] > gaps[4]
 
 
 def test_single_group_gets_identity_kernel():
@@ -224,23 +254,34 @@ def saved_document(tmp_path):
     (lambda d: d["transform"].__setitem__("scale", "inf"), "invalid interval"),
     (lambda d: d["grid"].__setitem__("t", "inf"), "invalid interval"),
     (lambda d: d["groups"].__setitem__(1, "A"), "repeated group labels"),
+    (lambda d: d["grid"].__setitem__("k", 0), "invalid bin count"),
+    (lambda d: d["fit"].__setitem__("alpha", "x"), "could not convert string to float"),
+    (lambda d: d["diagnostics"]["weights"].__setitem__(0, None), "malformed model file"),
 ])
 def test_load_validates_kernels_and_structure(tmp_path, corrupt, message):
+    """Every failure, whichever check or parse raises it, names the file."""
     path, doc = saved_document(tmp_path)
     corrupt(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{message}"):
         load(path)
 
 
 def test_load_rejects_truncated_and_non_json_files(tmp_path):
     path, _ = saved_document(tmp_path)
+    prefix = rf"^{re.escape(str(path))}: "
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=prefix):
+        load(path)
+    path.write_text('{"format": "fairpost-model", "vers')
+    with pytest.raises(ValueError, match=prefix + "Unterminated string"):
+        load(path)
+    path.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(ValueError, match=prefix + ".*can't decode byte 0xff"):
         load(path)
     path.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError, match="not a fairpost-model"):
+    with pytest.raises(ValueError, match=prefix + "not a fairpost-model"):
         load(path)
 
 
