@@ -23,28 +23,34 @@ pairs of gaps that a move from bin j to bin l crosses, and the quantile
 coupling moves (F_p(m) - S(n))_+ rightwards across both gaps m <= n.  Each
 psi_n is convex with its minimum 0 at F_p(n), so given Q the best target is
 S_a = clip(F_{p_a}, Q - alpha/2, Q + alpha/2), which is a CDF.  What is left
-is a chain isotonic regression: minimize sum_n Phi_n(Q(n)) over
-nondecreasing Q, where
+is to minimize sum_n Phi_n(Q(n)) over nondecreasing Q, where
 
     Phi_n(x) = sum_a w_a psi_{a,n}(clip(F_{p_a}(n), x - alpha/2, x + alpha/2))
 
-is convex and piecewise linear with breakpoints F_{p_a}(m) +- alpha/2.
-Pool-adjacent-violators (PAVA; Best & Chakravarti 1990) solves it exactly
-over a table of every Phi_n at every breakpoint: each block of gaps takes
-the breakpoint that minimizes its summed Phi.  Zero-weight groups add
-nothing to Phi and get the clipped target, which is just as optimal.  The
-couplings are the monotone couplings p_a -> q_a, and the reported center is
-the midrange of the targets' CDFs, which is nondecreasing and within
-alpha/2 of every target.
+is convex and piecewise linear with breakpoints F_{p_a}(m) +- alpha/2.  The
+order constraint on Q never binds.  With h = alpha/2, the right slope in x
+of group a's term at gap n is -(1 + 2 #{m < n : F_a(m) > x + h}) while the
+band lies below F_a(n), 0 while F_a(n) is inside it, and
+1 + 2 #{m > n : F_a(m) <= x - h} while the band lies above it.  F_a is
+nondecreasing, so in each case the slope at gap n + 1 is at most the slope
+at gap n.  Hence Phi'_{n+1} <= Phi'_n at every x, and the lowest minimizer
+of Phi_n is nondecreasing in n.  Every Q pays at least the separable lower
+bound sum_n min Phi_n, and the gaps' own minimizers are a nondecreasing Q
+that pays exactly that.  :func:`solve` reads them off a table of every
+Phi_n at every breakpoint; a suffix minimum over the picked columns absorbs
+float ties between breakpoints that lie 1e-16 apart.  Zero-weight groups
+add nothing to Phi and get the clipped target, which is just as optimal.
+The couplings are the monotone couplings p_a -> q_a, and the reported
+center is the midrange of the targets' CDFs, which is nondecreasing and
+within alpha/2 of every target.
 
 Every solution is certified before it is returned: coupling row sums equal
 p_a, column sums equal the targets, every target lies within
 alpha/2 + 1e-8 of the center in KS distance, the couplings cost what the
-isotonic solution does, and the isotonic optimality conditions hold, stated
-on values of Phi rather than on slopes, because breakpoints may lie 1e-16
-apart: the blocks are in order, each block's value minimizes its summed Phi,
-no prefix of a block is cheaper one breakpoint lower and no suffix is
-cheaper one breakpoint higher.
+centers do, the centers are nondecreasing, and their cost meets the
+separable lower bound.  The last three are stated on values of Phi rather
+than on slopes, because breakpoints may lie 1e-16 apart; together they
+prove the centers optimal against every nondecreasing Q.
 """
 
 from __future__ import annotations
@@ -248,30 +254,19 @@ def _phi_table(lp: LpInstance, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, table
 
 
-def _isotonic(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PAVA over the rows of ``table``: the first gap of each block, and the
-    column of the breakpoint minimizing the block's summed row (the lowest
-    on an exact tie).  A block whose value falls below the previous block's
-    pools with it."""
-    total = np.vstack([np.zeros((1, table.shape[1])), np.cumsum(table, axis=0)])
-    starts: list[int] = []
-    picks: list[int] = []
-    for n in range(len(table)):
-        start, pick = n, int(np.argmin(table[n]))
-        while picks and picks[-1] > pick:
-            start = starts.pop()
-            picks.pop()
-            pick = int(np.argmin(total[n + 1] - total[start]))
-        starts.append(start)
-        picks.append(pick)
-    return np.array(starts, dtype=np.intp), np.array(picks, dtype=np.intp)
+def _centers(table: np.ndarray) -> np.ndarray:
+    """Each gap's column in ``table``: the lowest-cost breakpoint of its
+    row, made nondecreasing by a suffix minimum."""
+    if not len(table):  # k = 1 has no gaps
+        return np.zeros(0, dtype=np.intp)
+    return np.minimum.accumulate(table.argmin(axis=1)[::-1])[::-1]
 
 
 def _certify(lp: LpInstance, sol: BarycenterSolution, table: np.ndarray,
-             starts: np.ndarray, picks: np.ndarray) -> None:
+             picks: np.ndarray) -> None:
     """Raise SolverFailure unless the solution is feasible for the program,
-    its couplings cost what the isotonic solution does, and the isotonic
-    solution ``starts``, ``picks`` over ``table`` is optimal."""
+    its couplings cost what the centers ``picks`` over ``table`` do, and
+    those centers are nondecreasing and meet the separable lower bound."""
     faults = []
     row_err = np.abs(sol.couplings.sum(axis=2) - lp.pmfs).max()
     if row_err > _MARGIN_TOL:
@@ -283,38 +278,15 @@ def _certify(lp: LpInstance, sol: BarycenterSolution, table: np.ndarray,
     if ks > lp.alpha / 2 + _KS_TOL:
         faults.append(f"KS(target, barycenter) {ks} exceeds alpha/2 = {lp.alpha / 2}")
     if len(table):
-        lengths = np.diff(starts, append=len(table))
-        b = np.repeat(picks, lengths)
-        gap = np.arange(len(table))
-        here = table[gap, b]
-        if abs(here.sum() - sol.objective) > _PHI_TOL:
-            faults.append(f"the couplings cost {sol.objective}, the isotonic solution "
-                          f"{here.sum()}")
-        if (np.diff(picks) < 0).any():
-            faults.append("isotonic blocks out of order")
-        blocks = np.add.reduceat(table, starts, axis=0)
-        excess = (blocks[np.arange(len(picks)), picks] - blocks.min(axis=1)).max()
+        cost = table[np.arange(len(table)), picks].sum()
+        if abs(cost - sol.objective) > _PHI_TOL:
+            faults.append(f"the couplings cost {sol.objective}, the centers {cost}")
+        drops = np.flatnonzero(np.diff(picks) < 0)
+        if len(drops):
+            faults.append(f"the center decreases at gap {drops[0] + 1}")
+        excess = cost - table.min(axis=1).sum()
         if excess > _PHI_TOL:
-            faults.append(f"an isotonic block misses its minimum by {excess}")
-        # the change in each gap's Phi one breakpoint lower and one higher
-        # (0 past either end, where Phi only grows), summed over each
-        # block's prefixes and suffixes
-        last = table.shape[1] - 1
-        lower = np.where(b > 0, table[gap, b - 1] - here, 0.0)
-        higher = np.where(b < last, table[gap, np.minimum(b + 1, last)] - here, 0.0)
-        run = np.cumsum(lower)
-        prefix = run - np.repeat(run[starts] - lower[starts], lengths)
-        run = np.append(np.cumsum(higher[::-1])[::-1], 0.0)
-        suffix = run[:-1] - np.repeat(run[starts + lengths], lengths)
-        first = np.repeat(starts, lengths)
-        if (prefix < -_PHI_TOL).any():
-            n = int(np.argmax(prefix < -_PHI_TOL))
-            faults.append(f"the prefix to gap {n} of the isotonic block at gap {first[n]} "
-                          "is cheaper one breakpoint lower")
-        if (suffix < -_PHI_TOL).any():
-            n = int(np.argmax(suffix < -_PHI_TOL))
-            faults.append(f"the suffix from gap {n} of the isotonic block at gap {first[n]} "
-                          "is cheaper one breakpoint higher")
+            faults.append(f"the centers miss the lower bound sum_n min Phi_n by {excess}")
     if faults:
         raise SolverFailure("solution fails its certificate: " + "; ".join(faults))
 
@@ -356,7 +328,7 @@ def _midrange(running: np.ndarray) -> np.ndarray:
 
 
 def solve(lp: LpInstance) -> BarycenterSolution:
-    """Solve the instance exactly by the isotonic reduction, then certify
+    """Solve the instance exactly by the separable reduction, then certify
     the solution.
 
     alpha = +inf short-circuits entirely: identity couplings, each target
@@ -372,10 +344,11 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     h = lp.alpha / 2.0
     cdfs = np.cumsum(lp.pmfs, axis=1)
     x, table = _phi_table(lp, cdfs[:, :-1])
-    starts, picks = _isotonic(table)
-    center = x[np.repeat(picks, np.diff(starts, append=lp.k - 1))]
+    picks = _centers(table)
+    center = x[picks]
+    clipped = np.clip(cdfs[:, :-1], center - h, center + h)
     # the last running sum is each group's total; clamp the others' float dust to it
-    inner = np.minimum(np.clip(cdfs[:, :-1], center - h, center + h), cdfs[:, -1:])
+    inner = np.minimum(clipped, cdfs[:, -1:])
     running = np.concatenate([inner, cdfs[:, -1:]], axis=1)
     targets = np.diff(running, axis=1, prepend=0.0)
     couplings = monotone_coupling(lp.pmfs, targets)
@@ -383,7 +356,8 @@ def solve(lp: LpInstance) -> BarycenterSolution:
     sol = BarycenterSolution(
         couplings=couplings, barycenter=_midrange(running), targets=targets,
         objective=float((lp.weights * (sq * couplings).sum(axis=(1, 2))).sum()))
-    log.debug("barycenter k=%d alpha=%g: %d isotonic blocks over %d breakpoints",
-              lp.k, lp.alpha, len(starts), len(x))
-    _certify(lp, sol, table, starts, picks)
+    log.debug("barycenter k=%d alpha=%g: the band clips %d of %d running sums over "
+              "%d breakpoints", lp.k, lp.alpha, np.count_nonzero(clipped != cdfs[:, :-1]),
+              clipped.size, len(x))
+    _certify(lp, sol, table, picks)
     return sol

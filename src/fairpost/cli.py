@@ -156,6 +156,8 @@ def _cmd_evaluate(args) -> int:
 def _sweep_config(args) -> sweep.SweepConfig:
     doc = _read_json(args.config, "config")
     try:
+        if not isinstance(doc["data"], str):
+            raise ValueError(f"data must be a path string, got {doc['data']!r}")
         return sweep.SweepConfig(
             data_path=doc["data"],
             schema=_schema_from_doc(doc.get("schema", {}), f"config {args.config}"),

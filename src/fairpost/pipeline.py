@@ -196,15 +196,30 @@ def _floats(cells) -> np.ndarray:
     return np.array([_floats(c) if isinstance(c, list) else float(c) for c in cells])
 
 
+def _stochastic(cells, n: int, width: int, k: int, what: str) -> np.ndarray:
+    """``cells`` as n rows of ``width`` floats, cut into rows of k entries
+    that are nonnegative and sum to 1 within 1e-9; shape (n * width / k, k)."""
+    if len(cells) != n or any(len(row) != width for row in cells):
+        raise ValueError(f"{what} must hold {n} groups x {width} entries")
+    rows = _floats(cells).reshape(-1, k)
+    if not (rows >= 0.0).all():
+        raise ValueError(f"{what} entries must be nonnegative")
+    if not (np.abs(rows.sum(axis=1) - 1.0) <= 1e-9).all():
+        raise ValueError(f"{what} rows must sum to 1 within 1e-9")
+    return rows
+
+
 def load(path) -> FairPostprocessor:
     """Load a model saved by :meth:`FairPostprocessor.save`.
 
     Raises OSError for an unreadable file and ValueError naming ``path`` for
     anything but a well-formed model of this version: a grid or transform
     whose interval breaks :func:`~fairpost.grid.check_interval`, repeated
-    group labels, or kernels that are not G x k x k for the G groups,
+    group labels, kernels that are not G x k x k for the G groups,
     nonnegative, with rows summing to 1 within 1e-9 (the sampler relies on
-    nondecreasing row CDFs ending at 1)."""
+    nondecreasing row CDFs ending at 1), or diagnostics other than G finite
+    weights >= 0, G x k pmfs and targets held to the kernels' row rule, and
+    a barycenter of k entries."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -216,22 +231,23 @@ def load(path) -> FairPostprocessor:
         grid = make_grid(float(g["s"]), float(g["t"]), int(g["k"]))
         if not np.array_equal(_floats(g["midpoints"]), grid.midpoints):
             raise ValueError("stored midpoints disagree with the grid parameters")
-        k, groups, kernels = grid.k, tuple(doc["groups"]), doc["kernels"]
+        k, groups = grid.k, tuple(doc["groups"])
         if len(set(groups)) != len(groups):
             raise ValueError(f"repeated group labels in {list(groups)}")
-        if len(kernels) != len(groups) or any(len(row) != k * k for row in kernels):
-            raise ValueError(f"kernels must hold {len(groups)} groups x {k * k} entries")
-        matrices = _floats(kernels).reshape(-1, k, k)
-        if not (matrices >= 0.0).all():
-            raise ValueError("kernel entries must be nonnegative")
-        if not (np.abs(matrices.sum(axis=2) - 1.0) <= 1e-9).all():
-            raise ValueError("kernel rows must sum to 1 within 1e-9")
+        n = len(groups)
+        matrices = _stochastic(doc["kernels"], n, k * k, k, "kernel").reshape(-1, k, k)
         d, tr, fit_meta = doc["diagnostics"], doc["transform"], doc["fit"]
+        weights, barycenter = _floats(d["weights"]), _floats(d["barycenter"])
+        if weights.shape != (n,) or not (np.isfinite(weights) & (weights >= 0)).all():
+            raise ValueError(f"weights must be {n} finite entries >= 0")
+        if barycenter.shape != (k,):
+            raise ValueError(f"barycenter must hold {k} entries")
         return FairPostprocessor(
             grid=grid, groups=groups, kernels=matrices,
             alpha=float(fit_meta["alpha"]), epsilon=float(fit_meta["epsilon"]),
-            seed=fit_meta["seed"], weights=_floats(d["weights"]), pmfs=_floats(d["pmfs"]),
-            targets=_floats(d["targets"]), barycenter=_floats(d["barycenter"]),
+            seed=fit_meta["seed"], weights=weights,
+            pmfs=_stochastic(d["pmfs"], n, k, k, "pmfs"),
+            targets=_stochastic(d["targets"], n, k, k, "targets"), barycenter=barycenter,
             objective=float(d["objective"]),
             transform=AffineTransform(offset=float(tr["offset"]), scale=float(tr["scale"])),
         )

@@ -459,56 +459,78 @@ def test_phi_table_follows_its_definition(lp):
     assert np.allclose(table, want, rtol=0, atol=1e-12)
 
 
+@settings(deadline=None, max_examples=200)
+@given(lp_instances())
+def test_centers_meet_the_separable_lower_bound(lp):
+    """Each gap's lowest minimizer of Phi_n is nondecreasing in n up to float
+    ties, so the centers are in order and cost sum_n min Phi_n.  They are
+    the lowest such centers: no gap sits above its own lowest minimizer."""
+    table = barycenter_lp._phi_table(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1]
+    picks = barycenter_lp._centers(table)
+    assert len(picks) == lp.k - 1 and (np.diff(picks) >= 0).all()
+    if len(table):
+        assert (picks <= table.argmin(axis=1)).all()
+        cost = table[np.arange(len(table)), picks].sum()
+        assert cost == pytest.approx(table.min(axis=1).sum(), rel=0, abs=1e-12)
+
+
 def certified_instance():
-    """Three groups on 10 bins whose isotonic solution has several blocks,
-    the first two at distinct breakpoints."""
+    """Three groups on 10 bins whose gaps take distinct breakpoints, the
+    first three in increasing order."""
     rng = np.random.default_rng(12)
     pmfs = [random_pmf(rng, 10) for _ in range(3)]
     return build_lp(dists_from_pmfs(pmfs, [0.5, 0.3, 0.2]), make_grid(0, 1, 10), 0.05)
 
 
-def swap_first_blocks(table, starts, picks):
+def swap_first_blocks(table, picks):
+    """The first two gaps trade breakpoints."""
     picks[[0, 1]] = picks[[1, 0]]
-    return starts, picks
+    return picks
 
 
-def shift_last_block(table, starts, picks):
-    picks[-1] += 1
-    return starts, picks
+def shift_last_block(table, picks):
+    """The last gap moves to its costliest breakpoint."""
+    picks[-1] = np.argmax(table[-1])
+    return picks
 
 
-def pool_first_blocks(table, starts, picks):
-    """Blocks 0 and 1 pooled at the minimizer of their summed Phi: in order
-    and at its minimum, but block 0 alone is cheaper lower and block 1 alone
-    is cheaper higher."""
-    pooled = table[:starts[2]].sum(axis=0)
-    return np.delete(starts, 1), np.concatenate([[np.argmin(pooled)], picks[2:]])
+def pool_first_blocks(table, picks):
+    """Gaps 0 and 1 pooled at the minimizer of their summed Phi, as
+    pool-adjacent-violators would pool them: in order, and at the pooled
+    minimum, but gap 0 alone is cheaper lower and gap 1 alone higher."""
+    picks[:2] = np.argmin(table[:2].sum(axis=0))
+    return picks
 
 
 @pytest.mark.parametrize("corrupt, faults", [
-    (swap_first_blocks, ["isotonic blocks out of order"]),
-    (shift_last_block, ["misses its minimum"]),
-    (pool_first_blocks, ["is cheaper one breakpoint lower", "is cheaper one breakpoint higher"]),
+    (swap_first_blocks, ["the center decreases at gap 1"]),
+    (shift_last_block, ["miss the lower bound"]),
+    (pool_first_blocks, ["miss the lower bound sum_n min Phi_n by 0.000896"]),
 ])
 def test_certificate_refuses_a_non_optimal_isotonic_solution(monkeypatch, corrupt, faults):
     lp = certified_instance()
-    real = barycenter_lp._isotonic
-    starts, picks = real(barycenter_lp._phi_table(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1])
-    assert len(starts) > 2 and picks[0] < picks[1] < picks[2]
-    monkeypatch.setattr(barycenter_lp, "_isotonic", lambda table: corrupt(table, *real(table)))
+    real = barycenter_lp._centers
+    picks = real(barycenter_lp._phi_table(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1])
+    assert picks[0] < picks[1] < picks[2]
+    monkeypatch.setattr(barycenter_lp, "_centers", lambda table: corrupt(table, real(table)))
     with pytest.raises(SolverFailure, match="^solution fails its certificate") as err:
         solve(lp)
     for fault in faults:
         assert fault in str(err.value)
+    if corrupt is pool_first_blocks:
+        assert "decreases" not in str(err.value)
 
 
-def test_solve_logs_its_block_count(caplog):
+def test_solve_logs_its_clip_count(caplog):
     rng = np.random.default_rng(14)
     lp = build_lp(dists_from_pmfs([random_pmf(rng, 9) for _ in range(2)]),
                   make_grid(0, 1, 9), 0.05)
     with caplog.at_level(logging.DEBUG, logger="fairpost.barycenter_lp"):
-        solve(lp)
+        sol = solve(lp)
     [record] = [r for r in caplog.records if r.name == "fairpost.barycenter_lp"]
     assert record.levelno == logging.DEBUG
-    assert re.fullmatch(r"barycenter k=9 alpha=0\.05: [1-8] isotonic blocks over "
-                        r"[1-9]\d* breakpoints", record.getMessage())
+    match = re.fullmatch(r"barycenter k=9 alpha=0\.05: the band clips (\d+) of 16 running "
+                         r"sums over [1-9]\d* breakpoints", record.getMessage())
+    assert match
+    moved = np.cumsum(sol.targets, axis=1)[:, :-1] != np.cumsum(lp.pmfs, axis=1)[:, :-1]
+    assert int(match[1]) == np.count_nonzero(moved) > 0

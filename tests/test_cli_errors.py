@@ -170,29 +170,41 @@ def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("path", [["x"], 0, None], ids=["list", "zero", "null"])
+def test_sweep_data_that_is_not_a_string_is_a_config_error(tmp_path, capsys, path):
+    """A list would escape as a TypeError, and 0 would read standard input."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": path, "alphas": [0.1], "ks": [2], "epsilons": ["inf"],
+                               "seeds": 1}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: config {cfg}: "
+                                       f"data must be a path string, got {path!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("corrupt", ["coupling", "block"])
 def test_solution_failing_its_certificate_is_a_solver_error(tmp_path, data, monkeypatch,
                                                             capsys, corrupt):
     """Corrupt the solve: halved couplings miss the input pmfs, and the last
-    isotonic block moved to its costliest breakpoint misses its minimum."""
+    gap's center moved to its costliest breakpoint misses the lower bound."""
     from fairpost import barycenter_lp
     if corrupt == "coupling":
         real = barycenter_lp.monotone_coupling
         monkeypatch.setattr(barycenter_lp, "monotone_coupling", lambda p, q: 0.5 * real(p, q))
     else:
-        real = barycenter_lp._isotonic
+        real = barycenter_lp._centers
 
         def costliest(table):
-            starts, picks = real(table)
-            picks[-1] = np.argmax(table[starts[-1]:].sum(axis=0))
-            return starts, picks
-        monkeypatch.setattr(barycenter_lp, "_isotonic", costliest)
+            picks = real(table)
+            picks[-1] = np.argmax(table[-1])
+            return picks
+        monkeypatch.setattr(barycenter_lp, "_centers", costliest)
     assert main(["fit", "--data", str(data), "--k", "4", "--alpha", "0.1",
                  "--epsilon", "inf", "--out", str(tmp_path / "m.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("solver error: solution fails its certificate")
     assert err.count("\n") == 1
-    assert ("coupling row sums miss" if corrupt == "coupling" else "misses its minimum") in err
+    assert ("coupling row sums miss" if corrupt == "coupling" else "miss the lower bound") in err
 
 
 @pytest.mark.parametrize("bad_label", ["nan", "x"])

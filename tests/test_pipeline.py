@@ -257,9 +257,29 @@ def saved_document(tmp_path):
     (lambda d: d["grid"].__setitem__("k", 0), "invalid bin count"),
     (lambda d: d["fit"].__setitem__("alpha", "x"), "could not convert string to float"),
     (lambda d: d["diagnostics"]["weights"].__setitem__(0, None), "malformed model file"),
+    (lambda d: d["diagnostics"]["weights"].append("0.5"), "weights must be 2 finite entries"),
+    (lambda d: d["diagnostics"]["weights"].__setitem__(1, "-1"),
+     "weights must be 2 finite entries"),
+    (lambda d: d["diagnostics"]["weights"].__setitem__(0, "inf"),
+     "weights must be 2 finite entries"),
+    (lambda d: d["diagnostics"]["pmfs"].pop(), "pmfs must hold 2 groups x 3 entries"),
+    (lambda d: d["diagnostics"]["pmfs"][1].pop(), "pmfs must hold 2 groups x 3 entries"),
+    (lambda d: d["diagnostics"]["pmfs"][0].__setitem__(0, "-0.25"),
+     "pmfs entries must be nonnegative"),
+    (lambda d: d["diagnostics"]["pmfs"][1].__setitem__(2, "2"), "pmfs rows must sum to 1"),
+    (lambda d: d["diagnostics"]["targets"].append(["1", "0", "0"]),
+     "targets must hold 2 groups x 3 entries"),
+    (lambda d: d["diagnostics"]["targets"][0].pop(), "targets must hold 2 groups x 3 entries"),
+    (lambda d: d["diagnostics"]["targets"][1].__setitem__(0, "nan"),
+     "targets entries must be nonnegative"),
+    (lambda d: d["diagnostics"]["targets"][0].__setitem__(1, "0.5"),
+     "targets rows must sum to 1"),
+    (lambda d: d["diagnostics"]["barycenter"].pop(), "barycenter must hold 3 entries"),
 ])
 def test_load_validates_kernels_and_structure(tmp_path, corrupt, message):
-    """Every failure, whichever check or parse raises it, names the file."""
+    """Every failure, whichever check or parse raises it, names the file.
+    The diagnostics are checked too: G finite weights >= 0, pmfs and targets
+    of G rows of k entries >= 0 that sum to 1, and a barycenter of k."""
     path, doc = saved_document(tmp_path)
     corrupt(doc)
     path.write_text(json.dumps(doc))
