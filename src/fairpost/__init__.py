@@ -14,7 +14,7 @@ from .dp_estimation import (PrivacyParams, PrivateGroupDists, empirical_joint,
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 from .metrics import mse, statistical_parity_gap
-from .pipeline import FairPostprocessor, fit, load
+from .pipeline import FairPostprocessor, PrivateEstimate, estimate, fit, load
 from .sweep import SweepConfig, SweepRow, lower_envelope, run_sweep
 from .transport import extract_kernels, sample_bins
 
@@ -22,9 +22,9 @@ __all__ = [
     "__version__",
     "AffineTransform", "BarycenterSolution", "ConfigError", "DataError",
     "DatasetSchema", "FairPostprocessor", "Grid", "GroupedSamples", "LpInstance",
-    "PrivacyParams", "PrivateGroupDists", "SolverFailure", "SweepConfig", "SweepRow",
-    "UnknownGroupError",
-    "build_lp", "discretize_many", "empirical_joint", "estimate_private_dists",
+    "PrivacyParams", "PrivateEstimate", "PrivateGroupDists", "SolverFailure", "SweepConfig",
+    "SweepRow", "UnknownGroupError",
+    "build_lp", "discretize_many", "empirical_joint", "estimate", "estimate_private_dists",
     "extract_kernels", "fit", "group_weights", "load", "load_csv", "lower_envelope",
     "make_grid", "monotone_coupling", "mse", "privatize_joint", "renormalize_cdf",
     "run_sweep", "sample_bins", "solve", "split_train_test", "statistical_parity_gap",

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 config error (an unwritable output included), 3 data
 error (an unreadable or malformed model file included), 4 solver error.
 
-The privacy budget is spent once per fit.  A sweep re-fits many times on
-the same file by design (that is what an experiment grid is), so it
-refuses to run more than one finite-epsilon fit per file unless
+The privacy budget is spent once per private estimate (step 1 of a fit).
+A sweep re-estimates once per (k, epsilon, seed) on the same file by design
+(that is what an experiment grid is; its alphas share each estimate), so it
+refuses to draw more than one finite-epsilon estimate per file unless
 ``--allow-budget-reuse`` is passed.
 """
 
@@ -101,7 +102,8 @@ def _cmd_fit(args) -> int:
     alpha = _parse_hyper(args.alpha)
     epsilon = _parse_hyper(args.epsilon)
     try:
-        model = pipeline.fit(samples, schema.interval, args.k, alpha, epsilon, args.seed)
+        model = pipeline.fit(
+            pipeline.estimate(samples, schema.interval, args.k, epsilon, args.seed), alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with _writing(args.out):
@@ -175,11 +177,11 @@ def _sweep_config(args) -> sweep.SweepConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    finite_eps_fits = sum(1 for _, _, _, eps, _ in sweep.cell_specs(cfg)
-                          if not math.isinf(eps))
-    if finite_eps_fits > 1 and not args.allow_budget_reuse:
+    # one private estimate per (k, finite epsilon, seed); the alphas share it
+    spends = len(cfg.ks) * cfg.seeds * sum(not math.isinf(eps) for eps in cfg.epsilons)
+    if spends > 1 and not args.allow_budget_reuse:
         raise ConfigError(
-            f"this sweep spends the privacy budget {finite_eps_fits} times on "
+            f"this sweep spends the privacy budget {spends} times on "
             f"{cfg.data_path}; pass --allow-budget-reuse to acknowledge")
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -231,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--allow-budget-reuse", action="store_true",
-                   help="acknowledge spending the privacy budget once per cell")
+                   help="acknowledge spending the privacy budget once per "
+                        "(k, epsilon, seed)")
     s.set_defaults(func=_cmd_sweep)
     return p
 

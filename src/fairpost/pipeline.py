@@ -4,8 +4,8 @@ A fitted model is a :class:`FairPostprocessor`: the grid on [0, 1], the
 group-label universe, one transport kernel per group, the fitted
 diagnostics, and the affine map of the raw interval onto the grid, through
 which it takes raw scores and returns raw outputs.  The raw samples are
-consumed exactly once, inside the private estimation step; everything
-after that depends on the data only through the private estimates.
+consumed exactly once, by :func:`estimate` (step 1); :func:`fit` (steps 2
+and 3) depends on the data only through that private estimate.
 
 Model file format (version 1): a JSON document with the grid, group
 labels, kernels (row-major), diagnostics, the affine raw-units transform,
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import barycenter_lp, dp_estimation, transport
 from .data_io import AffineTransform, GroupedSamples, format_floats
+from .dp_estimation import PrivacyParams, PrivateGroupDists
 from .errors import UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 
@@ -162,15 +163,30 @@ class FairPostprocessor:
             fh.write("\n")
 
 
-def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
-        alpha: float, epsilon: float, rng) -> FairPostprocessor:
-    """Fit a fair post-processor on grouped raw scores.
+@dataclass(frozen=True)
+class PrivateEstimate:
+    """Step 1's output: the private per-group distributions on the k-bin grid
+    of [0, 1], the raw interval's transform, the group labels, and the budget
+    and integer seed (None for a generator) they were drawn with.  Any
+    number of fits may post-process one estimate at no further privacy cost."""
 
-    The model stores ``AffineTransform(s, t - s)``, which maps the raw
-    ``interval`` [s, t] onto its k-bin grid on [0, 1].  ``rng`` may be an
-    integer seed (recorded in the model metadata) or a
-    ``numpy.random.Generator``.  The Laplace mechanism is the only
-    randomness consumed at fit time.
+    grid: Grid
+    transform: AffineTransform
+    groups: tuple
+    dists: PrivateGroupDists
+    epsilon: float
+    seed: int | None
+
+
+def estimate(samples: GroupedSamples, interval: tuple[float, float], k: int,
+             epsilon: float, rng) -> PrivateEstimate:
+    """Step 1, the only step that reads rows: the private per-group
+    distributions of grouped raw scores at budget ``epsilon``.
+
+    The raw ``interval`` [s, t] is mapped onto the k-bin grid on [0, 1] by
+    ``AffineTransform(s, t - s)``.  ``rng`` may be an integer seed (recorded
+    in the model metadata) or a ``numpy.random.Generator``.  The Laplace
+    mechanism is the only randomness a fit consumes.
     """
     s, t = float(interval[0]), float(interval[1])
     transform = AffineTransform(offset=s, scale=t - s)
@@ -180,14 +196,22 @@ def fit(samples: GroupedSamples, interval: tuple[float, float], k: int,
         rng = np.random.default_rng(seed)
     grid = make_grid(0.0, 1.0, k)
     dists = dp_estimation.estimate_private_dists(samples, grid, epsilon, rng, transform)
-    lp = barycenter_lp.build_lp(dists, grid, alpha)
+    return PrivateEstimate(grid=grid, transform=transform, groups=tuple(samples.groups),
+                           dists=dists, epsilon=float(epsilon), seed=seed)
+
+
+def fit(est: PrivateEstimate, alpha: float) -> FairPostprocessor:
+    """Steps 2 and 3 on a private estimate: the barycenter within KS radius
+    alpha/2 and the transport kernels onto its targets.  No randomness and
+    no rows."""
+    lp = barycenter_lp.build_lp(est.dists, est.grid, alpha)
     sol = barycenter_lp.solve(lp)
-    kernels = transport.extract_kernels(sol, dists)
+    kernels = transport.extract_kernels(sol, est.dists)
     return FairPostprocessor(
-        grid=grid, groups=tuple(samples.groups), kernels=kernels,
-        alpha=float(alpha), epsilon=float(epsilon), seed=seed,
-        weights=dists.weights, pmfs=dists.pmfs, targets=sol.targets,
-        barycenter=sol.barycenter, objective=sol.objective, transform=transform,
+        grid=est.grid, groups=est.groups, kernels=kernels,
+        alpha=float(alpha), epsilon=est.epsilon, seed=est.seed,
+        weights=est.dists.weights, pmfs=est.dists.pmfs, targets=sol.targets,
+        barycenter=sol.barycenter, objective=sol.objective, transform=est.transform,
     )
 
 
@@ -217,9 +241,11 @@ def load(path) -> FairPostprocessor:
     whose interval breaks :func:`~fairpost.grid.check_interval`, repeated
     group labels, kernels that are not G x k x k for the G groups,
     nonnegative, with rows summing to 1 within 1e-9 (the sampler relies on
-    nondecreasing row CDFs ending at 1), or diagnostics other than G finite
+    nondecreasing row CDFs ending at 1), diagnostics other than G finite
     weights >= 0, G x k pmfs and targets held to the kernels' row rule, and
-    a barycenter of k entries."""
+    a barycenter of k entries, or fit metadata that :func:`fit` cannot write:
+    a k other than the grid's, an alpha that is NaN or negative, an epsilon
+    that is NaN or <= 0, or a seed that is neither an integer nor null."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -242,10 +268,17 @@ def load(path) -> FairPostprocessor:
             raise ValueError(f"weights must be {n} finite entries >= 0")
         if barycenter.shape != (k,):
             raise ValueError(f"barycenter must hold {k} entries")
+        alpha, epsilon = float(fit_meta["alpha"]), float(fit_meta["epsilon"])
+        seed = fit_meta["seed"]
+        if type(fit_meta["k"]) is not int or fit_meta["k"] != k:
+            raise ValueError(f"fit k {fit_meta['k']!r} disagrees with the grid's k = {k}")
+        barycenter_lp._check_alpha(alpha)
+        PrivacyParams(epsilon=epsilon, n=1)
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"seed must be an integer or null, got {seed!r}")
         return FairPostprocessor(
             grid=grid, groups=groups, kernels=matrices,
-            alpha=float(fit_meta["alpha"]), epsilon=float(fit_meta["epsilon"]),
-            seed=fit_meta["seed"], weights=weights,
+            alpha=alpha, epsilon=epsilon, seed=seed, weights=weights,
             pmfs=_stochastic(d["pmfs"], n, k, k, "pmfs"),
             targets=_stochastic(d["targets"], n, k, k, "targets"), barycenter=barycenter,
             objective=float(d["objective"]),

@@ -1,20 +1,25 @@
 """Hyperparameter sweep over (alpha, k, epsilon, seed) with deterministic
-cell streams, seed-averaged aggregates, and Pareto lower envelopes.
+streams, seed-averaged aggregates, and Pareto lower envelopes.
 
 Cells are enumerated in canonical order (alpha-major, then k, epsilon,
-seed).  Each cell owns an RNG stream derived from (master seed, cell
-index); the train/test split for a given per-cell seed is shared across
-all (alpha, k, epsilon) so settings are compared on identical splits.
-Results are written in canonical order regardless of which worker finished
-first, so output files are byte-identical across runs.  Wall times are
-deliberately kept out of the results file (they cannot be deterministic)
-and go to a sidecar timings file instead: ``cell_seconds`` times a whole
-cell, that is the split, the fit, the prediction and the metrics.
+seed).  Each seed splits the data once, so every (alpha, k, epsilon) is
+compared on the same split.  Each (k, epsilon, seed) group draws one
+private estimate of its train split, on a stream derived from (master seed,
+group index), and every alpha of the group fits on that estimate: steps 2
+and 3 are post-processing of it, so the group spends the privacy budget
+once.  Each cell scores its test split on its own stream, derived from
+(master seed, cell index).  Results are written in canonical order
+regardless of which worker finished first, so output files are
+byte-identical across runs.  Wall times are deliberately kept out of the
+results file (they cannot be deterministic) and go to a sidecar timings
+file instead: ``estimate_seconds`` times the group's shared estimate and
+``cell_seconds`` the cell's own fit, prediction and metrics.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import os
 import time
@@ -28,7 +33,7 @@ from .data_io import DatasetSchema, GroupedSamples, load_csv, split_train_test
 from .dp_estimation import PrivacyParams
 from .grid import make_grid
 from .metrics import mse, statistical_parity_gap
-from .pipeline import FairPostprocessor, fit
+from .pipeline import FairPostprocessor, PrivateEstimate, estimate, fit
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,12 @@ class SweepConfig:
             make_grid(0.0, 1.0, k)
         for eps in self.epsilons:
             PrivacyParams(epsilon=eps, n=1)
+        # a repeated value would count its seeds twice in the aggregates
+        for name, values in (("alphas", self.alphas), ("ks", self.ks),
+                             ("epsilons", self.epsilons)):
+            if len(set(values)) != len(values):
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                raise ValueError(f"{name} holds {repeated!r} more than once")
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,9 @@ class SweepRow:
     mse_norm: float
     delta_sp: float
     lp_objective: float
-    status: str          # "ok" or "error:<ExceptionType>"
-    cell_seconds: float  # split, fit, predict and metrics together
+    status: str              # "ok" or "error:<ExceptionType>"
+    cell_seconds: float      # the cell's fit, prediction and metrics
+    estimate_seconds: float  # the (k, epsilon, seed) group's shared estimate
 
 
 def cell_specs(cfg: SweepConfig):
@@ -92,9 +104,11 @@ def _split_seed(master_seed: int, seed: int) -> int:
     return int(np.random.SeedSequence((master_seed, 1, seed)).generate_state(1)[0])
 
 
-def _cell_rng(master_seed: int, cell_index: int) -> np.random.Generator:
+def _rng(master_seed: int, purpose: int, index: int) -> np.random.Generator:
+    """Purpose 2 is cell ``index``'s prediction stream, purpose 3 the Laplace
+    stream of (k, epsilon, seed) group ``index``'s estimate."""
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((master_seed, 2, cell_index))))
+        np.random.SeedSequence((master_seed, purpose, index))))
 
 
 def score(model: FairPostprocessor, samples: GroupedSamples, rng: np.random.Generator) -> dict:
@@ -111,62 +125,92 @@ def score(model: FairPostprocessor, samples: GroupedSamples, rng: np.random.Gene
     }
 
 
-def run_cell(samples: GroupedSamples, cfg: SweepConfig, cell_index: int,
-             alpha: float, k: int, epsilon: float, seed: int) -> SweepRow:
-    """Fit one cell on its train split and evaluate on its test split."""
+def _failed_row(alpha: float, k: int, epsilon: float, seed: int, exc: Exception,
+                cell_seconds: float, estimate_seconds: float) -> SweepRow:
+    return SweepRow(alpha=alpha, k=k, epsilon=epsilon, seed=seed,
+                    mse_raw=math.nan, mse_norm=math.nan, delta_sp=math.nan,
+                    lp_objective=math.nan, status=f"error:{type(exc).__name__}: {exc}",
+                    cell_seconds=cell_seconds, estimate_seconds=estimate_seconds)
+
+
+def run_cell(est: PrivateEstimate, test: GroupedSamples, cfg: SweepConfig, cell_index: int,
+             alpha: float, seed: int, estimate_seconds: float) -> SweepRow:
+    """Fit one cell on its group's shared estimate and score it on the test
+    split with the cell's own stream."""
     t0 = time.perf_counter()
     try:
-        train, test = split_train_test(samples, cfg.split_ratio,
-                                       seed=_split_seed(cfg.master_seed, seed))
-        rng = _cell_rng(cfg.master_seed, cell_index)
-        model = fit(train, cfg.schema.interval, k, alpha, epsilon, rng)
-        out = SweepRow(alpha=alpha, k=k, epsilon=epsilon, seed=seed, **score(model, test, rng),
-                       lp_objective=model.objective, status="ok",
-                       cell_seconds=time.perf_counter() - t0)
+        model = fit(est, alpha)
+        metrics = score(model, test, _rng(cfg.master_seed, 2, cell_index))
+        return SweepRow(alpha=alpha, k=est.grid.k, epsilon=est.epsilon, seed=seed, **metrics,
+                        lp_objective=model.objective, status="ok",
+                        cell_seconds=time.perf_counter() - t0,
+                        estimate_seconds=estimate_seconds)
     except Exception as exc:  # noqa: BLE001 - per-cell failures must not kill the run
-        out = SweepRow(alpha=alpha, k=k, epsilon=epsilon, seed=seed,
-                       mse_raw=math.nan, mse_norm=math.nan, delta_sp=math.nan,
-                       lp_objective=math.nan,
-                       status=f"error:{type(exc).__name__}: {exc}",
-                       cell_seconds=time.perf_counter() - t0)
+        return _failed_row(alpha, est.grid.k, est.epsilon, seed, exc,
+                           time.perf_counter() - t0, estimate_seconds)
+
+
+def run_seed(samples: GroupedSamples, cfg: SweepConfig, seed: int) -> dict[int, SweepRow]:
+    """Every cell of one seed, by canonical cell index: one split, one
+    private estimate per (k, epsilon), one fit per alpha on that estimate.
+    A failing estimate fails each cell of its group."""
+    train, test = split_train_test(samples, cfg.split_ratio,
+                                   seed=_split_seed(cfg.master_seed, seed))
+    n_groups = len(cfg.ks) * len(cfg.epsilons) * cfg.seeds
+    out = {}
+    for j, (k, eps) in enumerate(itertools.product(cfg.ks, cfg.epsilons)):
+        g = j * cfg.seeds + seed  # the group's index in (k, epsilon, seed) order
+        t0 = time.perf_counter()
+        try:
+            est = estimate(train, cfg.schema.interval, k, eps, _rng(cfg.master_seed, 3, g))
+        except Exception as exc:  # noqa: BLE001 - it fails its group, not the run
+            est = exc
+        estimate_seconds = time.perf_counter() - t0
+        for a, alpha in enumerate(cfg.alphas):
+            i = a * n_groups + g  # = the cell's index in cell_specs
+            if isinstance(est, Exception):
+                out[i] = _failed_row(alpha, k, eps, seed, est, 0.0, estimate_seconds)
+            else:
+                out[i] = run_cell(est, test, cfg, i, alpha, seed, estimate_seconds)
     return out
 
 
-# what a pool worker's cells run on: the parent's samples and config, set once per worker
+# what a pool worker's seeds run on: the parent's samples and config, set once per worker
 _WORKER_STATE: dict = {}
-_CELLS_PER_TASK = 4
 
 
 def _worker_init(samples: GroupedSamples, cfg: SweepConfig):
     _WORKER_STATE.update(samples=samples, cfg=cfg)
 
 
-def _worker_run(spec):
-    return run_cell(_WORKER_STATE["samples"], _WORKER_STATE["cfg"], *spec)
+def _worker_run(seed: int):
+    return run_seed(_WORKER_STATE["samples"], _WORKER_STATE["cfg"], seed)
 
 
 def run_sweep(cfg: SweepConfig, samples: GroupedSamples | None = None) -> list[SweepRow]:
     """Run every cell on ``samples``, or on the file at ``cfg.data_path`` when
-    none are given; pool workers get the same samples from this process.
-    Per-cell failures are recorded in the row and the run continues.  Rows
-    come back in canonical cell order."""
+    none are given; each seed is one task, and pool workers get the same
+    samples from this process.  Per-cell failures are recorded in the row and
+    the run continues.  Rows come back in canonical cell order."""
     if samples is None:
         if cfg.data_path is None:
             raise ValueError("config has no data path and no samples were passed")
         samples = load_csv(cfg.data_path, cfg.schema)
     elif samples.labels is None:
         raise ValueError("sweep requires labeled samples for test MSE")
-    # a sweep writes no score: its cells' splits and its workers skip the text
+    # a sweep writes no score: its splits and its workers skip the text
     samples = replace(samples, score_text=None)
-    specs = list(cell_specs(cfg))
-    # a fork pool starts all its workers up front: start no more than there are tasks
-    workers = min(cfg.workers, math.ceil(len(specs) / _CELLS_PER_TASK))
+    # a fork pool starts all its workers up front: start no more than there are seeds
+    workers = min(cfg.workers, cfg.seeds)
     if workers == 1:
-        return [run_cell(samples, cfg, *spec) for spec in specs]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init,
-            initargs=(samples, cfg)) as pool:
-        return list(pool.map(_worker_run, specs, chunksize=_CELLS_PER_TASK))
+        per_seed = [run_seed(samples, cfg, seed) for seed in range(cfg.seeds)]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_init,
+                initargs=(samples, cfg)) as pool:
+            per_seed = list(pool.map(_worker_run, range(cfg.seeds)))
+    rows = {i: row for part in per_seed for i, row in part.items()}
+    return [rows[i] for i in range(len(rows))]
 
 
 @dataclass(frozen=True)
@@ -246,8 +290,9 @@ def write_results_csv(path, rows: list[SweepRow], master_seed: int) -> None:
 
 def write_timings_csv(path, rows: list[SweepRow], master_seed: int) -> None:
     """Wall-times sidecar; not deterministic, hence not in the results file."""
-    _write_csv(path, master_seed, "alpha,k,epsilon,seed,cell_seconds",
-               ((r.alpha, r.k, r.epsilon, r.seed, r.cell_seconds) for r in rows))
+    _write_csv(path, master_seed, "alpha,k,epsilon,seed,cell_seconds,estimate_seconds",
+               ((r.alpha, r.k, r.epsilon, r.seed, r.cell_seconds, r.estimate_seconds)
+                for r in rows))
 
 
 def write_aggregates_csv(path, aggs: list[CellAggregate], master_seed: int) -> None:

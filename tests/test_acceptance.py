@@ -21,7 +21,7 @@ from fairpost.dp_estimation import (empirical_joint, estimate_private_dists,
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
 from fairpost.metrics import statistical_parity_gap
-from fairpost.pipeline import fit
+from fairpost.pipeline import estimate, fit
 from fairpost.transport import extract_kernels
 from lp_oracles import fixed_target_cost, ks_distance, w2sq_monotone
 
@@ -261,7 +261,7 @@ def fitted_battery():
     for i, (alpha, eps) in enumerate(combos):
         rows = [("A", float(x)) for x in rng.beta(2, 5, 250)]
         rows += [("B", float(x)) for x in rng.beta(5, 2, 180)]
-        yield fit(GroupedSamples.from_rows(rows), (0, 1), 8, alpha, eps, i)
+        yield fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 8, eps, i), alpha)
 
 
 def test_criterion_05_pushforward_identity_and_monte_carlo():
@@ -292,8 +292,9 @@ def test_criterion_06_k1_exact_fairness():
         rows = [(f"g{int(rng.integers(0, n_groups))}", float(rng.normal(0.4, 0.3)))
                 for _ in range(int(rng.integers(5, 120)))]
         samples = GroupedSamples.from_rows(rows)
-        model = fit(samples, (0, 1), 1, float(rng.choice([0.0, 0.5])),
-                    float(rng.choice([0.5, math.inf])), trial)
+        alpha = float(rng.choice([0.0, 0.5]))  # the stream draws alpha, then epsilon
+        model = fit(estimate(samples, (0, 1), 1, float(rng.choice([0.5, math.inf])), trial),
+                    alpha)
         stream = np.random.default_rng(trial)
         group_idx = np.repeat(np.arange(len(samples.groups)), 40)
         outputs = model.predict_batch(samples.groups, group_idx,
@@ -311,7 +312,7 @@ def test_criterion_07_noiseless_reduction():
     rows += [("B", float(x)) for x in rng.beta(4, 2, 100)]
     samples = GroupedSamples.from_rows(rows)
     k, alpha = 6, 0.1
-    model = fit(samples, (0, 1), k, alpha, math.inf, 0)
+    model = fit(estimate(samples, (0, 1), k, math.inf, 0), alpha)
 
     # non-private reference built directly from the empirical conditionals
     g = make_grid(0, 1, k)
@@ -327,7 +328,7 @@ def test_criterion_07_noiseless_reduction():
     # identical group distributions at alpha = 0: identity kernels, zero cost
     ys = [float(x) for x in rng.random(90)]
     twin = GroupedSamples.from_rows([("A", y) for y in ys] + [("B", y) for y in ys])
-    model2 = fit(twin, (0, 1), 5, 0.0, math.inf, 0)
+    model2 = fit(estimate(twin, (0, 1), 5, math.inf, 0), 0.0)
     assert model2.objective == pytest.approx(0.0, abs=1e-9)
     for a in range(2):
         assert np.allclose(model2.kernels[a], np.eye(5), atol=1e-7)
@@ -381,7 +382,7 @@ def test_criterion_09_law_school_endpoint():
     assert abs(smallest - 628) <= 40  # binomial fluctuation around 0.7 * n_a
 
     # (alpha = 0, k = 1): constant output at mid-interval, exactly fair
-    model = fit(train, schema.interval, 1, 0.0, 0.1, 0)
+    model = fit(estimate(train, schema.interval, 1, 0.1, 0), 0.0)
     rng = np.random.default_rng(0)
     preds = model.predict_batch(test.groups, test.group_idx, test.scores, rng)
     mse_raw = float(np.mean((preds - test.labels) ** 2))

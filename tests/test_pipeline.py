@@ -20,7 +20,7 @@ from fairpost.data_io import AffineTransform, GroupedSamples
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import UnknownGroupError
 from fairpost.metrics import statistical_parity_gap
-from fairpost.pipeline import FairPostprocessor, fit, load
+from fairpost.pipeline import FairPostprocessor, estimate, fit, load
 from lp_oracles import ks_distance
 
 
@@ -39,7 +39,7 @@ def two_group_samples(n_a=300, n_b=200, seed=0):
 
 def test_k_equals_one_is_exactly_fair():
     samples = two_group_samples()
-    model = fit(samples, (0, 1), 1, 0.5, 1.0, 3)
+    model = fit(estimate(samples, (0, 1), 1, 1.0, 3), 0.5)
     rng = np.random.default_rng(0)
     preds_a = predict_rows(model, [("A", y) for y in np.linspace(0, 1, 50)], rng)
     preds_b = predict_rows(model, [("B", y) for y in np.linspace(0, 1, 50)], rng)
@@ -73,7 +73,7 @@ def test_fewer_bins_favor_fairness_on_exact_populations():
     samples = GroupedSamples(
         groups=("A", "B", "C", "D"), group_idx=np.repeat(np.arange(4), counts),
         scores=np.concatenate([rng.beta(a, b, n) for (a, b), n in zip(BETA_POPULATIONS, counts)]))
-    gaps = {k: np.mean([population_parity_gap(fit(samples, (0, 1), k, 0.05, 0.1, seed))
+    gaps = {k: np.mean([population_parity_gap(fit(estimate(samples, (0, 1), k, 0.1, seed), 0.05))
                         for seed in range(10)]) for k in (4, 100)}
     assert gaps[100] > gaps[4]
 
@@ -81,7 +81,7 @@ def test_fewer_bins_favor_fairness_on_exact_populations():
 def test_single_group_gets_identity_kernel():
     rng = np.random.default_rng(1)
     rows = [("only", float(x)) for x in rng.random(100)]
-    model = fit(GroupedSamples.from_rows(rows), (0, 1), 6, 0.3, math.inf, 0)
+    model = fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 6, math.inf, 0), 0.3)
     assert np.allclose(model.kernels[0], np.eye(6), atol=1e-9)
 
 
@@ -89,7 +89,7 @@ def test_identical_groups_identity_kernels_zero_objective():
     rng = np.random.default_rng(2)
     ys = [float(x) for x in rng.random(80)]
     rows = [("A", y) for y in ys] + [("B", y) for y in ys]
-    model = fit(GroupedSamples.from_rows(rows), (0, 1), 5, 0.0, math.inf, 0)
+    model = fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 5, math.inf, 0), 0.0)
     assert model.objective == pytest.approx(0.0, abs=1e-9)
     for a in range(2):
         assert np.allclose(model.kernels[a], np.eye(5), atol=1e-7)
@@ -97,7 +97,7 @@ def test_identical_groups_identity_kernels_zero_objective():
 
 def test_predict_identity_kernels_is_pure_discretization():
     samples = two_group_samples()
-    model = fit(samples, (0, 1), 8, math.inf, math.inf, 0)
+    model = fit(estimate(samples, (0, 1), 8, math.inf, 0), math.inf)
     rng = np.random.default_rng(0)
     for y in (0.03, 0.31, 0.9999):
         j = fairpost.grid.discretize_many(model.grid, [y])[0]
@@ -106,7 +106,7 @@ def test_predict_identity_kernels_is_pure_discretization():
 
 def test_predict_k1_constant():
     samples = two_group_samples()
-    model = fit(samples, (0.0, 2.0), 1, 0.0, math.inf, 0)
+    model = fit(estimate(samples, (0.0, 2.0), 1, math.inf, 0), 0.0)
     rng = np.random.default_rng(0)
     assert model.predict("B", 1.7, rng) == 1.0  # (s + t) / 2
 
@@ -114,14 +114,14 @@ def test_predict_k1_constant():
 def test_predict_follows_deterministic_kernel_row():
     # opposed point masses, alpha = 0: group A bin 1 must map to the middle
     rows = [("A", 0.1)] * 30 + [("B", 0.9)] * 30
-    model = fit(GroupedSamples.from_rows(rows), (0, 1), 3, 0.0, math.inf, 0)
+    model = fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 3, math.inf, 0), 0.0)
     rng = np.random.default_rng(0)
     assert model.predict("A", 0.05, rng) == pytest.approx(0.5)
     assert model.objective == pytest.approx(1 / 9, abs=1e-9)
 
 
 def test_predict_batch_empty():
-    model = fit(two_group_samples(), (0, 1), 4, 0.1, math.inf, 0)
+    model = fit(estimate(two_group_samples(), (0, 1), 4, math.inf, 0), 0.1)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     assert len(predict_rows(model, [], rng)) == 0
@@ -129,7 +129,7 @@ def test_predict_batch_empty():
 
 
 def test_predict_batch_matches_scalar_loop():
-    model = fit(two_group_samples(), (0, 1), 6, 0.2, 1.0, 5)
+    model = fit(estimate(two_group_samples(), (0, 1), 6, 1.0, 5), 0.2)
     rows = [("A", 0.1), ("B", 0.8), ("A", 0.5), ("B", 0.2)] * 10
     batch = predict_rows(model, rows, np.random.default_rng(33))
     rng = np.random.default_rng(33)
@@ -138,7 +138,7 @@ def test_predict_batch_matches_scalar_loop():
 
 
 def test_unknown_group_reports_row_index():
-    model = fit(two_group_samples(), (0, 1), 4, 0.1, math.inf, 0)
+    model = fit(estimate(two_group_samples(), (0, 1), 4, math.inf, 0), 0.1)
     with pytest.raises(UnknownGroupError, match="row 1"):
         predict_rows(model, [("A", 0.5), ("C", 0.5)], np.random.default_rng(0))
     with pytest.raises(UnknownGroupError):
@@ -147,7 +147,7 @@ def test_unknown_group_reports_row_index():
 
 def test_monte_carlo_outputs_match_targets():
     samples = two_group_samples(400, 400, seed=8)
-    model = fit(samples, (0, 1), 8, 0.1, math.inf, 0)
+    model = fit(estimate(samples, (0, 1), 8, math.inf, 0), 0.1)
     rng = np.random.default_rng(99)
     for a, label in enumerate(model.groups):
         draws = rng.choice(model.grid.k, size=10 ** 5, p=model.pmfs[a])
@@ -162,7 +162,7 @@ def test_monte_carlo_outputs_match_targets():
 def test_pushforward_identity_on_fitted_models():
     for seed, alpha, eps in [(0, 0.0, math.inf), (1, 0.1, 2.0), (2, 0.4, 0.5)]:
         samples = two_group_samples(seed=seed)
-        model = fit(samples, (0, 1), 7, alpha, eps, seed)
+        model = fit(estimate(samples, (0, 1), 7, eps, seed), alpha)
         for a in range(len(model.groups)):
             got = model.pmfs[a] @ model.kernels[a]
             assert np.abs(got - model.targets[a]).max() <= 1e-9
@@ -176,7 +176,7 @@ def test_population_fairness_at_fitted_distributions():
     rows += [("B", float(x)) for x in rng.beta(6, 2, 150)]
     samples = GroupedSamples.from_rows(rows, groups=("A", "B", "ghost"))
     for alpha in (0.0, 0.05, 0.25):
-        model = fit(samples, (0, 1), 6, alpha, math.inf, 0)
+        model = fit(estimate(samples, (0, 1), 6, math.inf, 0), alpha)
         outs = [model.pmfs[a] @ model.kernels[a]
                 for a in range(len(model.groups))]
         for pa, pb in itertools.combinations(outs, 2):
@@ -184,7 +184,7 @@ def test_population_fairness_at_fitted_distributions():
 
 
 def test_out_of_range_scores_counted_not_fatal():
-    model = fit(two_group_samples(), (0, 1), 4, 0.1, math.inf, 0)
+    model = fit(estimate(two_group_samples(), (0, 1), 4, math.inf, 0), 0.1)
     rng = np.random.default_rng(0)
     assert model.out_of_range_count == 0
     model.predict("A", 1.7, rng)
@@ -196,7 +196,7 @@ def test_out_of_range_scores_counted_not_fatal():
 def test_nan_scores_are_refused_not_binned():
     """predict and predict_batch name the first NaN's row; no draw is made,
     no score is counted out of range, and fit refuses NaN training scores."""
-    model = fit(two_group_samples(), (0, 1), 4, 0.1, math.inf, 0)
+    model = fit(estimate(two_group_samples(), (0, 1), 4, math.inf, 0), 0.1)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"^row 0: NaN has no bin$"):
@@ -208,11 +208,11 @@ def test_nan_scores_are_refused_not_binned():
     assert rng.bit_generator.state == state and model.out_of_range_count == 0
     samples = GroupedSamples.from_rows([("A", 0.2), ("A", 0.6), ("B", math.nan)])
     with pytest.raises(ValueError, match=r"^row 2: NaN has no bin$"):
-        fit(samples, (0, 1), 4, 0.1, math.inf, 0)
+        fit(estimate(samples, (0, 1), 4, math.inf, 0), 0.1)
 
 
 def test_serialization_round_trip_bit_identical(tmp_path):
-    model = fit(two_group_samples(), (0, 1), 9, 0.15, 0.7, 123)
+    model = fit(estimate(two_group_samples(), (0, 1), 9, 0.7, 123), 0.15)
     path = tmp_path / "model.json"
     model.save(path)
     loaded = load(path)
@@ -233,7 +233,7 @@ def test_model_file_rejects_other_formats(tmp_path):
 
 
 def saved_document(tmp_path):
-    model = fit(two_group_samples(), (0, 1), 3, 0.1, math.inf, 0)
+    model = fit(estimate(two_group_samples(), (0, 1), 3, math.inf, 0), 0.1)
     path = tmp_path / "model.json"
     model.save(path)
     return path, json.loads(path.read_text())
@@ -275,16 +275,48 @@ def saved_document(tmp_path):
     (lambda d: d["diagnostics"]["targets"][0].__setitem__(1, "0.5"),
      "targets rows must sum to 1"),
     (lambda d: d["diagnostics"]["barycenter"].pop(), "barycenter must hold 3 entries"),
+    pytest.param(lambda d: d["fit"].__setitem__("k", 7),
+                 "fit k 7 disagrees with the grid's k = 3", id="fit_k"),
+    pytest.param(lambda d: d["fit"].__setitem__("alpha", "-1"),
+                 "alpha must be nonnegative, got -1.0", id="fit_alpha_negative"),
+    pytest.param(lambda d: d["fit"].__setitem__("alpha", "nan"),
+                 "alpha must be nonnegative, got nan", id="fit_alpha_nan"),
+    pytest.param(lambda d: d["fit"].__setitem__("epsilon", "nan"),
+                 r"epsilon must be positive \(or inf\), got nan", id="fit_epsilon_nan"),
+    pytest.param(lambda d: d["fit"].__setitem__("epsilon", "0"),
+                 r"epsilon must be positive \(or inf\), got 0.0", id="fit_epsilon_zero"),
+    pytest.param(lambda d: d["fit"].__setitem__("epsilon", "-inf"),
+                 r"epsilon must be positive \(or inf\), got -inf", id="fit_epsilon_negative"),
+    pytest.param(lambda d: d["fit"].__setitem__("seed", "x"),
+                 "seed must be an integer or null, got 'x'", id="fit_seed_string"),
+    pytest.param(lambda d: d["fit"].__setitem__("seed", 1.5),
+                 "seed must be an integer or null, got 1.5", id="fit_seed_float"),
+    pytest.param(lambda d: d["fit"].__setitem__("seed", True),
+                 "seed must be an integer or null, got True", id="fit_seed_bool"),
 ])
 def test_load_validates_kernels_and_structure(tmp_path, corrupt, message):
     """Every failure, whichever check or parse raises it, names the file.
     The diagnostics are checked too: G finite weights >= 0, pmfs and targets
-    of G rows of k entries >= 0 that sum to 1, and a barycenter of k."""
+    of G rows of k entries >= 0 that sum to 1, and a barycenter of k.  So is
+    the fit metadata: the grid's k, alpha >= 0, epsilon > 0, and an integer
+    or null seed, as fit writes them."""
     path, doc = saved_document(tmp_path)
     corrupt(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{message}"):
         load(path)
+
+
+def test_load_accepts_the_metadata_fit_writes(tmp_path):
+    """A generator's fit records a null seed; alpha and epsilon may be inf."""
+    path = tmp_path / "model.json"
+    model = fit(estimate(two_group_samples(), (0, 1), 4, math.inf, np.random.default_rng(0)),
+                math.inf)
+    model.save(path)
+    assert json.loads(path.read_text())["fit"] == {"alpha": "inf", "epsilon": "inf", "k": 4,
+                                                   "seed": None}
+    loaded = load(path)
+    assert (loaded.alpha, loaded.epsilon, loaded.seed) == (math.inf, math.inf, None)
 
 
 def test_load_rejects_truncated_and_non_json_files(tmp_path):
@@ -308,15 +340,15 @@ def test_load_rejects_truncated_and_non_json_files(tmp_path):
 def test_fit_validates_hyperparameters():
     samples = two_group_samples()
     with pytest.raises(ValueError):
-        fit(samples, (1, 0), 4, 0.1, math.inf, 0)
+        fit(estimate(samples, (1, 0), 4, math.inf, 0), 0.1)
     with pytest.raises(ValueError):
-        fit(samples, (0, 1), 0, 0.1, math.inf, 0)
+        fit(estimate(samples, (0, 1), 0, math.inf, 0), 0.1)
     with pytest.raises(ValueError):
-        fit(samples, (0, 1), 4, -0.1, math.inf, 0)
+        fit(estimate(samples, (0, 1), 4, math.inf, 0), -0.1)
     with pytest.raises(ValueError):
-        fit(samples, (0, 1), 4, 0.1, 0.0, 0)
+        fit(estimate(samples, (0, 1), 4, 0.0, 0), 0.1)
     with pytest.raises(ValueError, match="alpha"):
-        fit(samples, (0, 1), 4, math.nan, math.inf, 0)
+        fit(estimate(samples, (0, 1), 4, math.inf, 0), math.nan)
 
 
 @pytest.mark.parametrize("offset, scale", [(0.0, 1e5), (1.0, 3.0), (-2.5, 0.5)])
@@ -326,8 +358,8 @@ def test_fit_maps_the_raw_interval_onto_the_unit_grid(offset, scale):
     unit = two_group_samples()
     raw = GroupedSamples(groups=unit.groups, group_idx=unit.group_idx,
                          scores=offset + scale * unit.scores)
-    reference = fit(unit, (0, 1), 36, 0.05, 1.0, 0)
-    model = fit(raw, (offset, offset + scale), 36, 0.05, 1.0, 0)
+    reference = fit(estimate(unit, (0, 1), 36, 1.0, 0), 0.05)
+    model = fit(estimate(raw, (offset, offset + scale), 36, 1.0, 0), 0.05)
     assert model.transform == AffineTransform(offset=offset, scale=offset + scale - offset)
     doc = model.to_document()
     assert doc == {**reference.to_document(), "transform": doc["transform"]}
@@ -345,11 +377,11 @@ def test_fit_maps_the_raw_interval_onto_the_unit_grid(offset, scale):
 def test_fit_rejects_unbounded_intervals():
     for interval in ((0, math.inf), (-math.inf, 0), (0, math.nan), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="invalid interval"):
-            fit(two_group_samples(), interval, 4, 0.1, math.inf, 0)
+            fit(estimate(two_group_samples(), interval, 4, math.inf, 0), 0.1)
 
 
 def test_barycentric_mode_is_row_mean():
-    model = fit(two_group_samples(), (0, 1), 5, 0.1, math.inf, 0)
+    model = fit(estimate(two_group_samples(), (0, 1), 5, math.inf, 0), 0.1)
     rng = np.random.default_rng(0)
     y = 0.4
     j = fairpost.grid.discretize_many(model.grid, [y])[0]
@@ -417,7 +449,7 @@ def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
     poisoned = GroupedSamples(groups=("A", "B"),
                               group_idx=np.zeros(10, dtype=np.intp),
                               scores=np.full(10, np.nan))
-    model = fit(poisoned, (0, 1), k, 0.1, 1.0, 0)
+    model = fit(estimate(poisoned, (0, 1), k, 1.0, 0), 0.1)
     assert calls["args"] == (poisoned, 1.0)
     assert isinstance(model, FairPostprocessor)
     assert model.kernels.shape == (2, k, k)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -72,13 +73,13 @@ def test_baseline_cell_matches_pure_discretization():
 
 def test_cell_failures_recorded_and_run_continues(monkeypatch):
     from fairpost import sweep
-    real_fit = sweep.fit
+    real_estimate = sweep.estimate
 
-    def fit_failing_at_k2(train, interval, k, *args):
+    def estimate_failing_at_k2(train, interval, k, *args):
         if k == 2:
             raise ValueError("cannot fit")
-        return real_fit(train, interval, k, *args)
-    monkeypatch.setattr(sweep, "fit", fit_failing_at_k2)
+        return real_estimate(train, interval, k, *args)
+    monkeypatch.setattr(sweep, "estimate", estimate_failing_at_k2)
     samples = synthetic_samples(30)
     cfg = config_for(ks=(2, 3), alphas=(0.1,), seeds=1)
     rows = run_sweep(cfg, samples=samples)
@@ -86,6 +87,107 @@ def test_cell_failures_recorded_and_run_continues(monkeypatch):
     assert rows[0].status.startswith("error:")
     assert math.isnan(rows[0].mse_raw)
     assert rows[1].status == "ok"
+
+
+def test_failing_estimate_fails_its_group_and_failing_fit_only_its_cell(monkeypatch):
+    """An estimate that raises fails every alpha of its (k, epsilon, seed)
+    group; a fit that raises fails its own cell, and the other alphas on the
+    same estimate still run."""
+    real_estimate, real_fit = sweep.estimate, sweep.fit
+    fits = []
+
+    def estimate_failing_at_k2_eps1(train, interval, k, epsilon, rng):
+        if (k, epsilon) == (2, 1.0):
+            raise ValueError("cannot estimate")
+        return real_estimate(train, interval, k, epsilon, rng)
+
+    def fit_failing_once(est, alpha):
+        """Fails the first fit at alpha 0.5, k 3, epsilon inf: seed 0's."""
+        key = (alpha, est.grid.k, est.epsilon)
+        fits.append(key)
+        if key == (0.5, 3, math.inf) and fits.count(key) == 1:
+            raise ValueError("cannot fit")
+        return real_fit(est, alpha)
+    monkeypatch.setattr(sweep, "estimate", estimate_failing_at_k2_eps1)
+    monkeypatch.setattr(sweep, "fit", fit_failing_once)
+    cfg = config_for(alphas=(0.0, 0.5), ks=(2, 3), epsilons=(1.0, math.inf), seeds=2)
+    rows = run_sweep(cfg, samples=synthetic_samples(80))
+    failed = {(r.alpha, r.k, r.epsilon, r.seed): r.status for r in rows if r.status != "ok"}
+    group = {(a, 2, 1.0, s): "error:ValueError: cannot estimate" for a in (0.0, 0.5)
+             for s in (0, 1)}
+    assert failed == {**group, (0.5, 3, math.inf, 0): "error:ValueError: cannot fit"}
+    assert len(rows) == 16 and all(math.isnan(r.mse_raw) for r in rows if r.status != "ok")
+
+
+def test_cell_is_a_fit_on_its_groups_shared_estimate(monkeypatch):
+    """Cell i of group g is fit(estimate(train, ...), alpha): the estimate
+    drawn on the stream (master seed, 3, g), scored on the stream (master
+    seed, 2, i); the alphas of a group share one estimate and its pmfs."""
+    from fairpost.pipeline import estimate, fit
+    samples = synthetic_samples(200, seed=5)
+    cfg = config_for(alphas=(0.2, 0.0), ks=(3, 5), epsilons=(1.0, math.inf), seeds=2,
+                     master_seed=4)
+    calls = []
+
+    def recording_fit(est, alpha):
+        calls.append((alpha, est, fit(est, alpha)))
+        return calls[-1][2]
+    monkeypatch.setattr(sweep, "fit", recording_fit)
+    rows = run_sweep(cfg, samples=samples)
+
+    def stream(*key):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    groups = list(itertools.product(cfg.ks, cfg.epsilons, range(cfg.seeds)))
+    for i, row in enumerate(rows):
+        g = groups.index((row.k, row.epsilon, row.seed))
+        assert i == cfg.alphas.index(row.alpha) * len(groups) + g
+        train, test = split_train_test(samples, 0.7, seed=sweep._split_seed(4, row.seed))
+        model = fit(estimate(train, (0.0, 1.0), row.k, row.epsilon, stream(4, 3, g)), row.alpha)
+        expected = sweep.score(model, test, stream(4, 2, i))
+        assert row.status == "ok" and row.lp_objective == model.objective
+        assert (row.mse_raw, row.mse_norm, row.delta_sp) == (
+            expected["mse_raw"], expected["mse_norm"], expected["delta_sp"])
+    by_estimate = {}
+    for alpha, est, model in calls:
+        by_estimate.setdefault(id(est), []).append((alpha, model.pmfs))
+    assert len(by_estimate) == len(groups)
+    for fits in by_estimate.values():
+        assert sorted(alpha for alpha, _ in fits) == sorted(cfg.alphas)
+        assert all(np.array_equal(pmfs, fits[0][1]) for _, pmfs in fits)
+
+
+def test_lp_objective_is_nonincreasing_in_alpha():
+    """Within a (k, epsilon, seed) group every alpha fits the same estimate,
+    and the feasible set grows with alpha, so the objective cannot rise."""
+    cfg = config_for(alphas=(0.1, 0.0, math.inf, 0.02, 0.3), ks=(3, 8),
+                     epsilons=(0.5, math.inf), seeds=3)
+    rows = run_sweep(cfg, samples=synthetic_samples(300, seed=2))
+    groups = {}
+    for r in rows:
+        assert r.status == "ok"
+        groups.setdefault((r.k, r.epsilon, r.seed), []).append(r)
+    assert len(groups) == 12
+    for key, group in groups.items():
+        objectives = [r.lp_objective for r in sorted(group, key=lambda r: r.alpha)]
+        assert all(hi <= lo for lo, hi in zip(objectives, objectives[1:])), (key, objectives)
+        assert objectives[-1] == 0.0
+
+
+def test_timings_time_each_shared_estimate_once(tmp_path):
+    """timings.csv holds a cell's own seconds and its group's estimate
+    seconds, the latter repeated on each alpha row of the group."""
+    cfg = config_for(alphas=(0.0, 0.1, math.inf), ks=(2, 4), epsilons=(1.0,), seeds=2)
+    rows = run_sweep(cfg, samples=synthetic_samples(120))
+    write_outputs(tmp_path, rows, 0)
+    lines = (tmp_path / "timings.csv").read_text().splitlines()
+    assert lines[1] == "alpha,k,epsilon,seed,cell_seconds,estimate_seconds"
+    assert len(lines) == 2 + 12
+    by_group = {}
+    for line in lines[2:]:
+        alpha, k, eps, seed, cell, est = line.split(",")
+        assert float(cell) > 0.0 and float(est) > 0.0
+        by_group.setdefault((k, eps, seed), set()).add(est)
+    assert len(by_group) == 4 and all(len(v) == 1 for v in by_group.values())
 
 
 def test_sweep_in_raw_units_matches_the_unit_scale_sweep():
@@ -309,6 +411,19 @@ def test_pool_workers_write_the_bytes_of_one_worker(tmp_path):
                     == (tmp_path / f"{run}2" / name).read_bytes())
 
 
+def test_more_seeds_than_workers_write_the_bytes_of_one_worker(tmp_path):
+    """Five seeds on two workers: each worker runs several seeds, and the
+    rows still come back in canonical order."""
+    cfg = sweep_config_file(tmp_path, write_synthetic_csv(tmp_path, n=120),
+                            alphas=[0.0, 0.2, "inf"], ks=[2, 4], epsilons=[1.0, "inf"], seeds=5)
+    for workers in (1, 2):
+        assert main(["sweep", "--config", str(cfg), "--workers", str(workers),
+                     "--out", str(tmp_path / f"out{workers}"), "--allow-budget-reuse"]) == 0
+    for name in ("results.csv", "aggregates.csv", "envelope.csv"):
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+    assert len((tmp_path / "out1" / "results.csv").read_text().splitlines()) == 2 + 60
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, starts no
     process, and runs the initializer and every task in this process."""
@@ -323,16 +438,16 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, specs, chunksize):
-        return map(fn, specs)
+    def map(self, fn, tasks):
+        return map(fn, tasks)
 
 
 @pytest.mark.parametrize("seeds, workers, pools", [
     (3, 64, [3]), (3, 2, [2]), (1, 64, []), (3, 1, []),
 ], ids=["capped_by_tasks", "capped_by_workers", "one_task_runs_here", "one_worker_runs_here"])
 def test_pool_holds_no_more_workers_than_tasks(monkeypatch, seeds, workers, pools):
-    """Cells go to workers four at a time, and a fork pool starts all its
-    workers up front: the 4 * seeds cells make seeds tasks."""
+    """Each seed is one task, and a fork pool starts all its workers up
+    front: no more workers than seeds."""
     sizes = []
     monkeypatch.setattr(sweep.concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: RecordingPool(sizes, **kw))
@@ -363,16 +478,39 @@ def test_law_school_sweep_config_holds_the_paper_grid():
     assert (cfg.data_path, cfg.schema.interval) == ("data/law_school.csv", (1.0, 4.0))
 
 
-def test_cli_sweep_budget_guard(tmp_path):
+def test_cli_sweep_budget_guard(tmp_path, capsys):
     data = write_synthetic_csv(tmp_path, n=60)
     cfg = sweep_config_file(tmp_path, data, epsilons=[1.0], seeds=2)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # the two alphas share each (k, epsilon, seed) estimate: 2 ks x 2 seeds
+    assert "spends the privacy budget 4 times" in capsys.readouterr().err
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--allow-budget-reuse"]) == 0
     # a single private fit needs no acknowledgement
     cfg1 = sweep_config_file(tmp_path, data, epsilons=[1.0], seeds=1,
                              alphas=[0.1], ks=[2])
     assert main(["sweep", "--config", str(cfg1), "--out", str(tmp_path / "o1")]) == 0
+    # nor do many alphas on a single private estimate
+    cfg3 = sweep_config_file(tmp_path, data, epsilons=[1.0, "inf"], seeds=1,
+                             alphas=[0.0, 0.1, "inf"], ks=[2])
+    assert main(["sweep", "--config", str(cfg3), "--out", str(tmp_path / "o3")]) == 0
+
+
+@pytest.mark.parametrize("field, values, repeated", [
+    ("alphas", [0.1, 0.1], "0.1"),
+    ("alphas", [0, "inf", "Infinity"], "inf"),
+    ("ks", [3, 2, 3], "3"),
+    ("epsilons", [1, "inf", 1.0], "1.0"),
+], ids=["alphas", "alphas_inf_spellings", "ks", "epsilons"])
+def test_repeated_sweep_values_are_a_config_error(tmp_path, capsys, field, values, repeated):
+    """A repeated value would count each of its seeds twice in the
+    aggregates (and share the noise of its estimates without saying so)."""
+    cfg = sweep_config_file(tmp_path, write_synthetic_csv(tmp_path, n=60), **{field: values})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--allow-budget-reuse"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config {cfg}: {field} holds {repeated} more than once\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep_bad_config(tmp_path):

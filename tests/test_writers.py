@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fairpost import __version__
 from fairpost.cli import _write_predictions, main
 from fairpost.data_io import BLOCK_ROWS, DatasetSchema, GroupedSamples, format_floats, load_csv
-from fairpost.pipeline import fit, load
+from fairpost.pipeline import estimate, fit, load
 
 
 def reference_apply(groups, score_text, preds, seed) -> str:
@@ -180,7 +180,7 @@ def test_to_document_matches_per_entry_reference(alpha, epsilon):
     rng = np.random.default_rng(3)
     rows = [(g, float(y)) for g, a, b in (("A", 2, 5), ("B", 5, 2), ("C", 1, 1))
             for y in rng.beta(a, b, 400)]
-    model = fit(GroupedSamples.from_rows(rows), (0.0, 1.0), 9, alpha, epsilon, 4)
+    model = fit(estimate(GroupedSamples.from_rows(rows), (0.0, 1.0), 9, epsilon, 4), alpha)
     doc = model.to_document()
     assert doc == reference_document(model)
     if math.isinf(alpha):
