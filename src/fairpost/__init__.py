@@ -16,7 +16,7 @@ from .grid import Grid, discretize_many, make_grid
 from .metrics import mse, statistical_parity_gap
 from .pipeline import FairPostprocessor, PrivateEstimate, estimate, fit, load
 from .sweep import SweepConfig, SweepRow, lower_envelope, run_sweep
-from .transport import extract_kernels, sample_bins
+from .transport import extract_kernels, row_bands, sample_bins
 
 __all__ = [
     "__version__",
@@ -27,5 +27,6 @@ __all__ = [
     "build_lp", "discretize_many", "empirical_joint", "estimate", "estimate_private_dists",
     "extract_kernels", "fit", "group_weights", "load", "load_csv", "lower_envelope",
     "make_grid", "monotone_coupling", "mse", "privatize_joint", "renormalize_cdf",
-    "run_sweep", "sample_bins", "solve", "split_train_test", "statistical_parity_gap",
+    "row_bands", "run_sweep", "sample_bins", "solve", "split_train_test",
+    "statistical_parity_gap",
 ]

@@ -70,7 +70,9 @@ class DatasetSchema:
 
     ``score_col=None`` means the label column doubles as the score (the
     identity-regressor setup).  ``interval`` is the raw target interval a
-    fit maps onto its grid; only ``fit`` and ``sweep`` read it.
+    fit maps onto its grid; only ``fit`` and ``sweep`` read it.  Column
+    names are strings, and the delimiter is one character that ``csv`` can
+    split on: not a quote or a line break.
     """
 
     group_col: str = "group"
@@ -80,7 +82,14 @@ class DatasetSchema:
     delimiter: str = ","
 
     def __post_init__(self):
-        cols = [c for c in (self.group_col, self.score_col, self.label_col) if c is not None]
+        cols = [self.group_col] + [c for c in (self.score_col, self.label_col) if c is not None]
+        for col in cols:
+            if not isinstance(col, str):
+                raise ValueError(f"schema column names must be strings, got {col!r}")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1
+                and self.delimiter not in '"\r\n'):
+            raise ValueError("schema delimiter must be one character other than a quote or "
+                             f"a line break, got {self.delimiter!r}")
         if len(set(cols)) != len(cols):
             raise ValueError(f"schema column names must be distinct, got {cols}")
         s, t = self.interval

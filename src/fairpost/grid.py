@@ -45,14 +45,28 @@ def discretize_many(grid: Grid, ys: np.ndarray) -> np.ndarray:
     Ties at bin boundaries break to the lower index; y outside [s, t],
     +-inf included, clamps to the nearest end bin.  A NaN has no bin:
     ValueError names the index of the first.
+
+    Each y's bin is guessed by the uniform grid's arithmetic and then
+    checked against the stored midpoints: bin j is right when y is, in
+    floats, farther from midpoint j - 1 than from midpoint j and no farther
+    from midpoint j than from midpoint j + 1.  The rare y whose guess fails
+    a check (one within rounding of a boundary) takes the binary search.
     """
     ys = np.asarray(ys, dtype=float)
     nan = np.isnan(ys)
     if nan.any():
         raise ValueError(f"row {int(np.argmax(nan))}: NaN has no bin")
-    mid = grid.midpoints
-    hi = np.minimum(np.searchsorted(mid, ys), grid.k - 1)
-    lo = np.maximum(hi - 1, 0)
-    # tie (equal distance) goes to the lower index
-    take_lo = (ys - mid[lo]) <= (mid[hi] - ys)
-    return np.where(take_lo, lo, hi)
+    mid, k = grid.midpoints, grid.k
+    # midpoints j - 1 and j + 1 of each guess j, with -inf and inf past the ends
+    padded = np.concatenate(([-np.inf], mid, [np.inf]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: no check fails
+        bins = np.clip((ys - grid.s) * (k / (grid.t - grid.s)), 0, k - 1).astype(np.intp)
+        dist = ys - mid[bins]
+        wrong = (padded[:-2][bins] - ys >= dist) | (dist > padded[2:][bins] - ys)
+    if wrong.any():
+        rows = np.flatnonzero(wrong)
+        y = ys[rows]
+        hi = np.minimum(np.searchsorted(mid, y), k - 1)
+        lo = np.maximum(hi - 1, 0)
+        bins[rows] = np.where((y - mid[lo]) <= (mid[hi] - y), lo, hi)
+    return bins

@@ -72,8 +72,8 @@ class FairPostprocessor:
     out_of_range_count: int = field(default=0, compare=False)
 
     @cached_property
-    def _row_cdfs(self) -> np.ndarray:
-        return np.cumsum(self.kernels, axis=2)
+    def _row_bands(self) -> transport.RowBands:
+        return transport.row_bands(self.kernels)
 
     @cached_property
     def _row_means(self) -> np.ndarray:
@@ -133,7 +133,7 @@ class FairPostprocessor:
             self.out_of_range_count += n_outside
         if mode == "barycentric":
             return self.transform.to_raw(self._row_means[idx, j])
-        bins = transport.sample_bins(self._row_cdfs, idx, j, rng.random(len(ys)))
+        bins = transport.sample_bins(self._row_bands, idx, j, rng.random(len(ys)))
         return self.transform.to_raw(self.grid.midpoints[bins])
 
     def to_document(self) -> dict:
@@ -238,14 +238,16 @@ def load(path) -> FairPostprocessor:
 
     Raises OSError for an unreadable file and ValueError naming ``path`` for
     anything but a well-formed model of this version: a grid or transform
-    whose interval breaks :func:`~fairpost.grid.check_interval`, repeated
-    group labels, kernels that are not G x k x k for the G groups,
-    nonnegative, with rows summing to 1 within 1e-9 (the sampler relies on
-    nondecreasing row CDFs ending at 1), diagnostics other than G finite
-    weights >= 0, G x k pmfs and targets held to the kernels' row rule, and
-    a barycenter of k entries, or fit metadata that :func:`fit` cannot write:
-    a k other than the grid's, an alpha that is NaN or negative, an epsilon
-    that is NaN or <= 0, or a seed that is neither an integer nor null."""
+    whose interval breaks :func:`~fairpost.grid.check_interval`, group
+    labels other than a list of distinct strings, kernels that are not
+    G x k x k for the G groups, nonnegative, with rows summing to 1 within
+    1e-9 (the sampler relies on row CDFs that are 0 before a row's first
+    nonzero entry, nondecreasing, and end near 1), diagnostics other than G
+    finite weights >= 0, G x k pmfs and targets held to the kernels' row
+    rule, and a barycenter of k entries, or fit metadata that :func:`fit`
+    cannot write: a k other than the grid's, an alpha that is NaN or
+    negative, an epsilon that is NaN or <= 0, or a seed that is neither an
+    integer nor null."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -257,7 +259,10 @@ def load(path) -> FairPostprocessor:
         grid = make_grid(float(g["s"]), float(g["t"]), int(g["k"]))
         if not np.array_equal(_floats(g["midpoints"]), grid.midpoints):
             raise ValueError("stored midpoints disagree with the grid parameters")
-        k, groups = grid.k, tuple(doc["groups"])
+        k, groups = grid.k, doc["groups"]
+        if not (isinstance(groups, list) and all(isinstance(g, str) for g in groups)):
+            raise ValueError(f"groups must be a list of strings, got {groups!r}")
+        groups = tuple(groups)
         if len(set(groups)) != len(groups):
             raise ValueError(f"repeated group labels in {list(groups)}")
         n = len(groups)

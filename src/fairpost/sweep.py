@@ -12,8 +12,10 @@ once.  Each cell scores its test split on its own stream, derived from
 regardless of which worker finished first, so output files are
 byte-identical across runs.  Wall times are deliberately kept out of the
 results file (they cannot be deterministic) and go to a sidecar timings
-file instead: ``estimate_seconds`` times the group's shared estimate and
-``cell_seconds`` the cell's own fit, prediction and metrics.
+file instead: ``estimate_seconds`` times the group's shared estimate,
+``cell_seconds`` the cell's own fit, prediction and metrics, and
+``fit_seconds`` and ``score_seconds`` split ``cell_seconds`` into the fit and
+the prediction with its metrics.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class SweepRow:
     status: str              # "ok" or "error:<ExceptionType>"
     cell_seconds: float      # the cell's fit, prediction and metrics
     estimate_seconds: float  # the (k, epsilon, seed) group's shared estimate
+    fit_seconds: float       # the part of cell_seconds spent fitting
+    score_seconds: float     # the part spent predicting and scoring
 
 
 def cell_specs(cfg: SweepConfig):
@@ -126,28 +130,42 @@ def score(model: FairPostprocessor, samples: GroupedSamples, rng: np.random.Gene
 
 
 def _failed_row(alpha: float, k: int, epsilon: float, seed: int, exc: Exception,
-                cell_seconds: float, estimate_seconds: float) -> SweepRow:
+                estimate_seconds: float, stamps=(0.0,)) -> SweepRow:
+    """A row for a cell that raised; ``stamps`` are the clock readings of
+    :func:`run_cell`, the last one taken at the failure."""
     return SweepRow(alpha=alpha, k=k, epsilon=epsilon, seed=seed,
                     mse_raw=math.nan, mse_norm=math.nan, delta_sp=math.nan,
                     lp_objective=math.nan, status=f"error:{type(exc).__name__}: {exc}",
-                    cell_seconds=cell_seconds, estimate_seconds=estimate_seconds)
+                    estimate_seconds=estimate_seconds, **_stage_seconds(stamps))
+
+
+def _stage_seconds(stamps) -> dict:
+    """``cell_seconds`` from the first clock reading to the last, split at
+    the readings between them into ``fit_seconds`` and ``score_seconds``;
+    a stage the cell did not reach took 0 s.  Readings within a factor of
+    two of each other subtract exactly, so the parts sum to the whole."""
+    stages = [b - a for a, b in zip(stamps, stamps[1:])] + [0.0, 0.0]
+    return {"cell_seconds": stamps[-1] - stamps[0], "fit_seconds": stages[0],
+            "score_seconds": stages[1]}
 
 
 def run_cell(est: PrivateEstimate, test: GroupedSamples, cfg: SweepConfig, cell_index: int,
              alpha: float, seed: int, estimate_seconds: float) -> SweepRow:
     """Fit one cell on its group's shared estimate and score it on the test
     split with the cell's own stream."""
-    t0 = time.perf_counter()
+    stamps = [time.perf_counter()]
     try:
         model = fit(est, alpha)
+        stamps.append(time.perf_counter())
         metrics = score(model, test, _rng(cfg.master_seed, 2, cell_index))
+        stamps.append(time.perf_counter())
         return SweepRow(alpha=alpha, k=est.grid.k, epsilon=est.epsilon, seed=seed, **metrics,
                         lp_objective=model.objective, status="ok",
-                        cell_seconds=time.perf_counter() - t0,
-                        estimate_seconds=estimate_seconds)
+                        estimate_seconds=estimate_seconds, **_stage_seconds(stamps))
     except Exception as exc:  # noqa: BLE001 - per-cell failures must not kill the run
-        return _failed_row(alpha, est.grid.k, est.epsilon, seed, exc,
-                           time.perf_counter() - t0, estimate_seconds)
+        stamps.append(time.perf_counter())
+        return _failed_row(alpha, est.grid.k, est.epsilon, seed, exc, estimate_seconds,
+                           stamps)
 
 
 def run_seed(samples: GroupedSamples, cfg: SweepConfig, seed: int) -> dict[int, SweepRow]:
@@ -169,7 +187,7 @@ def run_seed(samples: GroupedSamples, cfg: SweepConfig, seed: int) -> dict[int, 
         for a, alpha in enumerate(cfg.alphas):
             i = a * n_groups + g  # = the cell's index in cell_specs
             if isinstance(est, Exception):
-                out[i] = _failed_row(alpha, k, eps, seed, est, 0.0, estimate_seconds)
+                out[i] = _failed_row(alpha, k, eps, seed, est, estimate_seconds)
             else:
                 out[i] = run_cell(est, test, cfg, i, alpha, seed, estimate_seconds)
     return out
@@ -290,9 +308,10 @@ def write_results_csv(path, rows: list[SweepRow], master_seed: int) -> None:
 
 def write_timings_csv(path, rows: list[SweepRow], master_seed: int) -> None:
     """Wall-times sidecar; not deterministic, hence not in the results file."""
-    _write_csv(path, master_seed, "alpha,k,epsilon,seed,cell_seconds,estimate_seconds",
-               ((r.alpha, r.k, r.epsilon, r.seed, r.cell_seconds, r.estimate_seconds)
-                for r in rows))
+    _write_csv(path, master_seed,
+               "alpha,k,epsilon,seed,cell_seconds,estimate_seconds,fit_seconds,score_seconds",
+               ((r.alpha, r.k, r.epsilon, r.seed, r.cell_seconds, r.estimate_seconds,
+                 r.fit_seconds, r.score_seconds) for r in rows))
 
 
 def write_aggregates_csv(path, aggs: list[CellAggregate], master_seed: int) -> None:

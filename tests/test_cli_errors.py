@@ -79,6 +79,53 @@ def test_model_breaking_a_model_rule_is_a_data_error(tmp_path, data, model, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("groups, shown", [
+    pytest.param("ABCD", "'ABCD'", id="string"),
+    pytest.param([1, 2], "[1, 2]", id="integers"),
+])
+def test_model_group_labels_must_be_strings(tmp_path, data, model, capsys, groups, shown):
+    """A string would pair the kernels with its characters, and no CSV cell
+    matches an integer label: both exit 3 naming the file."""
+    doc = json.loads(model.read_text())
+    doc["groups"] = groups
+    model.write_text(json.dumps(doc))
+    assert run_apply_and_evaluate(model, data, tmp_path) == [3, 3]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: cannot load model: {model}: groups must be a list of strings, "
+                   f"got {shown}"] * 2
+
+
+@pytest.mark.parametrize("schema", [
+    pytest.param({"delimiter": ";;"}, id="delimiter_two_characters"),
+    pytest.param({"delimiter": ""}, id="delimiter_empty"),
+    pytest.param({"delimiter": 5}, id="delimiter_integer"),
+    pytest.param({"delimiter": '"'}, id="delimiter_quote"),
+    pytest.param({"group": 3}, id="group_integer"),
+])
+def test_unusable_schema_is_a_config_error_in_every_command(tmp_path, data, model, capsys,
+                                                            schema):
+    """fit, apply, evaluate and sweep each exit 2 with one line, before
+    reading any data or writing any output."""
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(data), "schema": schema, "alphas": [0.1],
+                               "ks": [2], "epsilons": ["inf"], "seeds": 1}))
+    out = tmp_path / "out"
+    for argv in (["fit", "--data", str(data), "--schema", str(path), "--k", "2",
+                  "--alpha", "0.1", "--epsilon", "inf", "--out", str(out)],
+                 ["apply", "--model", str(model), "--data", str(data), "--schema", str(path),
+                  "--out", str(out)],
+                 ["evaluate", "--model", str(model), "--data", str(data), "--schema", str(path),
+                  "--out", str(out)],
+                 ["sweep", "--config", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert ("delimiter" if "delimiter" in schema else "column names must be strings") in err[0]
+        assert not out.exists()
+
+
 def test_fit_refuses_the_removed_dump_lp_flag(tmp_path, data, capsys):
     """fit has no --dump-lp; argparse refuses it with exit 2 before any fit."""
     with pytest.raises(SystemExit) as exc:

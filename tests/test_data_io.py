@@ -147,6 +147,36 @@ def test_schema_rejects_duplicate_columns():
         DatasetSchema(group_col="x", score_col="x")
 
 
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"delimiter": ";;"}, "got ';;'", id="delimiter_two_characters"),
+    pytest.param({"delimiter": ""}, "got ''", id="delimiter_empty"),
+    pytest.param({"delimiter": 5}, "got 5", id="delimiter_integer"),
+    pytest.param({"delimiter": '"'}, "got '\"'", id="delimiter_quote"),
+    pytest.param({"delimiter": "\n"}, "got '\\n'", id="delimiter_newline"),
+    pytest.param({"delimiter": "\r"}, "got '\\r'", id="delimiter_carriage_return"),
+    pytest.param({"group_col": 3}, "column names must be strings, got 3", id="group_integer"),
+    pytest.param({"group_col": None}, "column names must be strings, got None", id="group_null"),
+    pytest.param({"score_col": 1.5}, "column names must be strings, got 1.5", id="score_float"),
+    pytest.param({"label_col": ["y"]}, "column names must be strings, got ['y']",
+                 id="label_list"),
+])
+def test_schema_rejects_unusable_delimiters_and_column_names(fields, message):
+    """The delimiter is one character that csv can split on, not a quote or
+    a line break; every column name is a string (score and label may be None)."""
+    with pytest.raises(ValueError) as exc:
+        DatasetSchema(**fields)
+    assert message in str(exc.value)
+    if "delimiter" in fields:
+        assert str(exc.value).startswith("schema delimiter must be one character other than "
+                                         "a quote or a line break")
+
+
+def test_schema_takes_any_other_one_character_delimiter():
+    for delimiter in (",", ";", "\t", "|", " ", "\\", "'", "é"):
+        assert DatasetSchema(delimiter=delimiter).delimiter == delimiter
+    assert DatasetSchema(score_col=None).label_col == "label"
+
+
 def test_schema_rejects_bad_interval():
     with pytest.raises(ValueError):
         DatasetSchema(interval=(2.0, 2.0))

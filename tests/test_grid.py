@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bin_oracles import searchsorted_bins
 from fairpost.grid import discretize_many, make_grid
 
 
@@ -91,3 +92,33 @@ def test_vectorized_matches_scalar(g, ys):
 def test_midpoints_strictly_increasing_inside_interval(g):
     assert (np.diff(g.midpoints) > 0).all() or g.k == 1
     assert g.midpoints[0] > g.s and g.midpoints[-1] < g.t
+
+
+def edge_values(g):
+    """Midpoints, half-way points between them, bin boundaries, the ends,
+    values far out of range and +-inf, each with its two float neighbours."""
+    m = g.midpoints
+    base = np.concatenate([m, (m[:-1] + m[1:]) / 2, g.s + np.arange(g.k + 1) * (g.t - g.s) / g.k,
+                           [g.s, g.t, g.s - 1.0, g.t + 1.0, 0.0, -0.0, 5e-324, 1e308, -1e308,
+                            np.inf, -np.inf]])
+    return np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (1.0, 4.0), (-3.3, 7.1)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 36, 60, 100, 999, 1000])
+def test_discretize_equals_the_binary_search_on_edge_values(s, t, k):
+    g = make_grid(s, t, k)
+    ys = edge_values(g)
+    assert np.array_equal(discretize_many(g, ys), searchsorted_bins(g.midpoints, ys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 1000),
+       st.lists(st.floats(allow_nan=False), max_size=20), st.integers(0, 2 ** 32 - 1))
+def test_discretize_equals_the_binary_search(s, width, k, drawn, seed):
+    """Offset grids with k from 1 to 1,000, on the edge values, uniform
+    values over three times the interval, and any other float."""
+    g = make_grid(s, s + width, k)
+    inside = np.random.default_rng(seed).uniform(g.s - width, g.t + width, 200)
+    ys = np.concatenate([edge_values(g), inside, drawn])
+    assert np.array_equal(discretize_many(g, ys), searchsorted_bins(g.midpoints, ys))

@@ -293,6 +293,12 @@ def saved_document(tmp_path):
                  "seed must be an integer or null, got 1.5", id="fit_seed_float"),
     pytest.param(lambda d: d["fit"].__setitem__("seed", True),
                  "seed must be an integer or null, got True", id="fit_seed_bool"),
+    pytest.param(lambda d: d.__setitem__("groups", "AB"),
+                 "groups must be a list of strings, got 'AB'", id="groups_string"),
+    pytest.param(lambda d: d.__setitem__("groups", [1, 2]),
+                 r"groups must be a list of strings, got \[1, 2\]", id="groups_integers"),
+    pytest.param(lambda d: d["groups"].__setitem__(1, None),
+                 r"groups must be a list of strings, got \['A', None\]", id="groups_null_label"),
 ])
 def test_load_validates_kernels_and_structure(tmp_path, corrupt, message):
     """Every failure, whichever check or parse raises it, names the file.

@@ -180,14 +180,52 @@ def test_timings_time_each_shared_estimate_once(tmp_path):
     rows = run_sweep(cfg, samples=synthetic_samples(120))
     write_outputs(tmp_path, rows, 0)
     lines = (tmp_path / "timings.csv").read_text().splitlines()
-    assert lines[1] == "alpha,k,epsilon,seed,cell_seconds,estimate_seconds"
+    assert lines[1] == ("alpha,k,epsilon,seed,cell_seconds,estimate_seconds,fit_seconds,"
+                        "score_seconds")
     assert len(lines) == 2 + 12
     by_group = {}
     for line in lines[2:]:
-        alpha, k, eps, seed, cell, est = line.split(",")
+        alpha, k, eps, seed, cell, est, _, _ = line.split(",")
         assert float(cell) > 0.0 and float(est) > 0.0
         by_group.setdefault((k, eps, seed), set()).add(est)
     assert len(by_group) == 4 and all(len(v) == 1 for v in by_group.values())
+
+
+def test_timings_split_each_cell_into_fit_and_score(tmp_path, monkeypatch):
+    """fit_seconds and score_seconds are >= 0 and sum to no more than
+    cell_seconds, on ok cells, on a cell whose scoring raised, and on the
+    cells of an estimate that raised (all three 0 there)."""
+    real_score, real_estimate = sweep.score, sweep.estimate
+
+    def score_failing_at_alpha0(model, samples, rng):
+        if model.alpha == 0.0:
+            raise ValueError("cannot score")
+        return real_score(model, samples, rng)
+
+    def estimate_failing_at_k2(train, interval, k, epsilon, rng):
+        if k == 2:
+            raise ValueError("cannot estimate")
+        return real_estimate(train, interval, k, epsilon, rng)
+    monkeypatch.setattr(sweep, "score", score_failing_at_alpha0)
+    monkeypatch.setattr(sweep, "estimate", estimate_failing_at_k2)
+    cfg = config_for(alphas=(0.0, 0.1, math.inf), ks=(2, 4, 9), epsilons=(1.0,), seeds=2)
+    write_outputs(tmp_path, run_sweep(cfg, samples=synthetic_samples(120)), 0)
+    lines = (tmp_path / "timings.csv").read_text().splitlines()
+    statuses = [line.rsplit(",", 1)[1]
+                for line in (tmp_path / "results.csv").read_text().splitlines()[2:]]
+    assert len(lines) == 2 + 18 and len(statuses) == 18
+    for line, status in zip(lines[2:], statuses):
+        alpha, k, _, _, cell, _, fit_s, score_s = line.split(",")
+        cell, fit_s, score_s = float(cell), float(fit_s), float(score_s)
+        assert fit_s >= 0.0 and score_s >= 0.0 and fit_s + score_s <= cell
+        if k == "2":
+            assert status == "error:ValueError: cannot estimate"
+            assert cell == fit_s == score_s == 0.0
+        elif alpha == "0.0":
+            assert status == "error:ValueError: cannot score"
+            assert fit_s > 0.0
+        else:
+            assert status == "ok" and fit_s > 0.0 and score_s > 0.0
 
 
 def test_sweep_in_raw_units_matches_the_unit_scale_sweep():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bin_oracles import full_row_draws
 from fairpost.barycenter_lp import build_lp, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.grid import make_grid
-from fairpost.transport import extract_kernels, row_means, sample_bins
+from fairpost.transport import extract_kernels, row_bands, row_means, sample_bins
 
 
 def dists_from_pmfs(pmfs, weights=None):
@@ -109,7 +110,7 @@ def test_push_forward_point_mass_reads_row():
 
 def draw_bins(kern, a, j, u):
     n = len(u)
-    return sample_bins(np.cumsum(kern, axis=2), np.full(n, a), np.full(n, j),
+    return sample_bins(row_bands(kern), np.full(n, a), np.full(n, j),
                        np.asarray(u, dtype=float))
 
 
@@ -132,6 +133,86 @@ def test_sample_bins_monte_carlo_frequencies():
     draws = draw_bins(kern, 0, 0, np.random.default_rng(123).random(10 ** 5))
     freq = np.bincount(draws, minlength=3) / len(draws)
     assert np.abs(freq - [0.5, 0.5, 0.0]).max() < 0.01
+
+
+def banded_kernels(rng, n_groups, k):
+    """Row-stochastic kernels whose rows are short runs of mass, as monotone
+    couplings give, with dust entries outside the run, identity rows, rows
+    whose only mass is in the last bin, and rows holding -0.0 entries."""
+    kern = np.zeros((n_groups, k, k))
+    for a in range(n_groups):
+        for j in range(k):
+            lo = int(rng.integers(0, k))
+            hi = min(k, lo + int(rng.integers(1, 5)))
+            kern[a, j, lo:hi] = rng.random(hi - lo) + 1e-3
+            kind = rng.random()
+            if kind < 0.1:
+                kern[a, j, rng.integers(0, k, 2)] += 1e-17
+            elif kind < 0.2:
+                kern[a, j] = np.eye(k)[j]
+            elif kind < 0.3:
+                kern[a, j] = np.eye(k)[k - 1]
+            elif kind < 0.35:
+                kern[a, j, kern[a, j] == 0.0] = -0.0
+            kern[a, j] /= kern[a, j].sum()
+    return kern
+
+
+def sampler_cases(rng, kern, n):
+    """Row indices and uniforms: random ones, 0, values equal to entries of
+    the row CDFs, their float neighbours, and 1 - 2**-53."""
+    n_groups, k, _ = kern.shape
+    a, j = rng.integers(0, n_groups, n), rng.integers(0, k, n)
+    cdfs = np.cumsum(kern, axis=2)
+    at_cdf = cdfs[a, j, rng.integers(0, k, n)]
+    u = np.concatenate([rng.random(n), np.zeros(n), at_cdf, np.nextafter(at_cdf, 0.0),
+                        np.nextafter(at_cdf, 1.0), np.full(n, 1.0 - 2.0 ** -53)])
+    return np.tile(a, 6), np.tile(j, 6), np.minimum(u, 1.0 - 2.0 ** -53)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 90), st.integers(0, 2 ** 32 - 1))
+def test_sample_bins_equals_the_full_row_count(n_groups, k, seed):
+    rng = np.random.default_rng(seed)
+    kern = banded_kernels(rng, n_groups, k)
+    a, j, u = sampler_cases(rng, kern, 700)  # 4,200 rows: more than one block
+    assert np.array_equal(sample_bins(row_bands(kern), a, j, u), full_row_draws(kern, a, j, u))
+
+
+def test_sample_bins_on_fitted_kernels_equals_the_full_row_count():
+    """Kernels from fits, identity rows of zero-mass bins included, at k = 1
+    and at bin counts whose bands are a few columns wide."""
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 12, 36, 60):
+        pmfs = [random_pmf(rng, k) * (rng.random(k) < 0.8) for _ in range(3)]
+        pmfs = [p / p.sum() if p.sum() > 0 else np.eye(k)[-1] for p in pmfs]
+        d = dists_from_pmfs(pmfs)
+        for alpha in (0.0, 0.05, math.inf):
+            kern = extract_kernels(solve(build_lp(d, make_grid(0, 1, k), alpha)), d)
+            bands = row_bands(kern)
+            assert len(bands.cdf) <= k
+            a, j, u = sampler_cases(rng, kern, 300)
+            assert np.array_equal(sample_bins(bands, a, j, u), full_row_draws(kern, a, j, u))
+
+
+def test_row_bands_hold_each_row_cdf_where_it_changes():
+    """Before the band a row CDF is exactly 0 and from the band's end on
+    exactly its total; the band is as wide as the widest run of nonzero
+    entries, and an all-zero row costs one column."""
+    kern = np.array([[[0.0, 0.5, 0.5, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 1.0],
+                      [0.25, 0.0, 0.0, 0.75, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.0, 0.0]]])
+    bands = row_bands(kern)
+    assert bands.k == 5 and bands.cdf.shape == (4, 5)
+    assert list(bands.start) == [1, 1, 0, 0, 0]
+    assert list(bands.total) == [1.0, 1.0, 1.0, 0.0, 1.0]
+    cdfs = np.cumsum(kern[0], axis=1)
+    for r in range(5):
+        s = bands.start[r]
+        assert np.array_equal(bands.cdf[:, r], cdfs[r, s:s + 4])
+        assert (cdfs[r, :s] == 0.0).all() and (cdfs[r, s + 4:] == bands.total[r]).all()
 
 
 def test_kernel_row_cdfs_are_ordered_on_mass_bearing_rows():
