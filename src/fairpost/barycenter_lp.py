@@ -36,21 +36,29 @@ nondecreasing, so in each case the slope at gap n + 1 is at most the slope
 at gap n.  Hence Phi'_{n+1} <= Phi'_n at every x, and the lowest minimizer
 of Phi_n is nondecreasing in n.  Every Q pays at least the separable lower
 bound sum_n min Phi_n, and the gaps' own minimizers are a nondecreasing Q
-that pays exactly that.  :func:`solve` reads them off a table of every
-Phi_n at every breakpoint; a suffix minimum over the picked columns absorbs
-float ties between breakpoints that lie 1e-16 apart.  Zero-weight groups
-add nothing to Phi and get the clipped target, which is just as optimal.
-The couplings are the monotone couplings p_a -> q_a, and the reported
-center is the midrange of the targets' CDFs, which is nondecreasing and
-within alpha/2 of every target.
+that pays exactly that.  :func:`solve` finds each gap's lowest minimizer,
+the first breakpoint after which Phi_n's slope is >= 0, by bisecting over
+the sorted breakpoints for every gap at once.  Each slope is sum_a w_a d^2
+times an integer count, taken at the midpoint of its interval from counts
+that one ``searchsorted`` per group and side finds up front, so a solve
+costs O(G k log k) and holds O(G k) numbers.  A suffix minimum over the
+picks absorbs float ties between breakpoints that lie 1e-16 apart.
+Zero-weight groups add nothing to Phi and get the clipped target, which is
+just as optimal.  The couplings are the monotone couplings p_a -> q_a, and
+the reported center is the midrange of the targets' CDFs, which is
+nondecreasing and within alpha/2 of every target.
 
 Every solution is certified before it is returned: coupling row sums equal
 p_a, column sums equal the targets, every target lies within
-alpha/2 + 1e-8 of the center in KS distance, the couplings cost what the
-centers do, the centers are nondecreasing, and their cost meets the
-separable lower bound.  The last three are stated on values of Phi rather
-than on slopes, because breakpoints may lie 1e-16 apart; together they
-prove the centers optimal against every nondecreasing Q.
+alpha/2 + 1e-8 of the center in KS distance, the couplings cost
+sum_n Phi_n at the centers, the centers are nondecreasing, and each center
+costs no more than the nearest breakpoints at least 1e-9 below and above
+it.  Phi_n is convex, so that local test makes each center a minimum of
+Phi_n and their cost the separable lower bound sum_n min Phi_n; together
+the checks prove the centers optimal against every nondecreasing Q.  They
+are stated on values of Phi, evaluated in closed form at the centers and
+their neighbours only, not on slopes, and the neighbours sit 1e-9 away
+because breakpoints may lie 1 ulp apart, where Phi differs by float dust.
 """
 
 from __future__ import annotations
@@ -73,6 +81,10 @@ _MARGIN_TOL = 1e-9
 _KS_TOL = 1e-8
 # certificate tolerance on Phi values and the objective, in objective units
 _PHI_TOL = 1e-12
+# the certificate compares each center with the nearest breakpoints at least
+# this far below and above it; breakpoints may lie 1 ulp apart, and Phi
+# differs by float dust across such a pair
+_NEIGHBOUR_GAP = 1e-9
 # tightened HiGHS tolerances for the reference solve; the default 1e-7
 # leaves marginal dust above the tests' 1e-9
 _HIGHS_OPTIONS = {
@@ -224,49 +236,76 @@ def monotone_coupling(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (k, k))
 
 
-def _phi_table(lp: LpInstance, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct breakpoints x, and Phi_n(x_b) in objective units
-    as a (k - 1, len(x)) table.  ``gaps`` holds F_{p_a}(n) at the k - 1 gaps.
+def _bisect(lp: LpInstance, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct breakpoints x, and each gap's lowest minimizer of
+    Phi_n as an index into x, made nondecreasing by a suffix minimum.
+    ``gaps`` holds F_{p_a}(n) at the k - 1 gaps.
+
+    The lowest minimizer is the first breakpoint whose interval to the next
+    breakpoint has a slope >= 0, or the last breakpoint.  Bisection finds it
+    for every gap at once, testing each slope at its interval's midpoint c.
+    With v = #{m : F_a(m) <= c - h} and u = #{m : F_a(m) <= c + h}, group
+    a's term at gap n has slope w_a d^2 times the integer
+    (2 (v - n) - 1)_+ - (2 (n - u) + 1)_+, so each step is one gather of
+    the counts, which one ``searchsorted`` per group and side takes up front."""
+    h = lp.alpha / 2.0
+    x = np.unique(np.concatenate([gaps - h, gaps + h], axis=None))
+    mid = (x[:-1] + x[1:]) / 2.0
+    n = np.arange(lp.k - 1)
+    # v and u, padded to a power of two with k - 1 (past every gap), where
+    # every slope is >= 0
+    bits = len(mid).bit_length()
+    counts = np.full((2, len(gaps), 1 << bits), lp.k - 1)
+    for side, shift in enumerate((-h, h)):
+        counts[side, :, :len(mid)] = [np.searchsorted(f, mid + shift, side="right") for f in gaps]
+    # 2 v - 2 n - 1 and 2 n - 2 u + 1, each a signed count plus a base
+    sign = np.array([1, -1])[:, None, None]
+    counts, base = 2 * sign * counts, -sign * (2 * n + 1)
+    signed = sign * lp.weights[:, None]
+    # pos counts the leading intervals whose slope is negative, bit by bit
+    pos = np.zeros(lp.k - 1, dtype=np.intp)
+    for bit in reversed(range(bits)):
+        i = pos + ((1 << bit) - 1)
+        slope = (signed * np.maximum(counts[:, :, i] + base, 0)).sum(axis=(0, 1))
+        pos = np.where(slope < 0, i + 1, pos)
+    return x, np.minimum.accumulate(pos[::-1])[::-1]
+
+
+def _phi(lp: LpInstance, gaps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Phi_n(x_n) in objective units, at points x of shape (m, k - 1) that
+    pair each gap n with its own x_n.  ``gaps`` holds F_{p_a}(n).
 
     With P(m) = F(0) + ... + F(m - 1), below the band, where
     s = x + h < F(n), psi_n(s) sums c_mn (F(m) - s) over the gaps i..n whose
     F(m) exceeds s: 2 P(n) + F(n) + (2i - 1) s - 2 P(i) - 2 n s.  Above it,
     where s = x - h > F(n), it sums c_mn (s - F(m)) over the gaps n..j-1
-    whose F(m) is below s: 2 P(n + 1) - F(n) + (2j - 1) s - 2 P(j) - 2 n s."""
+    whose F(m) is below s: 2 P(n + 1) - F(n) + (2j - 1) s - 2 P(j) - 2 n s.
+    Groups run along the first axis, zero weights adding zeros."""
     h = lp.alpha / 2.0
-    x = np.unique(np.concatenate([gaps - h, gaps + h], axis=None))
     up, down = x + h, x - h
     step = (lp.midpoints[-1] - lp.midpoints[0]) / max(lp.k - 1, 1)
-    table = np.zeros((lp.k - 1, len(x)))
-    for w, f in zip(lp.weights, gaps):
-        if w == 0:
-            continue
-        scale = w * step ** 2
-        pre = 2.0 * scale * np.concatenate([[0.0], np.cumsum(f)])
-        slope = 2.0 * scale * np.arange(lp.k - 1)
-        i = np.searchsorted(f, up, side="right")
-        below = ((pre[:-1] + scale * f)[:, None] + (scale * (2 * i - 1) * up - pre[i])
-                 - np.outer(slope, up))
-        j = np.searchsorted(f, down, side="left")
-        above = ((pre[1:] - scale * f)[:, None] + (scale * (2 * j - 1) * down - pre[j])
-                 - np.outer(slope, down))
-        table += np.where(f[:, None] > up, below, np.where(f[:, None] < down, above, 0.0))
-    return x, table
+    scale = (lp.weights * step ** 2)[:, None]
+    pre = 2.0 * scale * np.concatenate([np.zeros_like(scale), np.cumsum(gaps, axis=1)], axis=1)
+    slope = (2.0 * scale * np.arange(lp.k - 1))[:, None]
+    i = np.array([np.searchsorted(f, up, side="right") for f in gaps])
+    j = np.array([np.searchsorted(f, down, side="left") for f in gaps])
+    group = np.arange(len(gaps))[:, None, None]
+    f, scale = gaps[:, None], scale[:, None]
+    below = ((pre[:, None, :-1] + scale * f) + (scale * (2 * i - 1) * up - pre[group, i])
+             - slope * up)
+    above = ((pre[:, None, 1:] - scale * f) + (scale * (2 * j - 1) * down - pre[group, j])
+             - slope * down)
+    return np.where(f > up, below, np.where(f < down, above, 0.0)).sum(axis=0)
 
 
-def _centers(table: np.ndarray) -> np.ndarray:
-    """Each gap's column in ``table``: the lowest-cost breakpoint of its
-    row, made nondecreasing by a suffix minimum."""
-    if not len(table):  # k = 1 has no gaps
-        return np.zeros(0, dtype=np.intp)
-    return np.minimum.accumulate(table.argmin(axis=1)[::-1])[::-1]
-
-
-def _certify(lp: LpInstance, sol: BarycenterSolution, table: np.ndarray,
+def _certify(lp: LpInstance, sol: BarycenterSolution, gaps: np.ndarray, x: np.ndarray,
              picks: np.ndarray) -> None:
     """Raise SolverFailure unless the solution is feasible for the program,
-    its couplings cost what the centers ``picks`` over ``table`` do, and
-    those centers are nondecreasing and meet the separable lower bound."""
+    its couplings cost what the centers x[picks] do, and those centers are
+    nondecreasing and each no costlier than the nearest breakpoints at
+    least ``_NEIGHBOUR_GAP`` below and above it (the end breakpoint where
+    there is none), which makes each a minimum of its convex Phi_n and their
+    cost the separable lower bound."""
     faults = []
     row_err = np.abs(sol.couplings.sum(axis=2) - lp.pmfs).max()
     if row_err > _MARGIN_TOL:
@@ -277,16 +316,22 @@ def _certify(lp: LpInstance, sol: BarycenterSolution, table: np.ndarray,
     ks = np.abs(np.cumsum(sol.targets - sol.barycenter, axis=1)).max()
     if ks > lp.alpha / 2 + _KS_TOL:
         faults.append(f"KS(target, barycenter) {ks} exceeds alpha/2 = {lp.alpha / 2}")
-    if len(table):
-        cost = table[np.arange(len(table)), picks].sum()
+    if len(picks):
+        center = x[picks]
+        lower = np.searchsorted(x, center - _NEIGHBOUR_GAP, side="right") - 1
+        upper = np.searchsorted(x, center + _NEIGHBOUR_GAP, side="left")
+        phi = _phi(lp, gaps, np.stack([center, x[np.maximum(lower, 0)],
+                                       x[np.minimum(upper, len(x) - 1)]]))
+        cost = phi[0].sum()
         if abs(cost - sol.objective) > _PHI_TOL:
             faults.append(f"the couplings cost {sol.objective}, the centers {cost}")
         drops = np.flatnonzero(np.diff(picks) < 0)
         if len(drops):
             faults.append(f"the center decreases at gap {drops[0] + 1}")
-        excess = cost - table.min(axis=1).sum()
+        # any cheaper point bounds a gap's miss from below
+        excess = np.maximum(phi[0] - phi[1:].min(axis=0), 0.0).sum()
         if excess > _PHI_TOL:
-            faults.append(f"the centers miss the lower bound sum_n min Phi_n by {excess}")
+            faults.append(f"the centers miss the lower bound sum_n min Phi_n by at least {excess}")
     if faults:
         raise SolverFailure("solution fails its certificate: " + "; ".join(faults))
 
@@ -343,10 +388,10 @@ def solve(lp: LpInstance) -> BarycenterSolution:
 
     h = lp.alpha / 2.0
     cdfs = np.cumsum(lp.pmfs, axis=1)
-    x, table = _phi_table(lp, cdfs[:, :-1])
-    picks = _centers(table)
+    gaps = cdfs[:, :-1]
+    x, picks = _bisect(lp, gaps)
     center = x[picks]
-    clipped = np.clip(cdfs[:, :-1], center - h, center + h)
+    clipped = np.clip(gaps, center - h, center + h)
     # the last running sum is each group's total; clamp the others' float dust to it
     inner = np.minimum(clipped, cdfs[:, -1:])
     running = np.concatenate([inner, cdfs[:, -1:]], axis=1)
@@ -357,7 +402,7 @@ def solve(lp: LpInstance) -> BarycenterSolution:
         couplings=couplings, barycenter=_midrange(running), targets=targets,
         objective=float((lp.weights * (sq * couplings).sum(axis=(1, 2))).sum()))
     log.debug("barycenter k=%d alpha=%g: the band clips %d of %d running sums over "
-              "%d breakpoints", lp.k, lp.alpha, np.count_nonzero(clipped != cdfs[:, :-1]),
+              "%d breakpoints", lp.k, lp.alpha, np.count_nonzero(clipped != gaps),
               clipped.size, len(x))
-    _certify(lp, sol, table, picks)
+    _certify(lp, sol, gaps, x, picks)
     return sol

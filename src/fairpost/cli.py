@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -112,19 +114,28 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as csv's minimal quoting writes it in a comma-delimited row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]  # the writer's "\r\n"
+
+
 def _write_predictions(fh, samples, preds, seed: int) -> None:
     """The ``apply`` output: a metadata line, the header, then one
-    ``group,score,prediction`` line per row.  Each score is its cell's text
+    ``group,score,prediction`` line per row.  Each group label is quoted as
+    csv quotes it, once per distinct label.  Each score is its cell's text
     as read, stripped (a cell that ``float`` accepts holds no delimiter,
     quote or line break, so it needs no quoting); each prediction is the
     ``repr`` of its value."""
+    labels = list(map(_csv_cell, samples.groups))
     # predictions take at most G * k distinct values; each is formatted once
     preds = format_floats(preds)
     fh.write(f"# fairpost {__version__} master_seed={seed}\n")
     fh.write("group,score,prediction\n")
     for i in range(0, samples.n, BLOCK_ROWS):
         block = slice(i, i + BLOCK_ROWS)
-        lines = zip(map(samples.groups.__getitem__, samples.group_idx[block].tolist()),
+        lines = zip(map(labels.__getitem__, samples.group_idx[block].tolist()),
                     samples.score_text[block], preds[block])
         fh.write("\n".join(map(",".join, lines)) + "\n")
 

@@ -18,4 +18,7 @@ class SolverFailure(Exception):
 
 
 class UnknownGroupError(KeyError):
-    """Prediction requested for a group that was not present at fit time."""
+    """Prediction requested for a group that was not present at fit time.
+    Its ``str`` is the message itself, not the quoted repr ``KeyError`` gives."""
+
+    __str__ = Exception.__str__

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,10 +42,42 @@ def _f2s(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _f2s_rows(a) -> list[list[str]]:
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1e3
+
+
+class _Numerals(list):
+    """A list of :func:`_f2s` strings.  They hold only digits, '.', 'e', '+',
+    '-' and 'inf', so none needs JSON escaping."""
+
+
+def _json_text(value, pad: int = 0) -> str:
+    """``json.dumps(value, indent=1)`` for a model document: dicts with
+    string keys, lists, strings, integers and None.  Each :class:`_Numerals`
+    list is one join; the rest goes through ``json.dumps`` piece by piece."""
+    if isinstance(value, (dict, list)) and not value:
+        return json.dumps(value)
+    inner = "\n" + " " * (pad + 1)
+    close = "\n" + " " * pad
+    if isinstance(value, _Numerals):
+        return "[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + close + "]"
+    if isinstance(value, dict):
+        items = (json.dumps(key) + ": " + _json_text(v, pad + 1) for key, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + close + "}"
+    if isinstance(value, list):
+        items = (_json_text(v, pad + 1) for v in value)
+        return "[" + inner + ("," + inner).join(items) + close + "]"
+    return json.dumps(value)
+
+
+def _f2s_list(values) -> _Numerals:
+    return _Numerals(format_floats(values, _f2s))
+
+
+def _f2s_rows(a) -> list[_Numerals]:
     """:func:`_f2s` over each row of ``a`` flattened, formatting each
     distinct value of a row once (most kernel entries are exact zeros)."""
-    return [format_floats(row, _f2s) for row in np.asarray(a, dtype=float)]
+    return [_f2s_list(row) for row in np.asarray(a, dtype=float)]
 
 
 @dataclass
@@ -141,7 +174,7 @@ class FairPostprocessor:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "grid": {"s": _f2s(self.grid.s), "t": _f2s(self.grid.t), "k": self.grid.k,
-                     "midpoints": format_floats(self.grid.midpoints, _f2s)},
+                     "midpoints": _f2s_list(self.grid.midpoints)},
             "groups": list(self.groups),
             "kernels": _f2s_rows(self.kernels),
             "fit": {"alpha": _f2s(self.alpha), "epsilon": _f2s(self.epsilon),
@@ -149,18 +182,23 @@ class FairPostprocessor:
             "transform": {"offset": _f2s(self.transform.offset),
                           "scale": _f2s(self.transform.scale)},
             "diagnostics": {
-                "weights": format_floats(self.weights, _f2s),
+                "weights": _f2s_list(self.weights),
                 "pmfs": _f2s_rows(self.pmfs),
                 "targets": _f2s_rows(self.targets),
-                "barycenter": format_floats(self.barycenter, _f2s),
+                "barycenter": _f2s_list(self.barycenter),
                 "objective": _f2s(self.objective),
             },
         }
 
     def save(self, path) -> None:
+        """Write :meth:`to_document` as ``json.dump(doc, fh, indent=1)``
+        plus a newline would, byte for byte."""
+        start = time.perf_counter()
+        text = _json_text(self.to_document()) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_document(), fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
+        # ensure_ascii output: one byte per character
+        log.debug("save: %d bytes in %.3f ms", len(text), _ms_since(start))
 
 
 @dataclass(frozen=True)
@@ -188,6 +226,7 @@ def estimate(samples: GroupedSamples, interval: tuple[float, float], k: int,
     in the model metadata) or a ``numpy.random.Generator``.  The Laplace
     mechanism is the only randomness a fit consumes.
     """
+    start = time.perf_counter()
     s, t = float(interval[0]), float(interval[1])
     transform = AffineTransform(offset=s, scale=t - s)
     seed = None
@@ -196,6 +235,8 @@ def estimate(samples: GroupedSamples, interval: tuple[float, float], k: int,
         rng = np.random.default_rng(seed)
     grid = make_grid(0.0, 1.0, k)
     dists = dp_estimation.estimate_private_dists(samples, grid, epsilon, rng, transform)
+    log.debug("step 1 (private estimate, k=%d, epsilon=%g): %.3f ms", k, epsilon,
+              _ms_since(start))
     return PrivateEstimate(grid=grid, transform=transform, groups=tuple(samples.groups),
                            dists=dists, epsilon=float(epsilon), seed=seed)
 
@@ -204,9 +245,13 @@ def fit(est: PrivateEstimate, alpha: float) -> FairPostprocessor:
     """Steps 2 and 3 on a private estimate: the barycenter within KS radius
     alpha/2 and the transport kernels onto its targets.  No randomness and
     no rows."""
+    start = time.perf_counter()
     lp = barycenter_lp.build_lp(est.dists, est.grid, alpha)
     sol = barycenter_lp.solve(lp)
+    log.debug("step 2 (barycenter, alpha=%g): %.3f ms", alpha, _ms_since(start))
+    start = time.perf_counter()
     kernels = transport.extract_kernels(sol, est.dists)
+    log.debug("step 3 (kernels): %.3f ms", _ms_since(start))
     return FairPostprocessor(
         grid=est.grid, groups=est.groups, kernels=kernels,
         alpha=float(alpha), epsilon=est.epsilon, seed=est.seed,
@@ -239,7 +284,7 @@ def load(path) -> FairPostprocessor:
     Raises OSError for an unreadable file and ValueError naming ``path`` for
     anything but a well-formed model of this version: a grid or transform
     whose interval breaks :func:`~fairpost.grid.check_interval`, group
-    labels other than a list of distinct strings, kernels that are not
+    labels other than a nonempty list of distinct strings, kernels that are not
     G x k x k for the G groups, nonnegative, with rows summing to 1 within
     1e-9 (the sampler relies on row CDFs that are 0 before a row's first
     nonzero entry, nondecreasing, and end near 1), diagnostics other than G
@@ -263,6 +308,8 @@ def load(path) -> FairPostprocessor:
         if not (isinstance(groups, list) and all(isinstance(g, str) for g in groups)):
             raise ValueError(f"groups must be a list of strings, got {groups!r}")
         groups = tuple(groups)
+        if not groups:
+            raise ValueError("a model needs at least one group")
         if len(set(groups)) != len(groups):
             raise ValueError(f"repeated group labels in {list(groups)}")
         n = len(groups)

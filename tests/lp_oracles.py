@@ -11,7 +11,10 @@ pinned, which bridges the barycenter LP to the monotone-coupling oracle.
 ``full_program`` assembles the full barycenter program, every coupling
 column included, written independently of ``barycenter_lp``: the
 specification that ``build_lp``'s Q and S columns and the program
-``barycenter_lp.linprog`` solves are held to.  They live with the tests
+``barycenter_lp.linprog`` solves are held to.  ``phi_table`` tabulates
+every Phi_n of the separable reduction at every breakpoint, and
+``table_centers`` reads each gap's cheapest breakpoint off it: the
+reference for ``barycenter_lp``'s bisection.  They live with the tests
 because nothing in the package needs them.
 """
 
@@ -151,3 +154,42 @@ def monotone_coupling_loop(p, q) -> np.ndarray:
             if j < len(q):
                 qrem = q[j]
     return out
+
+
+def phi_table(lp, gaps) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct breakpoints x, and Phi_n(x_b) in objective units
+    as a (k - 1, len(x)) table.  ``gaps`` holds F_{p_a}(n) at the k - 1 gaps.
+
+    With P(m) = F(0) + ... + F(m - 1), below the band, where
+    s = x + h < F(n), psi_n(s) sums c_mn (F(m) - s) over the gaps i..n whose
+    F(m) exceeds s: 2 P(n) + F(n) + (2i - 1) s - 2 P(i) - 2 n s.  Above it,
+    where s = x - h > F(n), it sums c_mn (s - F(m)) over the gaps n..j-1
+    whose F(m) is below s: 2 P(n + 1) - F(n) + (2j - 1) s - 2 P(j) - 2 n s.
+    The tests hold the bisection and the certificate's Phi values to it."""
+    h = lp.alpha / 2.0
+    x = np.unique(np.concatenate([gaps - h, gaps + h], axis=None))
+    up, down = x + h, x - h
+    step = (lp.midpoints[-1] - lp.midpoints[0]) / max(lp.k - 1, 1)
+    table = np.zeros((lp.k - 1, len(x)))
+    for w, f in zip(lp.weights, gaps):
+        if w == 0:
+            continue
+        scale = w * step ** 2
+        pre = 2.0 * scale * np.concatenate([[0.0], np.cumsum(f)])
+        slope = 2.0 * scale * np.arange(lp.k - 1)
+        i = np.searchsorted(f, up, side="right")
+        below = ((pre[:-1] + scale * f)[:, None] + (scale * (2 * i - 1) * up - pre[i])
+                 - np.outer(slope, up))
+        j = np.searchsorted(f, down, side="left")
+        above = ((pre[1:] - scale * f)[:, None] + (scale * (2 * j - 1) * down - pre[j])
+                 - np.outer(slope, down))
+        table += np.where(f[:, None] > up, below, np.where(f[:, None] < down, above, 0.0))
+    return x, table
+
+
+def table_centers(table: np.ndarray) -> np.ndarray:
+    """Each gap's column in ``table``: the lowest-cost breakpoint of its
+    row, made nondecreasing by a suffix minimum."""
+    if not len(table):  # k = 1 has no gaps
+        return np.zeros(0, dtype=np.intp)
+    return np.minimum.accumulate(table.argmin(axis=1)[::-1])[::-1]

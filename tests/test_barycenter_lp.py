@@ -13,7 +13,8 @@ from fairpost.barycenter_lp import build_lp, linprog, monotone_coupling, solve
 from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from lp_oracles import fixed_target_cost, full_program, ks_distance, w2sq_monotone
+from lp_oracles import (fixed_target_cost, full_program, ks_distance, phi_table, table_centers,
+                        w2sq_monotone)
 
 
 def dists_from_pmfs(pmfs, weights=None):
@@ -450,7 +451,7 @@ def test_phi_table_follows_its_definition(lp):
     at a breakpoint x, and the breakpoints are every F_a(n) +- alpha/2."""
     h = lp.alpha / 2
     gaps = np.cumsum(lp.pmfs, axis=1)[:, :-1]
-    x, table = barycenter_lp._phi_table(lp, gaps)
+    x, table = phi_table(lp, gaps)
     assert np.array_equal(x, np.unique(np.concatenate([gaps.ravel() - h, gaps.ravel() + h])))
     want = np.zeros((lp.k - 1, len(x)))
     for w, f in zip(lp.weights, gaps):
@@ -463,15 +464,61 @@ def test_phi_table_follows_its_definition(lp):
 @given(lp_instances())
 def test_centers_meet_the_separable_lower_bound(lp):
     """Each gap's lowest minimizer of Phi_n is nondecreasing in n up to float
-    ties, so the centers are in order and cost sum_n min Phi_n.  They are
-    the lowest such centers: no gap sits above its own lowest minimizer."""
-    table = barycenter_lp._phi_table(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1]
-    picks = barycenter_lp._centers(table)
+    ties, so the table's centers are in order and cost sum_n min Phi_n.
+    They are the lowest such centers: no gap sits above its own lowest
+    minimizer."""
+    table = phi_table(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1]
+    picks = table_centers(table)
     assert len(picks) == lp.k - 1 and (np.diff(picks) >= 0).all()
     if len(table):
         assert (picks <= table.argmin(axis=1)).all()
         cost = table[np.arange(len(table)), picks].sum()
         assert cost == pytest.approx(table.min(axis=1).sum(), rel=0, abs=1e-12)
+
+
+PHI_ALPHAS = (0.0, 0.01, 0.05, 0.2, 1.5, 3.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(lp_instances(alphas=PHI_ALPHAS, max_k=80))
+def test_bisection_meets_the_separable_lower_bound(lp):
+    """The bisection's centers index the table's breakpoints, are
+    nondecreasing, and cost sum_n min Phi_n of the table within 1e-12, with
+    zero masses, zero weights, alpha = 0 and alpha above 1 included."""
+    gaps = np.cumsum(lp.pmfs, axis=1)[:, :-1]
+    x, picks = barycenter_lp._bisect(lp, gaps)
+    want_x, table = phi_table(lp, gaps)
+    assert np.array_equal(x, want_x)
+    assert picks.shape == (lp.k - 1,) and (np.diff(picks) >= 0).all()
+    if len(table):
+        assert 0 <= picks.min() and picks.max() < len(x)
+        cost = table[np.arange(len(table)), picks].sum()
+        assert cost == pytest.approx(table.min(axis=1).sum(), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.0, 0.0]])
+def test_bisection_picks_the_lowest_minimizer_of_a_flat_phi(weights):
+    """With equal weights and alpha = 0, Phi_0(x) = (|0.2 - x| + |0.8 - x|) / 8
+    is flat on [0.2, 0.8], and with zero weights flat everywhere: the center
+    is the flat stretch's lowest breakpoint, 0.2."""
+    lp = build_lp(dists_from_pmfs([[0.2, 0.8], [0.8, 0.2]], weights), make_grid(0, 1, 2), 0.0)
+    x, picks = barycenter_lp._bisect(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])
+    assert x.tolist() == [0.2, 0.8] and picks.tolist() == [0]
+    assert solve(lp).targets.tolist() == [[0.2, 0.8], [0.2, 0.8]]
+
+
+@settings(deadline=None, max_examples=100)
+@given(lp_instances(alphas=PHI_ALPHAS, max_k=30), st.randoms(use_true_random=False))
+def test_certificate_phi_matches_the_table(lp, random):
+    """The certificate's closed-form Phi_n, evaluated at three breakpoints
+    per gap, equals the table's entries there."""
+    gaps = np.cumsum(lp.pmfs, axis=1)[:, :-1]
+    x, table = phi_table(lp, gaps)
+    cols = np.array([[random.randrange(len(x)) for _ in range(lp.k - 1)] for _ in range(3)],
+                    dtype=np.intp).reshape(3, lp.k - 1)
+    got = barycenter_lp._phi(lp, gaps, x[cols])
+    assert got.shape == cols.shape
+    assert np.allclose(got, table[np.arange(lp.k - 1), cols], rtol=0, atol=1e-15)
 
 
 def certified_instance():
@@ -502,22 +549,33 @@ def pool_first_blocks(table, picks):
     return picks
 
 
+def step_first_block(table, picks):
+    """Gap 0 moves one breakpoint right of its optimum, still in order."""
+    picks[0] += 1
+    return picks
+
+
 @pytest.mark.parametrize("corrupt, faults", [
     (swap_first_blocks, ["the center decreases at gap 1"]),
     (shift_last_block, ["miss the lower bound"]),
-    (pool_first_blocks, ["miss the lower bound sum_n min Phi_n by 0.000896"]),
+    (pool_first_blocks, ["miss the lower bound sum_n min Phi_n by at least 0.000385"]),
+    (step_first_block, ["miss the lower bound sum_n min Phi_n by at least"]),
 ])
 def test_certificate_refuses_a_non_optimal_isotonic_solution(monkeypatch, corrupt, faults):
     lp = certified_instance()
-    real = barycenter_lp._centers
-    picks = real(barycenter_lp._phi_table(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1])
+    real = barycenter_lp._bisect
+    picks = real(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])[1]
     assert picks[0] < picks[1] < picks[2]
-    monkeypatch.setattr(barycenter_lp, "_centers", lambda table: corrupt(table, real(table)))
+
+    def corrupted(lp, gaps):
+        x, picks = real(lp, gaps)
+        return x, corrupt(phi_table(lp, gaps)[1], picks)
+    monkeypatch.setattr(barycenter_lp, "_bisect", corrupted)
     with pytest.raises(SolverFailure, match="^solution fails its certificate") as err:
         solve(lp)
     for fault in faults:
         assert fault in str(err.value)
-    if corrupt is pool_first_blocks:
+    if corrupt in (pool_first_blocks, step_first_block):
         assert "decreases" not in str(err.value)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fairpost.cli import main
+from lp_oracles import phi_table
 
 
 @pytest.fixture
@@ -239,19 +240,28 @@ def test_solution_failing_its_certificate_is_a_solver_error(tmp_path, data, monk
         real = barycenter_lp.monotone_coupling
         monkeypatch.setattr(barycenter_lp, "monotone_coupling", lambda p, q: 0.5 * real(p, q))
     else:
-        real = barycenter_lp._centers
+        real = barycenter_lp._bisect
 
-        def costliest(table):
-            picks = real(table)
-            picks[-1] = np.argmax(table[-1])
-            return picks
-        monkeypatch.setattr(barycenter_lp, "_centers", costliest)
+        def costliest(lp, gaps):
+            x, picks = real(lp, gaps)
+            picks[-1] = np.argmax(phi_table(lp, gaps)[1][-1])
+            return x, picks
+        monkeypatch.setattr(barycenter_lp, "_bisect", costliest)
     assert main(["fit", "--data", str(data), "--k", "4", "--alpha", "0.1",
                  "--epsilon", "inf", "--out", str(tmp_path / "m.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("solver error: solution fails its certificate")
     assert err.count("\n") == 1
     assert ("coupling row sums miss" if corrupt == "coupling" else "miss the lower bound") in err
+
+
+def test_unknown_group_message_is_printed_without_quotes(tmp_path, model, capsys):
+    """The message is the error's text, not the quoted repr KeyError's str gives."""
+    data = tmp_path / "unknown.csv"
+    data.write_text("group,score\nZ,0.5\n")
+    assert main(["apply", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "p.csv")]) == 3
+    assert capsys.readouterr().err == "data error: row 0: group 'Z' was not present at fit time\n"
 
 
 @pytest.mark.parametrize("bad_label", ["nan", "x"])

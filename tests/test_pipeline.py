@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import logging
 import math
 import os
 import pathlib
@@ -211,6 +212,23 @@ def test_nan_scores_are_refused_not_binned():
         fit(estimate(samples, (0, 1), 4, math.inf, 0), 0.1)
 
 
+def test_fit_logs_each_stage_time(tmp_path, caplog):
+    """One fit logs the wall time of step 1, step 2, the kernels and save,
+    with save's byte count, at DEBUG."""
+    path = tmp_path / "model.json"
+    with caplog.at_level(logging.DEBUG, logger="fairpost.pipeline"):
+        fit(estimate(two_group_samples(), (0, 1), 9, 0.7, 123), 0.15).save(path)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "fairpost.pipeline" and r.levelno == logging.DEBUG]
+    patterns = [r"step 1 \(private estimate, k=9, epsilon=0\.7\): \d+\.\d{3} ms",
+                r"step 2 \(barycenter, alpha=0\.15\): \d+\.\d{3} ms",
+                r"step 3 \(kernels\): \d+\.\d{3} ms",
+                rf"save: {path.stat().st_size} bytes in \d+\.\d{{3}} ms"]
+    assert len(messages) == 4
+    for message, pattern in zip(messages, patterns):
+        assert re.fullmatch(pattern, message), message
+
+
 def test_serialization_round_trip_bit_identical(tmp_path):
     model = fit(estimate(two_group_samples(), (0, 1), 9, 0.7, 123), 0.15)
     path = tmp_path / "model.json"
@@ -299,6 +317,9 @@ def saved_document(tmp_path):
                  r"groups must be a list of strings, got \[1, 2\]", id="groups_integers"),
     pytest.param(lambda d: d["groups"].__setitem__(1, None),
                  r"groups must be a list of strings, got \['A', None\]", id="groups_null_label"),
+    pytest.param(lambda d: d.update(groups=[], kernels=[], diagnostics=dict(
+        d["diagnostics"], weights=[], pmfs=[], targets=[])),
+                 "a model needs at least one group", id="groups_empty"),
 ])
 def test_load_validates_kernels_and_structure(tmp_path, corrupt, message):
     """Every failure, whichever check or parse raises it, names the file.

@@ -2,7 +2,9 @@
 ``f"{g},{y},{p!r}"`` per row for ``apply``, with ``y`` the score's cell
 text as read, and ``format(x, ".17g")`` per entry for the model document."""
 
+import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -185,3 +187,39 @@ def test_to_document_matches_per_entry_reference(alpha, epsilon):
     assert doc == reference_document(model)
     if math.isinf(alpha):
         assert doc["fit"]["alpha"] == doc["fit"]["epsilon"] == "inf"
+
+
+def test_apply_quotes_labels_that_hold_a_delimiter_quote_or_line_break(tmp_path):
+    """Each label is written as csv's minimal quoting writes it, so every
+    output row reads back as 3 fields with the label as read."""
+    labels = ["A,1", 'say "hi"', "two\nlines", "plain"]
+    data = tmp_path / "data.csv"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["group", "score"])
+    writer.writerows([labels[i % 4], f"{(i % 9) / 8!r}"] for i in range(40))
+    data.write_text(buf.getvalue())
+    model, out = tmp_path / "model.json", tmp_path / "predictions.csv"
+    assert main(["fit", "--data", str(data), "--k", "5", "--alpha", "0.1", "--epsilon", "inf",
+                 "--out", str(model)]) == 0
+    assert main(["apply", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[2:]
+    assert [len(row) for row in rows] == [3] * 40
+    assert [row[0] for row in rows] == [labels[i % 4] for i in range(40)]
+    text = out.read_text()
+    assert '\n"A,1",0.0,' in text and '\nplain,0.375,' in text
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, math.inf])
+@pytest.mark.parametrize("k", [1, 2, 12, 100])
+def test_save_writes_the_bytes_of_json_dump(tmp_path, k, alpha):
+    """save renders the document itself, in the bytes json.dump(doc, fh,
+    indent=1) and a newline would write, labels that need escaping included."""
+    rng = np.random.default_rng(k)
+    labels = ["é", 'say "hi"', "back\\slash", "two\nlines"]
+    rows = [(labels[i % 4], float(y)) for i, y in enumerate(rng.beta(2, 5, 800))]
+    model = fit(estimate(GroupedSamples.from_rows(rows), (0.0, 1.0), k, 1.0, 0), alpha)
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert path.read_bytes() == (json.dumps(model.to_document(), indent=1) + "\n").encode()
