@@ -8,13 +8,13 @@ __version__ = "0.1.0"
 from .barycenter_lp import BarycenterSolution, LpInstance, build_lp, monotone_coupling, solve
 from .data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                       split_train_test)
-from .dp_estimation import (PrivacyParams, PrivateGroupDists, empirical_joint,
+from .dp_estimation import (PrivacyParams, PrivateEstimate, empirical_joint,
                             estimate_private_dists, group_weights, privatize_joint,
                             renormalize_cdf)
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 from .metrics import mse, statistical_parity_gap
-from .pipeline import FairPostprocessor, PrivateEstimate, estimate, fit, load
+from .pipeline import FairPostprocessor, estimate, fit, load
 from .sweep import SweepConfig, SweepRow, lower_envelope, run_sweep
 from .transport import extract_kernels, row_bands, sample_bins
 
@@ -22,7 +22,7 @@ __all__ = [
     "__version__",
     "AffineTransform", "BarycenterSolution", "ConfigError", "DataError",
     "DatasetSchema", "FairPostprocessor", "Grid", "GroupedSamples", "LpInstance",
-    "PrivacyParams", "PrivateEstimate", "PrivateGroupDists", "SolverFailure", "SweepConfig",
+    "PrivacyParams", "PrivateEstimate", "SolverFailure", "SweepConfig",
     "SweepRow", "UnknownGroupError",
     "build_lp", "discretize_many", "empirical_joint", "estimate", "estimate_private_dists",
     "extract_kernels", "fit", "group_weights", "load", "load_csv", "lower_envelope",

@@ -70,9 +70,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dp_estimation import PrivateGroupDists
+from .dp_estimation import PrivateEstimate
 from .errors import SolverFailure
-from .grid import Grid
 
 log = logging.getLogger(__name__)
 
@@ -184,20 +183,18 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
 
 
-def build_lp(dists: PrivateGroupDists, grid: Grid, alpha: float) -> LpInstance:
-    """The instance for the given private distributions and KS radius
+def build_lp(est: PrivateEstimate, alpha: float) -> LpInstance:
+    """The instance for a private estimate's distributions and KS radius
     alpha/2.  alpha = +inf drops the KS and center rows entirely; alpha = 0
     keeps the KS rows as paired <= 0 constraints, forcing every target equal
     to the center.  Zero-weight groups stay in the instance with zero
     objective weight.
     """
     _check_alpha(alpha)
-    if dists.k != grid.k:
-        raise ValueError(f"distributions have k={dists.k}, grid has k={grid.k}")
-    return LpInstance(n_groups=dists.n_groups, k=dists.k, alpha=float(alpha),
-                      weights=np.asarray(dists.weights, dtype=float),
-                      pmfs=np.asarray(dists.pmfs, dtype=float),
-                      midpoints=np.asarray(grid.midpoints, dtype=float))
+    return LpInstance(n_groups=len(est.weights), k=est.grid.k, alpha=float(alpha),
+                      weights=np.asarray(est.weights, dtype=float),
+                      pmfs=np.asarray(est.pmfs, dtype=float),
+                      midpoints=np.asarray(est.grid.midpoints, dtype=float))
 
 
 def _quantile_pieces(cdfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -25,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, pipeline, sweep
-from .data_io import BLOCK_ROWS, DatasetSchema, format_floats, load_csv
+from .data_io import DatasetSchema, csv_cell, format_floats, load_csv, write_csv
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 
 
@@ -44,7 +42,19 @@ def _integer(value) -> int:
     return value
 
 
+# the keys a schema and a sweep config may hold ("normalization" is legacy, ignored)
+_KEYS = {"schema": {"group", "score", "label", "interval", "delimiter", "normalization"},
+         "config": {"data", "schema", "alphas", "ks", "epsilons", "seeds", "split_ratio",
+                    "master_seed"}}
+
+
+def _refuse_unknown_keys(doc, what: str, where: str) -> None:
+    if isinstance(doc, dict) and (unknown := sorted(doc.keys() - _KEYS[what])):
+        raise ConfigError(f"{where}: unknown {what} key(s) {', '.join(map(repr, unknown))}")
+
+
 def _schema_from_doc(doc, where: str) -> DatasetSchema:
+    _refuse_unknown_keys(doc, "schema", where)
     try:
         return DatasetSchema(
             group_col=doc.get("group", "group"),
@@ -114,39 +124,17 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as csv's minimal quoting writes it in a comma-delimited row."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text])
-    return buf.getvalue()[:-2]  # the writer's "\r\n"
-
-
-def _write_predictions(fh, samples, preds, seed: int) -> None:
-    """The ``apply`` output: a metadata line, the header, then one
-    ``group,score,prediction`` line per row.  Each group label is quoted as
-    csv quotes it, once per distinct label.  Each score is its cell's text
-    as read, stripped (a cell that ``float`` accepts holds no delimiter,
-    quote or line break, so it needs no quoting); each prediction is the
-    ``repr`` of its value."""
-    labels = list(map(_csv_cell, samples.groups))
-    # predictions take at most G * k distinct values; each is formatted once
-    preds = format_floats(preds)
-    fh.write(f"# fairpost {__version__} master_seed={seed}\n")
-    fh.write("group,score,prediction\n")
-    for i in range(0, samples.n, BLOCK_ROWS):
-        block = slice(i, i + BLOCK_ROWS)
-        lines = zip(map(labels.__getitem__, samples.group_idx[block].tolist()),
-                    samples.score_text[block], preds[block])
-        fh.write("\n".join(map(",".join, lines)) + "\n")
-
-
 def _cmd_apply(args) -> int:
     model = _load_model(args.model)
     samples = _load_scores(args.data, _load_schema(args.schema))
     preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
                                 np.random.default_rng(args.seed), mode=args.mode)
-    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        _write_predictions(fh, samples, preds, args.seed)
+    # each label is quoted once, and each of the G * k prediction values formatted once
+    labels = list(map(csv_cell, samples.groups))
+    rows = zip(map(labels.__getitem__, samples.group_idx.tolist()), samples.score_text,
+               format_floats(preds))
+    with _writing(args.out):
+        write_csv(args.out, args.seed, ("group", "score", "prediction"), rows)
     print(f"wrote {samples.n} predictions to {args.out}")
     return 0
 
@@ -168,6 +156,7 @@ def _cmd_evaluate(args) -> int:
 
 def _sweep_config(args) -> sweep.SweepConfig:
     doc = _read_json(args.config, "config")
+    _refuse_unknown_keys(doc, "config", f"config {args.config}")
     try:
         if not isinstance(doc["data"], str):
             raise ValueError(f"data must be a path string, got {doc['data']!r}")

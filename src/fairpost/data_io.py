@@ -14,9 +14,9 @@ parses and indexes each block column by column; the rows of a block that
 fails a check are walked again one by one only to name its first bad row.
 Each numeric cell is stripped once, and the stripped text of the score
 cells is kept beside the parsed scores, so that ``apply`` writes every
-score as it was read without formatting a float.  :func:`format_floats`
-renders a float column for a writer with one call of the formatter per
-distinct value.
+score as it was read without formatting a float.  :func:`write_csv` writes
+every CSV file the commands produce, and :func:`format_floats` renders a
+float column for it with one call of the formatter per distinct value.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from itertools import compress, islice
 
 import numpy as np
 
+from . import __version__
 from .errors import DataError
 from .grid import check_interval
 
 log = logging.getLogger(__name__)
 
-# Rows per block when reading a CSV file (and writing one, in the CLI).  A
+# Rows per block when reading a CSV file (and writing one).  A
 # few hundred rows spread the per-block costs thin, while the row lists of a
 # block die young: thousands of live ones make the cyclic collector run full
 # collections in a process that has imported numpy.
@@ -163,8 +164,9 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     Rows with an empty cell in any declared column are rejected (and
     counted); a non-empty cell that fails to parse, or parses to nan or
     inf, is an error.  Raises :class:`DataError` for a missing file,
-    missing columns, unparseable or non-finite cells, a file that is not
-    UTF-8 CSV, or an empty result.
+    missing columns, a column it reads named twice in the header,
+    unparseable or non-finite cells, a file that is not UTF-8 CSV, or an
+    empty result.
 
     Rows are taken from ``csv.reader`` in blocks of :data:`BLOCK_ROWS`, and
     each check runs over a whole column of a block.  The parsed rows of a
@@ -198,6 +200,8 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
         missing = set(columns) - set(position)
         if missing:
             raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        if repeated := [c for c in columns if header.count(c) > 1]:
+            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
         getters = [operator.itemgetter(position[c]) for c in columns]
         width = 1 + max(position[c] for c in columns)
         line = reader.line_num
@@ -301,6 +305,24 @@ def format_floats(values, fmt=repr) -> list[str]:
     distinct = np.unique(bits)
     text = np.array(list(map(fmt, distinct.view(float).tolist())), dtype=object)
     return text[np.searchsorted(distinct, bits)].tolist()
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as csv's minimal quoting writes it in a comma-delimited row of
+    several cells: quoted, its quotes doubled, if it holds a comma, a quote
+    or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def write_csv(path, seed: int, names, rows) -> None:
+    """A ``# fairpost <version> master_seed=<seed>`` line, the header of column
+    ``names``, then ``rows`` (sequences of cell text, quoted by the caller as
+    needed: :func:`csv_cell`) joined by commas, :data:`BLOCK_ROWS` per write."""
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# fairpost {__version__} master_seed={seed}\n{','.join(names)}\n")
+        while block := list(islice(rows, BLOCK_ROWS)):
+            fh.write("\n".join(map(",".join, block)) + "\n")
 
 
 def split_train_test(samples: GroupedSamples, ratio: float = 0.7,

@@ -47,19 +47,18 @@ class PrivacyParams:
 
 
 @dataclass(frozen=True)
-class PrivateGroupDists:
-    """Per-group clipped weights and valid conditional PMFs."""
+class PrivateEstimate:
+    """Step 1's output: each group's private weight and PMF on the k-bin grid of
+    [0, 1], with the raw interval's transform, the group labels, the budget and
+    the integer seed (None for a generator).  Fits post-process it at no cost."""
 
+    grid: Grid
+    transform: AffineTransform
+    groups: tuple
     weights: np.ndarray   # (n_groups,), nonnegative
     pmfs: np.ndarray      # (n_groups, k), rows nonnegative and summing to 1
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.weights)
-
-    @property
-    def k(self) -> int:
-        return self.pmfs.shape[1]
+    epsilon: float
+    seed: int | None
 
 
 def empirical_joint(samples: GroupedSamples, grid: Grid,
@@ -149,14 +148,14 @@ def renormalize_cdf(row: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_private_dists(samples: GroupedSamples, grid: Grid, epsilon: float,
                            rng: np.random.Generator,
-                           transform: AffineTransform = AffineTransform()) -> PrivateGroupDists:
+                           transform: AffineTransform = AffineTransform()
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Full private-estimation pass at budget ``epsilon`` on all
     ``samples.n`` rows: empirical joint (of the scores mapped by
     ``transform`` onto the grid's units), Laplace mechanism, clipped
-    weights, per-group CDF renormalization."""
-    pp = PrivacyParams(epsilon=float(epsilon), n=samples.n)
-    joint = empirical_joint(samples, grid, transform)
-    noisy = privatize_joint(joint, pp, rng)
+    weights, per-group CDF renormalization.  Returns the weights, shape
+    (n_groups,), and the PMFs, shape (n_groups, k)."""
+    noisy = privatize_joint(empirical_joint(samples, grid, transform),
+                            PrivacyParams(epsilon=float(epsilon), n=samples.n), rng)
     weights = group_weights(noisy)
-    _, pmfs = renormalize_cdf(noisy, weights)
-    return PrivateGroupDists(weights=weights, pmfs=pmfs)
+    return weights, renormalize_cdf(noisy, weights)[1]

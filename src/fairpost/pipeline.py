@@ -28,7 +28,7 @@ import numpy as np
 
 from . import barycenter_lp, dp_estimation, transport
 from .data_io import AffineTransform, GroupedSamples, format_floats
-from .dp_estimation import PrivacyParams, PrivateGroupDists
+from .dp_estimation import PrivacyParams, PrivateEstimate
 from .errors import UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 
@@ -201,21 +201,6 @@ class FairPostprocessor:
         log.debug("save: %d bytes in %.3f ms", len(text), _ms_since(start))
 
 
-@dataclass(frozen=True)
-class PrivateEstimate:
-    """Step 1's output: the private per-group distributions on the k-bin grid
-    of [0, 1], the raw interval's transform, the group labels, and the budget
-    and integer seed (None for a generator) they were drawn with.  Any
-    number of fits may post-process one estimate at no further privacy cost."""
-
-    grid: Grid
-    transform: AffineTransform
-    groups: tuple
-    dists: PrivateGroupDists
-    epsilon: float
-    seed: int | None
-
-
 def estimate(samples: GroupedSamples, interval: tuple[float, float], k: int,
              epsilon: float, rng) -> PrivateEstimate:
     """Step 1, the only step that reads rows: the private per-group
@@ -229,16 +214,13 @@ def estimate(samples: GroupedSamples, interval: tuple[float, float], k: int,
     start = time.perf_counter()
     s, t = float(interval[0]), float(interval[1])
     transform = AffineTransform(offset=s, scale=t - s)
-    seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
+    rng = np.random.default_rng(rng)  # a Generator comes back as it is
     grid = make_grid(0.0, 1.0, k)
-    dists = dp_estimation.estimate_private_dists(samples, grid, epsilon, rng, transform)
-    log.debug("step 1 (private estimate, k=%d, epsilon=%g): %.3f ms", k, epsilon,
-              _ms_since(start))
+    weights, pmfs = dp_estimation.estimate_private_dists(samples, grid, epsilon, rng, transform)
+    log.debug("step 1 (private estimate, k=%d, epsilon=%g): %.3f ms", k, epsilon, _ms_since(start))
     return PrivateEstimate(grid=grid, transform=transform, groups=tuple(samples.groups),
-                           dists=dists, epsilon=float(epsilon), seed=seed)
+                           weights=weights, pmfs=pmfs, epsilon=float(epsilon), seed=seed)
 
 
 def fit(est: PrivateEstimate, alpha: float) -> FairPostprocessor:
@@ -246,16 +228,16 @@ def fit(est: PrivateEstimate, alpha: float) -> FairPostprocessor:
     alpha/2 and the transport kernels onto its targets.  No randomness and
     no rows."""
     start = time.perf_counter()
-    lp = barycenter_lp.build_lp(est.dists, est.grid, alpha)
+    lp = barycenter_lp.build_lp(est, alpha)
     sol = barycenter_lp.solve(lp)
     log.debug("step 2 (barycenter, alpha=%g): %.3f ms", alpha, _ms_since(start))
     start = time.perf_counter()
-    kernels = transport.extract_kernels(sol, est.dists)
+    kernels = transport.extract_kernels(sol, est.pmfs)
     log.debug("step 3 (kernels): %.3f ms", _ms_since(start))
     return FairPostprocessor(
         grid=est.grid, groups=est.groups, kernels=kernels,
         alpha=float(alpha), epsilon=est.epsilon, seed=est.seed,
-        weights=est.dists.weights, pmfs=est.dists.pmfs, targets=sol.targets,
+        weights=est.weights, pmfs=est.pmfs, targets=sol.targets,
         barycenter=sol.barycenter, objective=sol.objective, transform=est.transform,
     )
 

@@ -25,17 +25,18 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
-from . import __version__
 from .barycenter_lp import _check_alpha
-from .data_io import DatasetSchema, GroupedSamples, load_csv, split_train_test
-from .dp_estimation import PrivacyParams
+from .data_io import (DatasetSchema, GroupedSamples, csv_cell, load_csv, split_train_test,
+                      write_csv)
+from .dp_estimation import PrivacyParams, PrivateEstimate
 from .grid import make_grid
 from .metrics import mse, statistical_parity_gap
-from .pipeline import FairPostprocessor, PrivateEstimate, estimate, fit
+from .pipeline import FairPostprocessor, estimate, fit
 
 
 @dataclass(frozen=True)
@@ -286,40 +287,37 @@ def lower_envelope(points) -> list[tuple[float, float]]:
     return out
 
 
+# each file's columns are fields of its records: results.csv holds a row's
+# fields up to its status, timings.csv the cell's coordinates and wall times
+_ROW = [f.name for f in fields(SweepRow)]
+_RESULTS, _TIMINGS = _ROW[:9], _ROW[:4] + _ROW[9:]
+_AGGREGATES = [f.name for f in fields(CellAggregate)]
+
+
 def _fmt(x) -> str:
+    """A float as its ``repr``, NaN as an empty cell, a status's commas as ';'."""
     if isinstance(x, float):
         return "" if math.isnan(x) else repr(x)
+    if isinstance(x, str):
+        return csv_cell(x.replace(",", ";"))
     return str(x)
 
 
-def _write_csv(path, master_seed: int, header: str, records) -> None:
-    """A metadata comment line, the header, then one line per record."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fairpost {__version__} master_seed={master_seed}\n{header}\n")
-        fh.writelines(",".join(map(_fmt, rec)) + "\n" for rec in records)
+def _write(path, master_seed: int, names, records) -> None:
+    write_csv(path, master_seed, names, (list(map(_fmt, rec)) for rec in records))
 
 
 def write_results_csv(path, rows: list[SweepRow], master_seed: int) -> None:
-    _write_csv(path, master_seed,
-               "alpha,k,epsilon,seed,mse_raw,mse_norm,delta_sp,lp_objective,status",
-               ((r.alpha, r.k, r.epsilon, r.seed, r.mse_raw, r.mse_norm, r.delta_sp,
-                 r.lp_objective, r.status.replace(",", ";")) for r in rows))
+    _write(path, master_seed, _RESULTS, map(attrgetter(*_RESULTS), rows))
 
 
 def write_timings_csv(path, rows: list[SweepRow], master_seed: int) -> None:
     """Wall-times sidecar; not deterministic, hence not in the results file."""
-    _write_csv(path, master_seed,
-               "alpha,k,epsilon,seed,cell_seconds,estimate_seconds,fit_seconds,score_seconds",
-               ((r.alpha, r.k, r.epsilon, r.seed, r.cell_seconds, r.estimate_seconds,
-                 r.fit_seconds, r.score_seconds) for r in rows))
+    _write(path, master_seed, _TIMINGS, map(attrgetter(*_TIMINGS), rows))
 
 
 def write_aggregates_csv(path, aggs: list[CellAggregate], master_seed: int) -> None:
-    _write_csv(path, master_seed,
-               "alpha,k,epsilon,n_ok,mse_raw_mean,mse_raw_se,mse_norm_mean,"
-               "delta_sp_mean,delta_sp_se",
-               ((a.alpha, a.k, a.epsilon, a.n_ok, a.mse_raw_mean, a.mse_raw_se,
-                 a.mse_norm_mean, a.delta_sp_mean, a.delta_sp_se) for a in aggs))
+    _write(path, master_seed, _AGGREGATES, map(attrgetter(*_AGGREGATES), aggs))
 
 
 def write_envelope_csv(path, aggs: list[CellAggregate], master_seed: int) -> None:
@@ -331,7 +329,7 @@ def write_envelope_csv(path, aggs: list[CellAggregate], master_seed: int) -> Non
                if a.epsilon == eps and a.n_ok > 0 and not math.isnan(a.delta_sp_mean)]
         if pts:
             records += [(eps, d, m) for d, m in lower_envelope(pts)]
-    _write_csv(path, master_seed, "epsilon,delta_sp,mse_raw", records)
+    _write(path, master_seed, ("epsilon", "delta_sp", "mse_raw"), records)
 
 
 def write_outputs(out_dir, rows: list[SweepRow], master_seed: int) -> None:

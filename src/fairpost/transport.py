@@ -10,20 +10,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter_lp import BarycenterSolution
-from .dp_estimation import PrivateGroupDists
 from .grid import Grid
 
 
-def extract_kernels(sol: BarycenterSolution, dists: PrivateGroupDists) -> np.ndarray:
+def extract_kernels(sol: BarycenterSolution, pmfs: np.ndarray) -> np.ndarray:
     """Row j of group a is the coupling row divided by its own sum, so it
-    sums to 1 up to rounding; bins carrying no input mass keep the identity row."""
+    sums to 1 up to rounding; bins carrying no mass under ``pmfs`` keep the identity row."""
     n_groups, k, _ = sol.couplings.shape
-    if dists.n_groups != n_groups or dists.k != k:
-        raise ValueError("solution and distributions disagree on shape")
+    if np.shape(pmfs) != (n_groups, k):
+        raise ValueError("solution and PMFs disagree on shape")
     rows = np.clip(sol.couplings, 0.0, None)
     totals = rows.sum(axis=2, keepdims=True)
     out = np.broadcast_to(np.eye(k), rows.shape).copy()
-    np.divide(rows, totals, out=out, where=(dists.pmfs[:, :, None] > 0.0) & (totals > 0.0))
+    np.divide(rows, totals, out=out, where=(pmfs[:, :, None] > 0.0) & (totals > 0.0))
     return out
 
 

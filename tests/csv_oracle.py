@@ -45,6 +45,9 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
             missing = set(columns) - set(position)
             if missing:
                 raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+            if repeated := [c for c in columns if header.count(c) > 1]:
+                raise DataError(f"{path}: column {repeated[0]!r} appears more than once "
+                                "in the header")
             pick = operator.itemgetter(*(position[c] for c in columns))
             width = 1 + max(position[c] for c in columns)
             for row in reader:

@@ -14,8 +14,10 @@ specification that ``build_lp``'s Q and S columns and the program
 ``barycenter_lp.linprog`` solves are held to.  ``phi_table`` tabulates
 every Phi_n of the separable reduction at every breakpoint, and
 ``table_centers`` reads each gap's cheapest breakpoint off it: the
-reference for ``barycenter_lp``'s bisection.  They live with the tests
-because nothing in the package needs them.
+reference for ``barycenter_lp``'s bisection.  ``dists_from_pmfs`` wraps
+given PMFs and weights in the step-1 record the LP and kernel tests build
+instances from.  They live with the tests because nothing in the package
+needs them.
 """
 
 import math
@@ -26,8 +28,22 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from fairpost.barycenter_lp import _HIGHS_OPTIONS, monotone_coupling
+from fairpost.data_io import AffineTransform
+from fairpost.dp_estimation import PrivateEstimate
 from fairpost.errors import SolverFailure
-from fairpost.grid import Grid
+from fairpost.grid import Grid, make_grid
+
+
+def dists_from_pmfs(pmfs, weights=None) -> PrivateEstimate:
+    """A noiseless estimate of these PMFs on the k-bin grid of [0, 1], with
+    the given group weights (equal ones by default)."""
+    pmfs = np.asarray(pmfs, dtype=float)
+    if weights is None:
+        weights = np.full(len(pmfs), 1.0 / len(pmfs))
+    return PrivateEstimate(grid=make_grid(0, 1, pmfs.shape[1]), transform=AffineTransform(),
+                           groups=tuple(f"g{a}" for a in range(len(pmfs))),
+                           weights=np.asarray(weights, dtype=float), pmfs=pmfs,
+                           epsilon=math.inf, seed=None)
 
 
 def ks_distance(p, q) -> float:

@@ -23,7 +23,7 @@ from fairpost.grid import make_grid
 from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import estimate, fit
 from fairpost.transport import extract_kernels
-from lp_oracles import fixed_target_cost, ks_distance, w2sq_monotone
+from lp_oracles import dists_from_pmfs, fixed_target_cost, ks_distance, w2sq_monotone
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 LAW_SCHOOL_CSV = DATA_DIR / "law_school.csv"
@@ -36,14 +36,6 @@ def report(num, text):
 def random_pmf(rng, k):
     x = rng.random(k) + 1e-3
     return x / x.sum()
-
-
-def dists_from_pmfs(pmfs, weights=None):
-    from fairpost.dp_estimation import PrivateGroupDists
-    pmfs = np.asarray(pmfs, dtype=float)
-    if weights is None:
-        weights = np.full(len(pmfs), 1.0 / len(pmfs))
-    return PrivateGroupDists(weights=np.asarray(weights, dtype=float), pmfs=pmfs)
 
 
 def columnar(rng, group_idx, scores, n_groups):
@@ -173,7 +165,7 @@ def test_criterion_03_lp_correctness():
         k = int(rng.integers(1, 9))
         g = make_grid(0, 1, k)
         p = random_pmf(rng, k)
-        for objective in both_routes(build_lp(dists_from_pmfs([p], [1.0]), g, 0.0)):
+        for objective in both_routes(build_lp(dists_from_pmfs([p], [1.0]), 0.0)):
             assert objective == pytest.approx(w2sq_monotone(p, p, g)[0], abs=1e-7)
 
     # (b) two-group equal-weight instances with on-grid quantile averages
@@ -189,7 +181,7 @@ def test_criterion_03_lp_correctness():
         q = np.zeros(k)
         p[:len(core)] = core
         q[2 * shift:] = core
-        for objective in both_routes(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), g, 0.0)):
+        for objective in both_routes(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), 0.0)):
             assert objective == pytest.approx(0.25 * w2sq_monotone(p, q, g)[0], abs=1e-7)
         checked_b += 1
 
@@ -202,7 +194,7 @@ def test_criterion_03_lp_correctness():
         c = sum(w * w2sq_monotone(p, cand, g3)[0] for p, w in zip(pmfs, weights))
         if c < best_cost:
             best_q, best_cost = cand, c
-    lp3 = build_lp(dists_from_pmfs(pmfs, weights), g3, 0.0)
+    lp3 = build_lp(dists_from_pmfs(pmfs, weights), 0.0)
     sol = solve(lp3)
     assert best_cost == pytest.approx(1 / 9)
     assert np.allclose(best_q, [0, 1, 0])
@@ -230,8 +222,7 @@ def test_criterion_04_feasibility_and_target_fairness():
         if instances % 4 == 0:
             weights[rng.integers(0, n_groups)] = 0.0
         pmfs = [random_pmf(rng, k) for _ in range(n_groups)]
-        g = make_grid(0, 1, k)
-        lp = build_lp(dists_from_pmfs(pmfs, weights), g, alpha)
+        lp = build_lp(dists_from_pmfs(pmfs, weights), alpha)
         sol = solve(lp)  # solve() raises if the solution fails its certificate
         for a in range(n_groups):
             assert np.abs(sol.couplings[a].sum(axis=1) - pmfs[a]).max() <= 1e-6
@@ -319,8 +310,8 @@ def test_criterion_07_noiseless_reduction():
     joint = empirical_joint(samples, g)
     w = group_weights(joint)
     pmfs = joint / w[:, None]
-    ref = solve(build_lp(dists_from_pmfs(pmfs, w), g, alpha))
-    kern = extract_kernels(ref, dists_from_pmfs(pmfs, w))
+    ref = solve(build_lp(dists_from_pmfs(pmfs, w), alpha))
+    kern = extract_kernels(ref, dists_from_pmfs(pmfs, w).pmfs)
     assert model.objective == pytest.approx(ref.objective, abs=1e-12)
     assert np.allclose(model.kernels, kern, atol=1e-12)
     assert np.allclose(model.pmfs, pmfs, atol=1e-12)
@@ -354,8 +345,8 @@ def test_criterion_08_ks_error_scaling():
             samples = GroupedSamples(groups=("g",),
                                      group_idx=np.zeros(n, dtype=np.intp),
                                      scores=g.midpoints[bins])
-            dists = estimate_private_dists(samples, g, eps, rng)
-            total += ks_distance(uniform, dists.pmfs[0])
+            _, pmfs = estimate_private_dists(samples, g, eps, rng)
+            total += ks_distance(uniform, pmfs[0])
         return total / trials
 
     ratio = mean_ks(20000) / mean_ks(80000)

@@ -10,18 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from fairpost import barycenter_lp
 from fairpost.barycenter_lp import build_lp, linprog, monotone_coupling, solve
-from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import SolverFailure
 from fairpost.grid import make_grid
-from lp_oracles import (fixed_target_cost, full_program, ks_distance, phi_table, table_centers,
-                        w2sq_monotone)
-
-
-def dists_from_pmfs(pmfs, weights=None):
-    pmfs = np.asarray(pmfs, dtype=float)
-    if weights is None:
-        weights = np.full(len(pmfs), 1.0 / len(pmfs))
-    return PrivateGroupDists(weights=np.asarray(weights, dtype=float), pmfs=pmfs)
+from lp_oracles import (dists_from_pmfs, fixed_target_cost, full_program, ks_distance, phi_table,
+                        table_centers, w2sq_monotone)
 
 
 def random_pmf(rng, k):
@@ -45,9 +37,8 @@ def enumerate_simplex(k, denominator):
 
 
 def test_variable_and_row_counts():
-    g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]], [0.5, 0.5])
-    lp = build_lp(d, g, 0.1)
+    lp = build_lp(d, 0.1)
     full = full_program(lp)
     # couplings, center running sums Q, target running sums S_a
     assert lp.n_vars == 2 * 9 + 3 + 2 * 3 == 27 == len(full.cost)
@@ -65,9 +56,8 @@ def test_variable_and_row_counts():
 
 
 def test_infinite_alpha_omits_ks_rows():
-    g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]])
-    lp = build_lp(d, g, math.inf)
+    lp = build_lp(d, math.inf)
     full = full_program(lp)
     assert full.a_ub is None and full.b_ub is None
     assert lp.a_ub is None and lp.b_ub is None
@@ -75,9 +65,8 @@ def test_infinite_alpha_omits_ks_rows():
 
 
 def test_zero_alpha_keeps_paired_rows_at_zero():
-    g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1, 0, 0], [0, 0, 1]])
-    lp = build_lp(d, g, 0.0)
+    lp = build_lp(d, 0.0)
     full = full_program(lp)
     assert full.a_ub.shape[0] == 12 + 2
     assert (full.b_ub == 0).all()
@@ -85,14 +74,13 @@ def test_zero_alpha_keeps_paired_rows_at_zero():
 
 
 def test_negative_alpha_rejected():
-    g = make_grid(0, 1, 2)
     with pytest.raises(ValueError):
-        build_lp(dists_from_pmfs([[1, 0]]), g, -0.1)
+        build_lp(dists_from_pmfs([[1, 0]]), -0.1)
 
 
 def test_nan_alpha_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        build_lp(dists_from_pmfs([[1, 0]]), make_grid(0, 1, 2), math.nan)
+        build_lp(dists_from_pmfs([[1, 0]]), math.nan)
 
 
 # ---------------------------------------------------------------------- solve
@@ -105,7 +93,7 @@ def test_opposed_point_masses_exact_barycenter():
     g = make_grid(0, 1, 3)
     pmfs = np.array([[1.0, 0, 0], [0, 0, 1.0]])
     weights = np.array([0.5, 0.5])
-    sol = solve(build_lp(dists_from_pmfs(pmfs, weights), g, 0.0))
+    sol = solve(build_lp(dists_from_pmfs(pmfs, weights), 0.0))
 
     best_q, best_cost = None, np.inf
     for q in enumerate_simplex(3, 8):
@@ -120,33 +108,30 @@ def test_opposed_point_masses_exact_barycenter():
 
 
 def test_identical_groups_zero_objective_identity_couplings():
-    g = make_grid(0, 1, 4)
     p = np.array([0.1, 0.4, 0.3, 0.2])
     for alpha in (0.0, 0.2, math.inf):
-        sol = solve(build_lp(dists_from_pmfs([p, p]), g, alpha))
+        sol = solve(build_lp(dists_from_pmfs([p, p]), alpha))
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(sol.targets, [p, p], atol=1e-9)
         for a in range(2):
             assert np.allclose(sol.couplings[a], np.diag(p), atol=1e-9)
     # the center itself is pinned only when the KS ball has zero radius
-    sol0 = solve(build_lp(dists_from_pmfs([p, p]), g, 0.0))
+    sol0 = solve(build_lp(dists_from_pmfs([p, p]), 0.0))
     assert np.allclose(sol0.barycenter, p, atol=1e-9)
 
 
 def test_alpha_two_never_binds():
     rng = np.random.default_rng(0)
-    g = make_grid(0, 1, 5)
     pmfs = [random_pmf(rng, 5) for _ in range(3)]
-    sol = solve(build_lp(dists_from_pmfs(pmfs), g, 2.0))
+    sol = solve(build_lp(dists_from_pmfs(pmfs), 2.0))
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(sol.targets, pmfs, atol=1e-7)
 
 
 def test_infinite_alpha_short_circuit():
     rng = np.random.default_rng(1)
-    g = make_grid(0, 1, 4)
     pmfs = [random_pmf(rng, 4) for _ in range(3)]
-    sol = solve(build_lp(dists_from_pmfs(pmfs), g, math.inf))
+    sol = solve(build_lp(dists_from_pmfs(pmfs), math.inf))
     assert sol.objective == 0.0
     assert np.allclose(sol.targets, pmfs)
     for a in range(3):
@@ -193,9 +178,8 @@ def test_single_group_alpha_zero_matches_oracle():
     rng = np.random.default_rng(3)
     for _ in range(20):
         k = int(rng.integers(1, 9))
-        g = make_grid(0, 1, k)
         p = random_pmf(rng, k)
-        sol = solve(build_lp(dists_from_pmfs([p], [1.0]), g, 0.0))
+        sol = solve(build_lp(dists_from_pmfs([p], [1.0]), 0.0))
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(sol.targets[0], p, atol=1e-7)
 
@@ -220,7 +204,7 @@ def test_two_group_quantile_average_barycenter():
             continue
         g = make_grid(0, 1, k)
         p, q = shifted_pair(rng, k, shift)
-        sol = solve(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), g, 0.0))
+        sol = solve(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), 0.0))
         w2, _ = w2sq_monotone(p, q, g)
         assert sol.objective == pytest.approx(0.25 * w2, abs=1e-7)
 
@@ -229,7 +213,7 @@ def test_two_group_point_mass_quantile_average():
     g = make_grid(0, 1, 5)
     p = np.array([0.0, 1.0, 0, 0, 0])
     q = np.array([0.0, 0, 0, 1.0, 0])  # indices 1 and 3 average to 2
-    sol = solve(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), g, 0.0))
+    sol = solve(build_lp(dists_from_pmfs([p, q], [0.5, 0.5]), 0.0))
     w2, _ = w2sq_monotone(p, q, g)
     assert sol.objective == pytest.approx(0.25 * w2, abs=1e-9)
     assert np.allclose(sol.barycenter, [0, 0, 1, 0, 0], atol=1e-9)
@@ -273,8 +257,7 @@ def test_random_instances_feasible_fair_and_monotone():
         if trial % 5 == 0 and n_groups > 1:
             weights[0] = 0.0  # zero-weight groups stay in the program
         pmfs = [random_pmf(rng, k) for _ in range(n_groups)]
-        g = make_grid(0, 1, k)
-        lp = build_lp(dists_from_pmfs(pmfs, weights), g, alpha)
+        lp = build_lp(dists_from_pmfs(pmfs, weights), alpha)
         sol = solve(lp)
         assert_solution_invariants(lp, sol, alpha)
         for a in range(n_groups):
@@ -283,11 +266,10 @@ def test_random_instances_feasible_fair_and_monotone():
 
 def test_objective_monotone_in_alpha():
     rng = np.random.default_rng(5)
-    g = make_grid(0, 1, 6)
     pmfs = [random_pmf(rng, 6) for _ in range(3)]
     d = dists_from_pmfs(pmfs)
     alphas = [0.0, 0.05, 0.1, 0.3, 0.7, 2.0]
-    objectives = [solve(build_lp(d, g, a)).objective for a in alphas]
+    objectives = [solve(build_lp(d, a)).objective for a in alphas]
     for lo, hi in zip(objectives[1:], objectives[:-1]):
         assert lo <= hi + 1e-8
 
@@ -297,7 +279,7 @@ def test_objective_monotone_in_alpha():
 def test_infinite_alpha_couplings_are_exact_diagonals():
     rng = np.random.default_rng(3)
     pmfs = [random_pmf(rng, 6) for _ in range(3)]
-    sol = solve(build_lp(dists_from_pmfs(pmfs), make_grid(0, 1, 6), math.inf))
+    sol = solve(build_lp(dists_from_pmfs(pmfs), math.inf))
     for a in range(3):
         assert np.array_equal(sol.couplings[a], np.diag(pmfs[a]))
 
@@ -335,7 +317,7 @@ def lp_instances(draw, alphas=(0.0, 0.01, 0.05, 0.2, 2.0), max_k=40):
         drop = draw(st.lists(st.booleans(), min_size=n_groups, max_size=n_groups))
         weights = np.where(drop, 0.0, draw(st.permutations(FREE_WEIGHTS))[:n_groups])
     alpha = draw(st.sampled_from(alphas))
-    return build_lp(dists_from_pmfs(pmfs, weights), make_grid(0, 1, k), alpha)
+    return build_lp(dists_from_pmfs(pmfs, weights), alpha)
 
 
 def same_csr(got, want):
@@ -501,7 +483,7 @@ def test_bisection_picks_the_lowest_minimizer_of_a_flat_phi(weights):
     """With equal weights and alpha = 0, Phi_0(x) = (|0.2 - x| + |0.8 - x|) / 8
     is flat on [0.2, 0.8], and with zero weights flat everywhere: the center
     is the flat stretch's lowest breakpoint, 0.2."""
-    lp = build_lp(dists_from_pmfs([[0.2, 0.8], [0.8, 0.2]], weights), make_grid(0, 1, 2), 0.0)
+    lp = build_lp(dists_from_pmfs([[0.2, 0.8], [0.8, 0.2]], weights), 0.0)
     x, picks = barycenter_lp._bisect(lp, np.cumsum(lp.pmfs, axis=1)[:, :-1])
     assert x.tolist() == [0.2, 0.8] and picks.tolist() == [0]
     assert solve(lp).targets.tolist() == [[0.2, 0.8], [0.2, 0.8]]
@@ -526,7 +508,7 @@ def certified_instance():
     first three in increasing order."""
     rng = np.random.default_rng(12)
     pmfs = [random_pmf(rng, 10) for _ in range(3)]
-    return build_lp(dists_from_pmfs(pmfs, [0.5, 0.3, 0.2]), make_grid(0, 1, 10), 0.05)
+    return build_lp(dists_from_pmfs(pmfs, [0.5, 0.3, 0.2]), 0.05)
 
 
 def swap_first_blocks(table, picks):
@@ -581,8 +563,7 @@ def test_certificate_refuses_a_non_optimal_isotonic_solution(monkeypatch, corrup
 
 def test_solve_logs_its_clip_count(caplog):
     rng = np.random.default_rng(14)
-    lp = build_lp(dists_from_pmfs([random_pmf(rng, 9) for _ in range(2)]),
-                  make_grid(0, 1, 9), 0.05)
+    lp = build_lp(dists_from_pmfs([random_pmf(rng, 9) for _ in range(2)]), 0.05)
     with caplog.at_level(logging.DEBUG, logger="fairpost.barycenter_lp"):
         sol = solve(lp)
     [record] = [r for r in caplog.records if r.name == "fairpost.barycenter_lp"]

@@ -218,6 +218,69 @@ def test_sweep_schema_dict_errors_are_config_errors(tmp_path, data):
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("extra, shown", [
+    pytest.param({"seed": 3}, "unknown config key(s) 'seed'", id="seed"),
+    pytest.param({"split-ratio": 0.5, "seed": 3}, "unknown config key(s) 'seed', 'split-ratio'",
+                 id="two_keys"),
+    pytest.param({"schema": {"delimeter": ";"}}, "unknown schema key(s) 'delimeter'",
+                 id="schema_key"),
+])
+def test_unknown_sweep_config_keys_are_config_errors(tmp_path, data, capsys, extra, shown):
+    """A misspelt key would otherwise run the default in its place."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(data), "alphas": [0.1], "ks": [2],
+                               "epsilons": ["inf"], "seeds": 1, **extra}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: config {cfg}: {shown}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_schema_keys_are_config_errors_and_normalization_is_ignored(tmp_path, data,
+                                                                           model, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"delimeter": ";", "normalization": "none"}))
+    out = tmp_path / "out"
+    for argv in (["fit", "--data", str(data), "--k", "2", "--alpha", "0.1", "--epsilon", "inf"],
+                 ["apply", "--model", str(model), "--data", str(data)],
+                 ["evaluate", "--model", str(model), "--data", str(data)]):
+        assert main([*argv, "--schema", str(schema), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: schema {schema}: "
+                                           "unknown schema key(s) 'delimeter'\n")
+        assert not out.exists()
+    # the legacy key alone is accepted, in a schema file and in a sweep config
+    schema.write_text(json.dumps({"normalization": "none"}))
+    assert main(["apply", "--model", str(model), "--data", str(data), "--schema", str(schema),
+                 "--out", str(out)]) == 0
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(data), "schema": {"normalization": "none"},
+                               "alphas": [0.1], "ks": [2], "epsilons": ["inf"], "seeds": 1}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("header, command", [
+    ("group,score,score", "apply"), ("group,group,score", "apply"),
+    ("group,score,label,label", "evaluate"),
+])
+def test_a_column_read_twice_in_the_header_is_a_data_error(tmp_path, data, model, capsys,
+                                                            header, command):
+    repeated = header.split(",")[-1] if header.count("group") == 1 else "group"
+    path = tmp_path / "repeated.csv"
+    path.write_text(header + "\n" + "A,0.5,0.5,0.5\n" * 3)
+    out = tmp_path / "out"
+    assert main([command, "--model", str(model), "--data", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"data error: {path}: column {repeated!r} appears more "
+                                       "than once in the header\n")
+    assert not out.exists()
+
+
+def test_a_repeated_column_that_is_not_read_is_allowed(tmp_path, model):
+    """apply reads no labels, so a repeated label column does not stop it."""
+    path = tmp_path / "labels.csv"
+    path.write_text("group,score,label,label,note,note\n" + "A,0.5,x,y,,\n" * 3)
+    assert main(["apply", "--model", str(model), "--data", str(path),
+                 "--out", str(tmp_path / "p.csv")]) == 0
+
+
 @pytest.mark.parametrize("path", [["x"], 0, None], ids=["list", "zero", "null"])
 def test_sweep_data_that_is_not_a_string_is_a_config_error(tmp_path, capsys, path):
     """A list would escape as a TypeError, and 0 would read standard input."""

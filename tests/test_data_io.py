@@ -361,6 +361,23 @@ def test_bad_cell_first_and_last_in_a_block(tmp_path, where, cell, column):
     assert got[0] == "error" and repr(cell) in got[1]
 
 
+@pytest.mark.parametrize("header", ["group,score,score,label", "group,score,label,group",
+                                    "label,group,score,label", "group,score,label,note,note",
+                                    "group,score,note,label,score"])
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_repeated_header_columns_match_the_oracle(tmp_path, header, schema):
+    """A column that load_csv reads may not repeat; one it does not read may."""
+    path = write(tmp_path, header + "\n" + "A,0.5,0.25,0.75,0.5\n" * 2)
+    got, _ = assert_same_as_oracle(path, DatasetSchema(**SCHEMAS[schema]))
+    names = header.split(",")
+    read = {"canonical": {"group", "score", "label"}, "no label": {"group", "score"},
+            "label as score": {"group", "label"}}[schema]
+    repeated = [c for c in names if names.count(c) > 1 and c in read]
+    assert got[0] == ("error" if repeated else "ok")
+    if repeated:
+        assert got[1].endswith(f"column {repeated[0]!r} appears more than once in the header")
+
+
 OVERSIZE = "A,0." + "1" * 200_000 + ",0.5\n"  # over the csv module's field limit
 
 

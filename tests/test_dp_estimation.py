@@ -242,9 +242,10 @@ def test_fast_isotonic_matches_literal_argmax(values):
 
 def test_estimate_noiseless_single_group():
     s = GroupedSamples.from_rows([("A", 0.5), ("A", 0.45)])
-    dists = estimate_private_dists(s, make_grid(0, 1, 3), math.inf, np.random.default_rng(0))
-    assert np.allclose(dists.pmfs, [[0, 1, 0]])
-    assert dists.weights[0] == pytest.approx(1.0)
+    weights, pmfs = estimate_private_dists(s, make_grid(0, 1, 3), math.inf,
+                                           np.random.default_rng(0))
+    assert np.allclose(pmfs, [[0, 1, 0]])
+    assert weights[0] == pytest.approx(1.0)
 
 
 def test_estimate_refuses_nan_scores_by_row():
@@ -261,22 +262,22 @@ def test_estimate_noiseless_matches_empirical_conditionals():
            [("B", float(v)) for v in rng.random(25)]
     s = GroupedSamples.from_rows(rows)
     g = make_grid(0, 1, 6)
-    dists = estimate_private_dists(s, g, math.inf, np.random.default_rng(0))
+    weights, pmfs = estimate_private_dists(s, g, math.inf, np.random.default_rng(0))
     joint = empirical_joint(s, g)
     for a in range(2):
         w = joint[a].sum()
-        assert dists.weights[a] == pytest.approx(w, abs=1e-15)
-        assert np.allclose(dists.pmfs[a], joint[a] / w, atol=1e-12)
+        assert weights[a] == pytest.approx(w, abs=1e-15)
+        assert np.allclose(pmfs[a], joint[a] / w, atol=1e-12)
 
 
 def test_estimate_deterministic_bit_exact():
     rows = [("A", 0.1), ("A", 0.7), ("B", 0.4), ("B", 0.2)]
     s = GroupedSamples.from_rows(rows)
     g = make_grid(0, 1, 5)
-    d1 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
-    d2 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
-    assert np.array_equal(d1.pmfs, d2.pmfs)
-    assert np.array_equal(d1.weights, d2.weights)
+    w1, p1 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
+    w2, p2 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(w1, w2)
 
 
 @settings(deadline=None)
@@ -289,7 +290,7 @@ def test_estimate_output_always_valid(seed):
     s = GroupedSamples.from_rows(rows)
     g = make_grid(0, 1, int(rng.integers(1, 9)))
     eps = float(rng.choice([0.1, 1.0, math.inf]))
-    dists = estimate_private_dists(s, g, eps, np.random.default_rng(seed + 1))
-    assert (dists.weights >= 0).all()
-    assert (dists.pmfs >= 0).all()
-    assert np.abs(dists.pmfs.sum(axis=1) - 1.0).max() <= 1e-9
+    weights, pmfs = estimate_private_dists(s, g, eps, np.random.default_rng(seed + 1))
+    assert (weights >= 0).all()
+    assert (pmfs >= 0).all()
+    assert np.abs(pmfs.sum(axis=1) - 1.0).max() <= 1e-9

@@ -18,7 +18,6 @@ import fairpost.metrics
 import fairpost.pipeline
 import fairpost.transport
 from fairpost.data_io import AffineTransform, GroupedSamples
-from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.errors import UnknownGroupError
 from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import FairPostprocessor, estimate, fit, load
@@ -462,10 +461,8 @@ def test_static_audit_only_estimation_touches_raw_values():
 def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
     """With the estimation step stubbed out, fit never needs real scores."""
     k = 4
-    canned = PrivateGroupDists(
-        weights=np.array([0.5, 0.5]),
-        pmfs=np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]]),
-    )
+    canned = (np.array([0.5, 0.5]),  # the weights and PMFs step 1 returns
+              np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]]))
     calls = {}
 
     def stub(samples, grid, epsilon, rng, transform):

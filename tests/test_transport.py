@@ -7,16 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from bin_oracles import full_row_draws
 from fairpost.barycenter_lp import build_lp, solve
-from fairpost.dp_estimation import PrivateGroupDists
 from fairpost.grid import make_grid
 from fairpost.transport import extract_kernels, row_bands, row_means, sample_bins
-
-
-def dists_from_pmfs(pmfs, weights=None):
-    pmfs = np.asarray(pmfs, dtype=float)
-    if weights is None:
-        weights = np.full(len(pmfs), 1.0 / len(pmfs))
-    return PrivateGroupDists(weights=np.asarray(weights, dtype=float), pmfs=pmfs)
+from lp_oracles import dists_from_pmfs
 
 
 def random_pmf(rng, k):
@@ -28,12 +21,12 @@ def solved_example():
     """The opposed-point-mass instance with the 1/9 optimum."""
     g = make_grid(0, 1, 3)
     d = dists_from_pmfs([[1.0, 0, 0], [0, 0, 1.0]], [0.5, 0.5])
-    return g, d, solve(build_lp(d, g, 0.0))
+    return g, d, solve(build_lp(d, 0.0))
 
 
 def test_kernel_rows_from_lp_example():
     _, d, sol = solved_example()
-    kern = extract_kernels(sol, d)
+    kern = extract_kernels(sol, d.pmfs)
     assert np.allclose(kern[0, 0], [0, 1, 0])
     assert np.allclose(kern[0, 1], [0, 1, 0])  # zero-mass bin: identity
     assert np.allclose(kern[0, 2], [0, 0, 1])
@@ -42,20 +35,18 @@ def test_kernel_rows_from_lp_example():
 
 def test_identity_couplings_give_identity_kernels():
     rng = np.random.default_rng(2)
-    g = make_grid(0, 1, 4)
     d = dists_from_pmfs([random_pmf(rng, 4), random_pmf(rng, 4)])
-    kern = extract_kernels(solve(build_lp(d, g, math.inf)), d)
+    kern = extract_kernels(solve(build_lp(d, math.inf)), d.pmfs)
     for a in range(2):
         assert np.allclose(kern[a], np.eye(4))
 
 
 def test_zero_mass_bins_always_identity_rows():
     rng = np.random.default_rng(4)
-    g = make_grid(0, 1, 5)
     p = np.array([0.5, 0.0, 0.0, 0.0, 0.5])
     q = random_pmf(rng, 5)
     d = dists_from_pmfs([p, q])
-    kern = extract_kernels(solve(build_lp(d, g, 0.2)), d)
+    kern = extract_kernels(solve(build_lp(d, 0.2)), d.pmfs)
     for j in (1, 2, 3):
         row = np.zeros(5)
         row[j] = 1.0
@@ -70,8 +61,7 @@ def test_rows_always_stochastic():
         alpha = float(rng.choice([0.0, 0.1, 0.5, math.inf]))
         d = dists_from_pmfs([random_pmf(rng, k) for _ in range(n_groups)],
                             rng.random(n_groups))
-        g = make_grid(0, 1, k)
-        kern = extract_kernels(solve(build_lp(d, g, alpha)), d)
+        kern = extract_kernels(solve(build_lp(d, alpha)), d.pmfs)
         sums = kern.sum(axis=2)
         assert (kern >= 0).all()
         assert np.abs(sums - 1.0).max() <= 1e-9
@@ -84,9 +74,8 @@ def test_push_forward_reaches_targets():
         n_groups = int(rng.integers(1, 4))
         alpha = float(rng.choice([0.0, 0.15, math.inf]))
         d = dists_from_pmfs([random_pmf(rng, k) for _ in range(n_groups)])
-        g = make_grid(0, 1, k)
-        sol = solve(build_lp(d, g, alpha))
-        kern = extract_kernels(sol, d)
+        sol = solve(build_lp(d, alpha))
+        kern = extract_kernels(sol, d.pmfs)
         for a in range(n_groups):
             got = d.pmfs[a] @ kern[a]
             assert np.abs(got - sol.targets[a]).max() <= 1e-9
@@ -94,15 +83,14 @@ def test_push_forward_reaches_targets():
 
 def test_push_forward_identity_kernel():
     d = dists_from_pmfs([[0.3, 0.7]])
-    g = make_grid(0, 1, 2)
-    kern = extract_kernels(solve(build_lp(d, g, math.inf)), d)
+    kern = extract_kernels(solve(build_lp(d, math.inf)), d.pmfs)
     p = np.array([0.6, 0.4])
     assert np.allclose(p @ kern[0], p)
 
 
 def test_push_forward_point_mass_reads_row():
     _, d, sol = solved_example()
-    kern = extract_kernels(sol, d)
+    kern = extract_kernels(sol, d.pmfs)
     p = np.zeros(3)
     p[0] = 1.0
     assert np.allclose(p @ kern[0], kern[0, 0])
@@ -116,13 +104,13 @@ def draw_bins(kern, a, j, u):
 
 def test_sample_bins_identity_row():
     _, d, sol = solved_example()
-    kern = extract_kernels(sol, d)
+    kern = extract_kernels(sol, d.pmfs)
     assert (draw_bins(kern, 0, 1, np.random.default_rng(0).random(20)) == 1).all()
 
 
 def test_sample_bins_deterministic_row():
     _, d, sol = solved_example()
-    kern = extract_kernels(sol, d)  # row 0 of group 0 is (0, 1, 0)
+    kern = extract_kernels(sol, d.pmfs)  # row 0 of group 0 is (0, 1, 0)
     assert (draw_bins(kern, 0, 0, np.random.default_rng(0).random(20)) == 1).all()
 
 
@@ -188,7 +176,7 @@ def test_sample_bins_on_fitted_kernels_equals_the_full_row_count():
         pmfs = [p / p.sum() if p.sum() > 0 else np.eye(k)[-1] for p in pmfs]
         d = dists_from_pmfs(pmfs)
         for alpha in (0.0, 0.05, math.inf):
-            kern = extract_kernels(solve(build_lp(d, make_grid(0, 1, k), alpha)), d)
+            kern = extract_kernels(solve(build_lp(d, alpha)), d.pmfs)
             bands = row_bands(kern)
             assert len(bands.cdf) <= k
             a, j, u = sampler_cases(rng, kern, 300)
@@ -222,9 +210,8 @@ def test_kernel_row_cdfs_are_ordered_on_mass_bearing_rows():
     for _ in range(10):
         k = int(rng.integers(2, 8))
         d = dists_from_pmfs([random_pmf(rng, k) for _ in range(2)])
-        g = make_grid(0, 1, k)
-        sol = solve(build_lp(d, g, float(rng.choice([0.0, 0.2]))))
-        kern = extract_kernels(sol, d)
+        sol = solve(build_lp(d, float(rng.choice([0.0, 0.2]))))
+        kern = extract_kernels(sol, d.pmfs)
         for a in range(2):
             mass_rows = [j for j in range(k) if d.pmfs[a][j] > 0]
             cdfs = np.cumsum(kern[a], axis=1)
@@ -260,13 +247,13 @@ def test_extract_kernels_matches_per_row_loop_bit_for_bit(n_groups, k, seed):
     couplings += rng.normal(0.0, 1e-12, couplings.shape)  # solver dust, some negative
     couplings[rng.random((n_groups, k)) < 0.1] = -1e-13  # rows clipped to zero
     sol = SimpleNamespace(couplings=couplings)
-    kern = extract_kernels(sol, dists_from_pmfs(pmfs))
+    kern = extract_kernels(sol, dists_from_pmfs(pmfs).pmfs)
     assert np.array_equal(kern, extract_kernels_loop(couplings, pmfs))
 
 
 def test_row_means_barycentric_projection():
     _, d, sol = solved_example()
-    kern = extract_kernels(sol, d)
+    kern = extract_kernels(sol, d.pmfs)
     g = make_grid(0, 1, 3)
     means = row_means(kern, g)
     assert means[0, 0] == pytest.approx(0.5)   # row (0,1,0) -> v_2

@@ -1,20 +1,27 @@
 """The block writers spell every value exactly as the per-value reference:
 ``f"{g},{y},{p!r}"`` per row for ``apply``, with ``y`` the score's cell
-text as read, and ``format(x, ".17g")`` per entry for the model document."""
+text as read, and ``format(x, ".17g")`` per entry for the model document.
+Every CSV file that ``write_csv`` writes reads back through ``csv.reader``
+to its header and cells."""
 
 import csv
 import io
+import itertools
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairpost import __version__
-from fairpost.cli import _write_predictions, main
-from fairpost.data_io import BLOCK_ROWS, DatasetSchema, GroupedSamples, format_floats, load_csv
+from fairpost.cli import main
+from fairpost.data_io import (BLOCK_ROWS, DatasetSchema, GroupedSamples, csv_cell, format_floats,
+                              load_csv, write_csv)
 from fairpost.pipeline import estimate, fit, load
+from fairpost.sweep import SweepRow, aggregate, lower_envelope, write_outputs
 
 
 def reference_apply(groups, score_text, preds, seed) -> str:
@@ -45,9 +52,109 @@ def test_apply_writer_matches_per_row_reference(n, pool, seed):
     samples = GroupedSamples(groups=("A", "b c", "é"), group_idx=rng.integers(0, 3, n),
                              scores=scores, score_text=np.array(text, dtype=object))
     preds = pool[rng.integers(0, len(pool), n)]
-    buf = io.StringIO()
-    _write_predictions(buf, samples, preds, seed)
-    assert buf.getvalue() == reference_apply(group_labels(samples), text, preds.tolist(), seed)
+    # the rows as apply builds them
+    labels = list(map(csv_cell, samples.groups))
+    rows = zip(map(labels.__getitem__, samples.group_idx.tolist()), samples.score_text,
+               format_floats(preds))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "predictions.csv")
+        write_csv(path, seed, ("group", "score", "prediction"), rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            written = fh.read()
+    assert written == reference_apply(group_labels(samples), text, preds.tolist(), seed)
+
+
+def read_back(path) -> tuple[str, list, list]:
+    """A written file's metadata line, header and rows, through csv.reader."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        meta = fh.readline()
+        header, *rows = csv.reader(fh)
+    return meta, header, rows
+
+
+# labels as load_csv reads them: nonempty, stripped, and any of them may
+# hold the delimiter, a quote or a line break
+LABEL = st.text(st.sampled_from('aB é,"\n\r;'), min_size=1, max_size=6).map(str.strip).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(LABEL, min_size=1, max_size=4, unique=True), st.integers(1, 30),
+       st.integers(0, 2**32 - 1))
+def test_apply_output_reads_back_to_its_labels_and_cells(labels, n, seed):
+    rng = np.random.default_rng(seed)
+    groups = [labels[i % len(labels)] for i in range(n)]
+    cells = [repr(y) for y in rng.random(n).tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model, out = (os.path.join(tmp, name) for name in ("d.csv", "m.json", "p.csv"))
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([("group", "score"), *zip(groups, cells)])
+        assert main(["fit", "--data", data, "--k", "3", "--alpha", "0.1", "--epsilon", "inf",
+                     "--out", model]) == 0
+        assert main(["apply", "--model", model, "--data", data, "--seed", str(seed % 1000),
+                     "--out", out]) == 0
+        meta, header, rows = read_back(out)
+    assert meta == f"# fairpost {__version__} master_seed={seed % 1000}\n"
+    assert header == ["group", "score", "prediction"]
+    assert [row[:2] for row in rows] == [list(pair) for pair in zip(groups, cells)]
+    assert all(len(row) == 3 and float(row[2]) in (1 / 6, 0.5, 5 / 6) for row in rows)
+
+
+def cell(x) -> str:
+    """A sweep cell as written: NaN empty, a float its repr, a status's commas as ';'."""
+    if isinstance(x, float):
+        return "" if math.isnan(x) else repr(x)
+    return x.replace(",", ";") if isinstance(x, str) else str(x)
+
+
+FIGURE = st.one_of(st.just(math.nan), st.floats(0, 2))
+STATUS = st.one_of(st.just("ok"), st.text(st.sampled_from('xE:,"\n\r '), max_size=8)
+                   .map(lambda text: "error:ValueError: " + text))
+
+
+@st.composite
+def sweep_rows(draw):
+    """Rows of a small grid, some of them failed, with NaN and finite cells."""
+    rows = []
+    for alpha, k, eps, seed in itertools.product([0.0, math.inf], [2, 3], [1.0, math.inf],
+                                                 range(draw(st.integers(1, 2)))):
+        figures = [draw(FIGURE) for _ in range(4)]
+        rows.append(SweepRow(alpha, k, eps, seed, *figures, draw(STATUS),
+                             *[draw(st.floats(0, 1)) for _ in range(4)]))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_rows(), st.integers(0, 99))
+def test_sweep_files_read_back_to_their_headers_and_cells(rows, master_seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_outputs(tmp, rows, master_seed)
+        files = {name: read_back(os.path.join(tmp, f"{name}.csv"))
+                 for name in ("results", "aggregates", "envelope", "timings")}
+    aggs = aggregate(rows)
+    envelope = []
+    for eps in (1.0, math.inf):
+        points = [(a.delta_sp_mean, a.mse_raw_mean) for a in aggs
+                  if a.epsilon == eps and a.n_ok > 0 and not math.isnan(a.delta_sp_mean)]
+        envelope += [(eps, d, m) for d, m in (lower_envelope(points) if points else [])]
+    expected = {
+        "results": ("alpha,k,epsilon,seed,mse_raw,mse_norm,delta_sp,lp_objective,status",
+                    [(r.alpha, r.k, r.epsilon, r.seed, r.mse_raw, r.mse_norm, r.delta_sp,
+                      r.lp_objective, r.status) for r in rows]),
+        "aggregates": ("alpha,k,epsilon,n_ok,mse_raw_mean,mse_raw_se,mse_norm_mean,"
+                       "delta_sp_mean,delta_sp_se",
+                       [(a.alpha, a.k, a.epsilon, a.n_ok, a.mse_raw_mean, a.mse_raw_se,
+                         a.mse_norm_mean, a.delta_sp_mean, a.delta_sp_se) for a in aggs]),
+        "envelope": ("epsilon,delta_sp,mse_raw", envelope),
+        "timings": ("alpha,k,epsilon,seed,cell_seconds,estimate_seconds,fit_seconds,"
+                    "score_seconds",
+                    [(r.alpha, r.k, r.epsilon, r.seed, r.cell_seconds, r.estimate_seconds,
+                      r.fit_seconds, r.score_seconds) for r in rows]),
+    }
+    for name, (header, records) in expected.items():
+        meta, got_header, got_rows = files[name]
+        assert meta == f"# fairpost {__version__} master_seed={master_seed}\n"
+        assert got_header == header.split(",")
+        assert got_rows == [[cell(x) for x in rec] for rec in records]
 
 
 IDENTITY = DatasetSchema()
