@@ -8,20 +8,23 @@ canonical layout (or any layout described by a :class:`DatasetSchema`).
 Columns are returned in the units they were read in; a fitted model maps
 them onto its unit grid with the :class:`AffineTransform` it stores.
 
-Text I/O works on blocks of rows, not on one row at a time.
-:func:`load_csv` takes rows from ``csv.reader`` in blocks and checks,
-parses and indexes each block column by column; the rows of a block that
-fails a check are walked again one by one only to name its first bad row.
-Each numeric cell is stripped once, and the stripped text of the score
-cells is kept beside the parsed scores, so that ``apply`` writes every
-score as it was read without formatting a float.  :func:`write_csv` writes
-every CSV file the commands produce, and :func:`format_floats` renders a
-float column for it with one call of the formatter per distinct value.
+Text I/O works on blocks, not on one row at a time.  :func:`load_csv`
+reads the file once as bytes and splits a regular one a block of lines at
+a time on its line breaks and delimiter (:func:`_split_regular`); any
+other, and so every file with an error, goes to ``csv.reader``, whose rows
+are checked, parsed and indexed a block at a time, and the rows of a block
+that fails a check are walked again one by one only to name its first bad
+row.  The stripped text of the score cells is kept beside the parsed
+scores, so that ``apply`` writes every score as it was read without
+formatting a float.  :func:`write_csv` writes every CSV file the commands
+produce, and :func:`format_floats` renders a float column for it with one
+call of the formatter per distinct value.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import operator
@@ -42,6 +45,10 @@ log = logging.getLogger(__name__)
 # block die young: thousands of live ones make the cyclic collector run full
 # collections in a process that has imported numpy.
 BLOCK_ROWS = 512
+# Bytes per block when splitting a regular file: its cells are the largest transient.
+BLOCK_BYTES = 1 << 16
+# A quote, a NUL, and what str.strip removes but the line break: none is in a regular file.
+_IRREGULAR = (b'"', b"\0", *(bytes([c]) for c in range(128) if chr(c).isspace() and c != 10))
 
 
 @dataclass(frozen=True)
@@ -168,11 +175,12 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     unparseable or non-finite cells, a file that is not UTF-8 CSV, or an
     empty result.
 
-    Rows are taken from ``csv.reader`` in blocks of :data:`BLOCK_ROWS`, and
-    each check runs over a whole column of a block.  The parsed rows of a
-    block that fails a check are walked again one by one, so the error
-    names the same physical line and cell as a row-at-a-time parser would.
-    The file is read once, so a pipe works as well as a regular file.
+    Unless :func:`_split_regular` splits the file, rows are taken from
+    ``csv.reader`` in blocks of :data:`BLOCK_ROWS`, and each check runs over
+    a whole column of a block.  The parsed rows of a block that fails a
+    check are walked again one by one, so the error names the same physical
+    line and cell as a row-at-a-time parser would.  The file is read once,
+    so a pipe works as well as a regular file.
     """
     score_col = schema.score_col if schema.score_col is not None else schema.label_col
     # the group column, then each numeric column once: a label column that
@@ -180,47 +188,48 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     columns = list(dict.fromkeys(c for c in (schema.group_col, score_col, schema.label_col)
                                  if c is not None))
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    index: dict = {}
-    gi = array("q")
-    values = [array("d") for _ in columns[1:]]
-    score_text: list = []
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                        delimiter=schema.delimiter)
+    try:
+        header = next(reader, None)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+    if header is None:
+        raise DataError(f"{path}: empty file (no header row)")
+    position = {name: i for i, name in enumerate(header)}
+    missing = set(columns) - set(position)
+    if missing:
+        raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+    if repeated := [c for c in columns if header.count(c) > 1]:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+    regular = _split_regular(data, schema.delimiter, len(header), [position[c] for c in columns])
+    index, gi, values, score_text = regular or (
+        {}, array("q"), [array("d") for _ in columns[1:]], [])
     rejected = 0
-    with fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+    getters = [operator.itemgetter(position[c]) for c in columns]
+    width = 1 + max(position[c] for c in columns)
+    line = reader.line_num
+    while regular is None:
+        rows, stop = [], None
         try:
-            header = next(reader, None)
+            rows.extend(islice(reader, BLOCK_ROWS))
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise _unreadable(path, exc) from exc
-        if header is None:
-            raise DataError(f"{path}: empty file (no header row)")
-        position = {name: i for i, name in enumerate(header)}
-        missing = set(columns) - set(position)
-        if missing:
-            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-        if repeated := [c for c in columns if header.count(c) > 1]:
-            raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-        getters = [operator.itemgetter(position[c]) for c in columns]
-        width = 1 + max(position[c] for c in columns)
+            stop = exc  # raised once the rows read before it pass
+        if not rows and stop is None:
+            break
+        try:
+            rejected += _parse_block(rows, getters, width, index, gi, values, score_text)
+            failed = stop is not None
+        except ValueError:
+            failed = True
+        if failed:
+            _raise_first_bad_row(path, rows, line, columns, getters, width, stop)
         line = reader.line_num
-        while True:
-            rows, stop = [], None
-            try:
-                rows.extend(islice(reader, BLOCK_ROWS))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                stop = exc  # raised once the rows read before it pass
-            if not rows and stop is None:
-                break
-            try:
-                rejected += _parse_block(rows, getters, width, index, gi, values, score_text)
-                failed = stop is not None
-            except ValueError:
-                failed = True
-            if failed:
-                _raise_first_bad_row(path, rows, line, columns, getters, width, stop)
-            line = reader.line_num
+    del data, reader  # the file's bytes, freed before the columns are copied out
 
     if not gi:
         raise DataError(f"{path}: no usable data rows")
@@ -237,12 +246,9 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
 
 
 def _parse_block(rows, getters, width: int, index: dict, gi, values, score_text) -> int:
-    """Append a block's kept rows to the columns: each row's group index
-    into ``index`` (first-appearance order), its numbers to ``values`` and
-    its stripped score cell to ``score_text``.  ``getters`` pick the group
-    cell, then each numeric cell, the score first.  Returns the block's
-    count of rejected rows; raises ``ValueError`` for a cell that is
-    unparseable or not finite."""
+    """Append a block's kept rows to the columns (:func:`_append_columns`),
+    the cells picked by ``getters``: the group's, then each number's, the
+    score first.  Returns the block's count of rejected rows."""
     rejected = 0
     if min(map(len, rows), default=width) < width:
         # blank rows are skipped, as csv.DictReader does; short rows are rejected
@@ -255,6 +261,14 @@ def _parse_block(rows, getters, width: int, index: dict, gi, values, score_text)
         keep = list(map(all, zip(labels, *numbers)))
         rejected += keep.count(False)  # a declared cell is empty
         labels, *numbers = [list(compress(col, keep)) for col in (labels, *numbers)]
+    _append_columns(labels, numbers, index, gi, values, score_text)
+    return rejected
+
+
+def _append_columns(labels, numbers, index: dict, gi, values, score_text) -> None:
+    """Append each label's index into ``index`` (first-appearance order) to
+    ``gi``, each column of ``numbers`` parsed to its array in ``values``, and
+    the score cells to ``score_text``; raises ``ValueError`` for a bad number."""
     for column, cells in zip(values, numbers):
         start = len(column)
         column.extend(map(float, cells))
@@ -264,7 +278,40 @@ def _parse_block(rows, getters, width: int, index: dict, gi, values, score_text)
     for g in dict.fromkeys(labels):
         index.setdefault(g, len(index))
     gi.extend(map(index.__getitem__, labels))
-    return rejected
+
+
+def _split_regular(data: bytes, delimiter: str, ncol: int, picks):
+    """The columns ``(index, gi, values, score_text)`` that ``csv.reader``
+    gives for ``data``, a file of ``ncol`` columns, at the ``picks`` (the
+    group's position, then each number's); None unless the file is regular:
+    ASCII ending in a line break, none of :data:`_IRREGULAR` but the
+    delimiter, ``ncol - 1`` delimiters and no empty cell on each line, no
+    line over ``csv.field_size_limit()``, and every number finite.
+    ``csv.reader`` splits such lines on the delimiter alone, and stripping
+    their cells is a no-op.  Every block is checked before any is split."""
+    code = ord(delimiter)
+    if not (data.isascii() and code < 128 and data.endswith(b"\n")) or any(
+            c in data for c in _IRREGULAR if c != delimiter.encode()):
+        return None
+    bounds = [data.index(b"\n") + 1]  # the header line, which csv.reader has split the same
+    while bounds[-1] < len(data):
+        end = data.find(b"\n", bounds[-1] + BLOCK_BYTES) + 1 or len(data)
+        block = np.frombuffer(data, np.uint8, end - bounds[-1], bounds[-1])
+        ends = np.flatnonzero((block == code) | (block == 10))  # where each cell ends
+        if not (np.array_equal(block[ends] == 10, np.arange(len(ends)) % ncol == ncol - 1)
+                and np.diff(ends, prepend=-1).min() > 1  # no empty cell
+                and np.diff(ends[ncol - 1::ncol], prepend=-1).max() <= csv.field_size_limit()):
+            return None
+        bounds.append(end)
+    index, gi, values, score_text = {}, array("q"), [array("d") for _ in picks[1:]], []
+    for start, end in zip(bounds, bounds[1:]):
+        cells = data[start:end].decode("ascii").replace("\n", delimiter).split(delimiter)
+        labels, *numbers = [cells[p:-1:ncol] for p in picks]
+        try:
+            _append_columns(labels, numbers, index, gi, values, score_text)
+        except ValueError:
+            return None
+    return index, gi, values, score_text
 
 
 def _raise_first_bad_row(path, rows, line: int, columns, getters, width: int,

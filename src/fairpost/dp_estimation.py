@@ -114,7 +114,7 @@ def isotonic_midrange(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     prefix_max = np.maximum.accumulate(values, axis=-1)
     suffix_min = np.minimum.accumulate(values[..., ::-1], axis=-1)[..., ::-1]
-    return 0.5 * (prefix_max + suffix_min)
+    return 0.5 * prefix_max + 0.5 * suffix_min  # halved first: the sum could overflow
 
 
 def renormalize_cdf(row: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:

@@ -416,3 +416,106 @@ def test_bad_cell_in_a_pipe_is_reported(tmp_path):
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+# -- the byte-splitting path for regular files, against the same oracle --
+
+REGULAR_GROUP = st.sampled_from(["A", "B", "g7", "x.y", "-"])
+REGULAR_NUMBER = st.one_of(
+    st.floats(-1e6, 1e6).map(repr), st.integers(-3, 3).map(str),
+    st.sampled_from(["-0.0", "1e-320", "+2", "0.50", "1_0", ".5"]))
+IRREGULAR = ["quote", "crlf", "padded cell", "empty cell", "blank line", "short row",
+             "long row", "short and long row", "oversize line", "non-ascii label",
+             "non-finite cell", "unparseable cell", "no final line break", "nul"]
+READ = {"canonical": ["group", "score", "label"], "no label": ["group", "score"],
+        "label as score": ["group", "label"]}
+
+
+@st.composite
+def regular_cases(draw, perturbation):
+    """A CSV text and a schema: a regular file (non-empty ASCII cells with
+    no quote or padding, and one line break after each row) with
+    ``perturbation`` (None or one of IRREGULAR) made to it."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    name = draw(st.sampled_from(sorted(SCHEMAS)))
+    header = draw(st.permutations(["group", "score", "label", "note"]))
+    rows = []
+    for _ in range(draw(st.integers(2, 30))):
+        cells = {"group": draw(REGULAR_GROUP), "score": draw(REGULAR_NUMBER),
+                 "label": draw(REGULAR_NUMBER), "note": draw(st.sampled_from(["y", "z"]))}
+        rows.append([cells[c] for c in header])
+    i = draw(st.integers(0, len(rows) - 1))
+    read = header.index(draw(st.sampled_from(READ[name])))
+    number = header.index(draw(st.sampled_from(READ[name][1:])))
+    terminator, end = "\n", "\n"
+    if perturbation == "quote":
+        rows[i][read] = f'"{rows[i][read]}"'
+    elif perturbation == "crlf":
+        terminator = end = "\r\n"
+    elif perturbation == "padded cell":
+        j = draw(st.integers(0, len(header) - 1))
+        # float refuses the \x1c-\x1f that str.strip removes: a number is padded only
+        # with what both remove
+        pads = " \t\x0b\x0c" + ("" if header[j] in ("score", "label") else "\x1c\x1f")
+        pad = draw(st.sampled_from([c for c in pads if c != delimiter]))
+        rows[i][j] = draw(st.sampled_from([pad + rows[i][j], rows[i][j] + pad]))
+    elif perturbation == "empty cell":  # in a column read or not
+        rows[i][draw(st.sampled_from([read, header.index("note")]))] = ""
+    elif perturbation == "blank line":
+        rows.insert(i, [])
+    elif perturbation == "short row":
+        rows[i].pop()
+    elif perturbation == "long row":
+        rows[i].append("extra")
+    elif perturbation == "short and long row":  # the file's delimiter count is unchanged
+        rows[(i + draw(st.integers(1, len(rows) - 1))) % len(rows)].append(rows[i].pop())
+    elif perturbation == "oversize line":
+        rows[i][number] = "0." + "1" * 140_000  # over the csv module's field limit
+    elif perturbation == "non-ascii label":
+        rows[i][header.index("group")] = "é"
+    elif perturbation == "non-finite cell":
+        rows[i][number] = draw(st.sampled_from(["nan", "inf", "-Infinity", "1e999"]))
+    elif perturbation == "unparseable cell":
+        rows[i][number] = draw(st.sampled_from(["x", "0.5.5", "0x1"]))
+    elif perturbation == "no final line break":
+        end = ""
+    elif perturbation == "nul":
+        rows[i][header.index("note")] = "\0"
+    text = terminator.join(delimiter.join(row) for row in [header, *rows]) + end
+    return text, DatasetSchema(delimiter=delimiter, **SCHEMAS[name])
+
+
+@pytest.mark.parametrize("perturbation", [None, *IRREGULAR])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), block_bytes=st.sampled_from([1, 100, data_io.BLOCK_BYTES]))
+def test_regular_files_are_split_as_the_oracle_reads_them(perturbation, data, block_bytes):
+    """A regular file takes the byte-splitting path and gives what the row
+    oracle gives; a file with any one perturbation is declined, and the
+    csv path gives what the oracle gives."""
+    text, schema = data.draw(regular_cases(perturbation))
+    split = data_io._split_regular
+    taken = []
+
+    def spy(*args):
+        columns = split(*args)
+        taken.append(columns is not None)
+        return columns
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(data_io, "_split_regular", spy), \
+                mock.patch.object(data_io, "BLOCK_BYTES", block_bytes):
+            got = outcome(load_csv, path, schema)
+        assert got == outcome(load_csv_rows, path, schema)
+    assert taken == [perturbation is None]
+
+
+def test_delimiters_are_counted_per_line(tmp_path):
+    """A long line and a short one hold as many delimiters as two good lines,
+    but the file is not regular: load_csv reads the long line's first two
+    cells and rejects the short line, as the oracle does."""
+    path = write(tmp_path, "group,score\nA,0.5,0.25\n0.75\nB,0.1\n")
+    got, warnings = assert_same_as_oracle(path, DatasetSchema(label_col=None))
+    assert got[1] == ("A", "B") and warnings[0].endswith("rejected 1 row(s) with empty cells")
