@@ -8,9 +8,8 @@ __version__ = "0.1.0"
 from .barycenter_lp import BarycenterSolution, LpInstance, build_lp, monotone_coupling, solve
 from .data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                       split_train_test)
-from .dp_estimation import (PrivacyParams, PrivateEstimate, empirical_joint,
-                            estimate_private_dists, group_weights, privatize_joint,
-                            renormalize_cdf)
+from .dp_estimation import (PrivateEstimate, empirical_joint, estimate_private_dists,
+                            group_weights, privatize_joint, renormalize_cdf)
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 from .metrics import mse, statistical_parity_gap
@@ -22,7 +21,7 @@ __all__ = [
     "__version__",
     "AffineTransform", "BarycenterSolution", "ConfigError", "DataError",
     "DatasetSchema", "FairPostprocessor", "Grid", "GroupedSamples", "LpInstance",
-    "PrivacyParams", "PrivateEstimate", "SolverFailure", "SweepConfig",
+    "PrivateEstimate", "SolverFailure", "SweepConfig",
     "SweepRow", "UnknownGroupError",
     "build_lp", "discretize_many", "empirical_joint", "estimate", "estimate_private_dists",
     "extract_kernels", "fit", "group_weights", "load", "load_csv", "lower_envelope",

@@ -35,6 +35,13 @@ def _parse_hyper(value) -> float:
         raise ConfigError(f"expected a number or 'inf', got {value!r}") from None
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer as ``int`` reads it, and >= 0, as numpy's seeding takes."""
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _integer(value) -> int:
     """A JSON integer; a float or a boolean is refused, as ``fit --k`` refuses it."""
     if type(value) is not int:
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k", type=int, required=True, help="number of bins")
     f.add_argument("--alpha", required=True, help="parity tolerance (number or 'inf')")
     f.add_argument("--epsilon", required=True, help="privacy budget (number or 'inf')")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_seed, default=0)
     f.add_argument("--out", required=True, help="model JSON output path")
     f.set_defaults(func=_cmd_fit)
 
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--model", required=True)
     a.add_argument("--data", required=True)
     a.add_argument("--schema", default=None)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=_seed, default=0)
     a.add_argument("--mode", choices=("sample", "barycentric"), default="sample",
                    help="barycentric is deterministic but voids the parity guarantee")
     a.add_argument("--out", required=True)
@@ -223,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--schema", default=None)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--out", default=None)
     e.set_defaults(func=_cmd_evaluate)
 
     s = sub.add_parser("sweep", help="run a hyperparameter sweep from a config JSON")
     s.add_argument("--config", required=True)
-    s.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    s.add_argument("--seed", type=_seed, default=None, help="master seed (overrides config)")
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--allow-budget-reuse", action="store_true",

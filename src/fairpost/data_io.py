@@ -23,6 +23,7 @@ call of the formatter per distinct value.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import logging
@@ -141,19 +142,6 @@ class GroupedSamples:
     def n(self) -> int:
         return len(self.scores)
 
-    @classmethod
-    def from_rows(cls, rows, groups=None) -> "GroupedSamples":
-        """Build from an iterable of (group, score) or (group, score, label) tuples."""
-        rows = list(rows)
-        groups = tuple(dict.fromkeys(r[0] for r in rows) if groups is None else groups)
-        index = {g: i for i, g in enumerate(groups)}
-        gi = np.array([index[r[0]] for r in rows], dtype=np.intp)
-        scores = np.array([float(r[1]) for r in rows], dtype=float)
-        labels = None
-        if rows and len(rows[0]) > 2 and rows[0][2] is not None:
-            labels = np.array([float(r[2]) for r in rows], dtype=float)
-        return cls(groups=groups, group_idx=gi, scores=scores, labels=labels)
-
     def subset(self, idx: np.ndarray) -> "GroupedSamples":
         """Row subset; the group-label universe is preserved."""
         return GroupedSamples(
@@ -189,7 +177,7 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
                                  if c is not None))
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read().removeprefix(codecs.BOM_UTF8)  # as Excel's "CSV UTF-8" starts
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
@@ -328,8 +316,8 @@ def _raise_first_bad_row(path, rows, line: int, columns, getters, width: int,
         if len(row) < width or not all(map(str.strip, cells := [get(row) for get in getters])):
             continue  # a blank or rejected row
         for name, cell in zip(columns[1:], cells[1:]):
-            try:
-                problem = None if math.isfinite(float(cell)) else "non-finite"
+            try:  # parsed stripped, as _parse_block parses it
+                problem = None if math.isfinite(float(cell.strip())) else "non-finite"
             except ValueError:
                 problem = "unparseable"
             if problem:

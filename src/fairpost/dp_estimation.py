@@ -21,32 +21,6 @@ from .grid import Grid, discretize_many
 
 
 @dataclass(frozen=True)
-class PrivacyParams:
-    """Privacy budget and the sample count the noise scale is calibrated to.
-
-    ``epsilon`` may be +inf, which disables the noise entirely.
-    """
-
-    epsilon: float
-    n: int
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive (or inf), got {self.epsilon}")
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
-
-    @property
-    def noise_scale(self) -> float:
-        """Laplace scale 2 / (n * epsilon); the empirical joint PMF has
-        L1 sensitivity at most 2/n under substitution, insertion, or
-        deletion of one row."""
-        if math.isinf(self.epsilon):
-            return 0.0
-        return 2.0 / (self.n * self.epsilon)
-
-
-@dataclass(frozen=True)
 class PrivateEstimate:
     """Step 1's output: each group's private weight and PMF on the k-bin grid of
     [0, 1], with the raw interval's transform, the group labels, the budget and
@@ -88,18 +62,28 @@ def sample_laplace_many(rng: np.random.Generator, scale: float, size: int) -> np
                     -scale * np.log(2.0 * (1.0 - np.minimum(u, 1.0 - 2.0 ** -54))))
 
 
-def privatize_joint(joint: np.ndarray, pp: PrivacyParams,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Add independent Laplace(0, 2/(n*epsilon)) noise to every entry.
+def check_epsilon(epsilon: float) -> None:
+    """The privacy budget's rule, run by :func:`privatize_joint`, the sweep
+    config and a model file's load: positive, or +inf for no noise."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive (or inf), got {epsilon}")
+
+
+def privatize_joint(joint, n: int, epsilon: float, rng: np.random.Generator) -> np.ndarray:
+    """Add independent Laplace(0, 2/(n*epsilon)) noise to every entry: the
+    empirical joint PMF of ``n`` rows has L1 sensitivity at most 2/n under
+    substitution, insertion, or deletion of one row.
 
     With epsilon = +inf the input is returned unchanged (and the stream is
     not advanced).  Entries of the result may be negative.
     """
+    check_epsilon(epsilon)
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
     joint = np.asarray(joint, dtype=float)
-    if math.isinf(pp.epsilon):
+    if math.isinf(epsilon):
         return joint.copy()
-    noise = sample_laplace_many(rng, pp.noise_scale, joint.size).reshape(joint.shape)
-    return joint + noise
+    return joint + sample_laplace_many(rng, 2.0 / (n * epsilon), joint.size).reshape(joint.shape)
 
 
 def group_weights(noisy_joint: np.ndarray) -> np.ndarray:
@@ -155,7 +139,7 @@ def estimate_private_dists(samples: GroupedSamples, grid: Grid, epsilon: float,
     ``transform`` onto the grid's units), Laplace mechanism, clipped
     weights, per-group CDF renormalization.  Returns the weights, shape
     (n_groups,), and the PMFs, shape (n_groups, k)."""
-    noisy = privatize_joint(empirical_joint(samples, grid, transform),
-                            PrivacyParams(epsilon=float(epsilon), n=samples.n), rng)
+    noisy = privatize_joint(empirical_joint(samples, grid, transform), samples.n,
+                            float(epsilon), rng)
     weights = group_weights(noisy)
     return weights, renormalize_cdf(noisy, weights)[1]

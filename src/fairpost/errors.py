@@ -14,7 +14,7 @@ class DataError(Exception):
 
 
 class SolverFailure(Exception):
-    """The linear-program solver failed or returned an unusable solution."""
+    """Step 2's barycenter failed its certificate, or the reference LP found no optimum."""
 
 
 class UnknownGroupError(KeyError):

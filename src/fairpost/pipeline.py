@@ -28,7 +28,7 @@ import numpy as np
 
 from . import barycenter_lp, dp_estimation, transport
 from .data_io import AffineTransform, GroupedSamples, format_floats
-from .dp_estimation import PrivacyParams, PrivateEstimate
+from .dp_estimation import PrivateEstimate
 from .errors import UnknownGroupError
 from .grid import Grid, discretize_many, make_grid
 
@@ -307,7 +307,7 @@ def load(path) -> FairPostprocessor:
         if type(fit_meta["k"]) is not int or fit_meta["k"] != k:
             raise ValueError(f"fit k {fit_meta['k']!r} disagrees with the grid's k = {k}")
         barycenter_lp._check_alpha(alpha)
-        PrivacyParams(epsilon=epsilon, n=1)
+        dp_estimation.check_epsilon(epsilon)
         if seed is not None and type(seed) is not int:
             raise ValueError(f"seed must be an integer or null, got {seed!r}")
         return FairPostprocessor(

@@ -33,7 +33,7 @@ import numpy as np
 from .barycenter_lp import _check_alpha
 from .data_io import (DatasetSchema, GroupedSamples, csv_cell, load_csv, split_train_test,
                       write_csv)
-from .dp_estimation import PrivacyParams, PrivateEstimate
+from .dp_estimation import PrivateEstimate, check_epsilon
 from .grid import make_grid
 from .metrics import mse, statistical_parity_gap
 from .pipeline import FairPostprocessor, estimate, fit
@@ -58,6 +58,8 @@ class SweepConfig:
             raise ValueError(f"need at least one seed, got {self.seeds}")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.schema.label_col is None:
             raise ValueError("sweep requires labeled data for test MSE")
         # split_train_test's check, and the checks fit runs, made once for the whole grid
@@ -68,7 +70,7 @@ class SweepConfig:
         for k in self.ks:
             make_grid(0.0, 1.0, k)
         for eps in self.epsilons:
-            PrivacyParams(epsilon=eps, n=1)
+            check_epsilon(eps)
         # a repeated value would count its seeds twice in the aggregates
         for name, values in (("alphas", self.alphas), ("ks", self.ks),
                              ("epsilons", self.epsilons)):
@@ -92,17 +94,6 @@ class SweepRow:
     estimate_seconds: float  # the (k, epsilon, seed) group's shared estimate
     fit_seconds: float       # the part of cell_seconds spent fitting
     score_seconds: float     # the part spent predicting and scoring
-
-
-def cell_specs(cfg: SweepConfig):
-    """Canonical cell enumeration: (index, alpha, k, epsilon, seed)."""
-    i = 0
-    for alpha in cfg.alphas:
-        for k in cfg.ks:
-            for eps in cfg.epsilons:
-                for seed in range(cfg.seeds):
-                    yield i, alpha, k, eps, seed
-                    i += 1
 
 
 def _split_seed(master_seed: int, seed: int) -> int:
@@ -186,7 +177,7 @@ def run_seed(samples: GroupedSamples, cfg: SweepConfig, seed: int) -> dict[int, 
             est = exc
         estimate_seconds = time.perf_counter() - t0
         for a, alpha in enumerate(cfg.alphas):
-            i = a * n_groups + g  # = the cell's index in cell_specs
+            i = a * n_groups + g  # the cell's index in canonical order
             if isinstance(est, Exception):
                 out[i] = _failed_row(alpha, k, eps, seed, est, estimate_seconds)
             else:

@@ -4,8 +4,9 @@
 every check to that row before it reads the next, so its samples, the
 stripped text of its score cells, its rejected-row warning and the text of
 each ``DataError`` are what the block-wise parser in the package must
-reproduce.  It lives with the tests because nothing in the package needs
-it.
+reproduce.  A number is parsed from its stripped cell, and one leading
+byte-order mark is dropped, as the ``utf-8-sig`` codec drops it.  It lives
+with the tests because nothing in the package needs it.
 """
 
 import csv
@@ -28,7 +29,7 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
     if schema.label_col is not None:
         columns.append(schema.label_col)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     groups: list = []
@@ -57,7 +58,7 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
                     rejected += 1  # a declared cell is missing or empty
                     continue
                 try:
-                    values = list(map(float, cells[1:]))
+                    values = list(map(float, map(str.strip, cells[1:])))
                     finite = all(map(math.isfinite, values))
                 except ValueError:
                     finite = False
@@ -92,7 +93,7 @@ def load_csv_rows(path, schema: DatasetSchema) -> GroupedSamples:
 def _bad_cell(path, lineno: int, named_cells) -> DataError:
     for name, cell in named_cells:
         try:
-            problem = None if math.isfinite(float(cell)) else "non-finite"
+            problem = None if math.isfinite(float(cell.strip())) else "non-finite"
         except ValueError:
             problem = "unparseable"
         if problem:

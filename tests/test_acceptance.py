@@ -24,6 +24,7 @@ from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import estimate, fit
 from fairpost.transport import extract_kernels
 from lp_oracles import dists_from_pmfs, fixed_target_cost, ks_distance, w2sq_monotone
+from sample_rows import from_rows
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 LAW_SCHOOL_CSV = DATA_DIR / "law_school.csv"
@@ -252,7 +253,7 @@ def fitted_battery():
     for i, (alpha, eps) in enumerate(combos):
         rows = [("A", float(x)) for x in rng.beta(2, 5, 250)]
         rows += [("B", float(x)) for x in rng.beta(5, 2, 180)]
-        yield fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 8, eps, i), alpha)
+        yield fit(estimate(from_rows(rows), (0, 1), 8, eps, i), alpha)
 
 
 def test_criterion_05_pushforward_identity_and_monte_carlo():
@@ -282,7 +283,7 @@ def test_criterion_06_k1_exact_fairness():
         n_groups = int(rng.integers(1, 5))
         rows = [(f"g{int(rng.integers(0, n_groups))}", float(rng.normal(0.4, 0.3)))
                 for _ in range(int(rng.integers(5, 120)))]
-        samples = GroupedSamples.from_rows(rows)
+        samples = from_rows(rows)
         alpha = float(rng.choice([0.0, 0.5]))  # the stream draws alpha, then epsilon
         model = fit(estimate(samples, (0, 1), 1, float(rng.choice([0.5, math.inf])), trial),
                     alpha)
@@ -301,7 +302,7 @@ def test_criterion_07_noiseless_reduction():
     rng = np.random.default_rng(77)
     rows = [("A", float(x)) for x in rng.beta(2, 4, 150)]
     rows += [("B", float(x)) for x in rng.beta(4, 2, 100)]
-    samples = GroupedSamples.from_rows(rows)
+    samples = from_rows(rows)
     k, alpha = 6, 0.1
     model = fit(estimate(samples, (0, 1), k, math.inf, 0), alpha)
 
@@ -318,7 +319,7 @@ def test_criterion_07_noiseless_reduction():
 
     # identical group distributions at alpha = 0: identity kernels, zero cost
     ys = [float(x) for x in rng.random(90)]
-    twin = GroupedSamples.from_rows([("A", y) for y in ys] + [("B", y) for y in ys])
+    twin = from_rows([("A", y) for y in ys] + [("B", y) for y in ys])
     model2 = fit(estimate(twin, (0, 1), 5, math.inf, 0), 0.0)
     assert model2.objective == pytest.approx(0.0, abs=1e-9)
     for a in range(2):

@@ -416,3 +416,30 @@ def test_bad_sweep_hyperparameters_are_config_errors(tmp_path, data, capsys, fie
         assert main(["fit", "--data", str(data), *(x for kv in argv.items() for x in kv),
                      "--out", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("fit", "-1"), ("apply", "-1"), ("evaluate", "-3"), ("sweep", "-1"), ("sweep", None),
+], ids=["fit", "apply", "evaluate", "sweep", "master_seed"])
+def test_negative_seeds_are_config_errors(tmp_path, data, model, capsys, command, seed):
+    """numpy seeds no generator from a negative integer: a negative --seed is
+    argparse's error naming the flag, and a negative master_seed a config
+    error naming the key, each exit 2 before anything is written."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(data), "alphas": [0.1], "ks": [2],
+                               "epsilons": ["inf"], "seeds": 1, "master_seed": -2}))
+    out = tmp_path / "out"
+    argv = {"fit": ["--data", str(data), "--k", "2", "--alpha", "0.1", "--epsilon", "inf"],
+            "apply": ["--model", str(model), "--data", str(data)],
+            "evaluate": ["--model", str(model), "--data", str(data)],
+            "sweep": ["--config", str(cfg)]}[command] + ["--out", str(out)]
+    if seed is None:
+        assert main([command, *argv]) == 2
+        assert capsys.readouterr().err == (f"config error: config {cfg}: "
+                                           "master_seed must be >= 0, got -2\n")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--seed", seed])
+        assert exc.value.code == 2
+        assert f"argument --seed: must be >= 0, got {seed}\n" in capsys.readouterr().err
+    assert not out.exists()

@@ -16,6 +16,7 @@ from fairpost.data_io import (AffineTransform, DatasetSchema, GroupedSamples, lo
                               split_train_test)
 from fairpost.errors import DataError
 from fairpost.grid import make_grid
+from sample_rows import from_rows
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -197,14 +198,14 @@ def test_repeated_group_labels_rejected():
     with pytest.raises(ValueError, match="repeated group labels"):
         GroupedSamples(groups=("A", "A"), group_idx=np.array([0, 1]), scores=np.zeros(2))
     with pytest.raises(ValueError, match="repeated group labels"):
-        GroupedSamples.from_rows([("A", 0.5)], groups=("A", "B", "A"))
+        from_rows([("A", 0.5)], groups=("A", "B", "A"))
 
 
 def samples_of_size(n, seed=0):
     rng = np.random.default_rng(seed)
     rows = [(f"g{int(rng.integers(0, 3))}", float(rng.random()), float(rng.random()))
             for _ in range(n)]
-    return GroupedSamples.from_rows(rows)
+    return from_rows(rows)
 
 
 def test_split_sizes():
@@ -386,6 +387,9 @@ OVERSIZE = "A,0." + "1" * 200_000 + ",0.5\n"  # over the csv module's field limi
     OVERSIZE + "A,0.1,nan\n",                     # csv error first
     "A,0.1,0.2\n" * 3 + OVERSIZE + "A,0.3,0.4\n",  # csv error after good rows
     "A,0.1,0.2\n" * 3 + "B,nan,0.4\n" + "A,0.1,0.2\n" * 1500 + "\n\nA,zz,0.1\n",
+    # a number padded with what str.strip removes but float refuses parses
+    # stripped, so the bad cell after it is the one named
+    "A,\x1c0.5,0.1\nB,0.25,0.2\nA,abc,0.3\n",
 ])
 def test_first_problem_in_file_order_is_reported(tmp_path, body):
     path = write(tmp_path, "group,score,label\n" + body)
@@ -435,7 +439,7 @@ READ = {"canonical": ["group", "score", "label"], "no label": ["group", "score"]
 def regular_cases(draw, perturbation):
     """A CSV text and a schema: a regular file (non-empty ASCII cells with
     no quote or padding, and one line break after each row) with
-    ``perturbation`` (None or one of IRREGULAR) made to it."""
+    ``perturbation`` (None, "bom" or one of IRREGULAR) made to it."""
     delimiter = draw(st.sampled_from([",", ";", "\t"]))
     name = draw(st.sampled_from(sorted(SCHEMAS)))
     header = draw(st.permutations(["group", "score", "label", "note"]))
@@ -452,12 +456,9 @@ def regular_cases(draw, perturbation):
         rows[i][read] = f'"{rows[i][read]}"'
     elif perturbation == "crlf":
         terminator = end = "\r\n"
-    elif perturbation == "padded cell":
+    elif perturbation == "padded cell":  # a number too, with what str.strip removes
         j = draw(st.integers(0, len(header) - 1))
-        # float refuses the \x1c-\x1f that str.strip removes: a number is padded only
-        # with what both remove
-        pads = " \t\x0b\x0c" + ("" if header[j] in ("score", "label") else "\x1c\x1f")
-        pad = draw(st.sampled_from([c for c in pads if c != delimiter]))
+        pad = draw(st.sampled_from([c for c in " \t\x0b\x0c\x1c\x1f" if c != delimiter]))
         rows[i][j] = draw(st.sampled_from([pad + rows[i][j], rows[i][j] + pad]))
     elif perturbation == "empty cell":  # in a column read or not
         rows[i][draw(st.sampled_from([read, header.index("note")]))] = ""
@@ -482,16 +483,19 @@ def regular_cases(draw, perturbation):
     elif perturbation == "nul":
         rows[i][header.index("note")] = "\0"
     text = terminator.join(delimiter.join(row) for row in [header, *rows]) + end
+    if perturbation == "bom":  # as Excel's "CSV UTF-8" starts: the file stays regular
+        text = "\ufeff" + text
     return text, DatasetSchema(delimiter=delimiter, **SCHEMAS[name])
 
 
-@pytest.mark.parametrize("perturbation", [None, *IRREGULAR])
+@pytest.mark.parametrize("perturbation", [None, "bom", *IRREGULAR])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), block_bytes=st.sampled_from([1, 100, data_io.BLOCK_BYTES]))
 def test_regular_files_are_split_as_the_oracle_reads_them(perturbation, data, block_bytes):
-    """A regular file takes the byte-splitting path and gives what the row
-    oracle gives; a file with any one perturbation is declined, and the
-    csv path gives what the oracle gives."""
+    """A regular file, with or without a leading byte-order mark, takes the
+    byte-splitting path and gives what the row oracle gives; a file with any
+    one perturbation is declined, and the csv path gives what the oracle
+    gives."""
     text, schema = data.draw(regular_cases(perturbation))
     split = data_io._split_regular
     taken = []
@@ -509,7 +513,7 @@ def test_regular_files_are_split_as_the_oracle_reads_them(perturbation, data, bl
                 mock.patch.object(data_io, "BLOCK_BYTES", block_bytes):
             got = outcome(load_csv, path, schema)
         assert got == outcome(load_csv_rows, path, schema)
-    assert taken == [perturbation is None]
+    assert taken == [perturbation in (None, "bom")]
 
 
 def test_delimiters_are_counted_per_line(tmp_path):

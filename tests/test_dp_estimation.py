@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fairpost.data_io import GroupedSamples
-from fairpost.dp_estimation import (PrivacyParams, empirical_joint, estimate_private_dists,
+from fairpost.dp_estimation import (check_epsilon, empirical_joint, estimate_private_dists,
                                     group_weights, isotonic_midrange, privatize_joint,
                                     renormalize_cdf, sample_laplace_many)
 from fairpost.grid import make_grid
+from sample_rows import from_rows
 
 
 class FakeUniform:
@@ -40,13 +41,13 @@ def literal_isotonic(values):
 
 
 def test_empirical_joint_counts():
-    s = GroupedSamples.from_rows([("A", 0.1), ("A", 0.9), ("B", 0.6)])
+    s = from_rows([("A", 0.1), ("A", 0.9), ("B", 0.6)])
     joint = empirical_joint(s, make_grid(0, 1, 2))
     assert np.allclose(joint, [[1 / 3, 1 / 3], [0, 1 / 3]])
 
 
 def test_empirical_joint_single_mass():
-    s = GroupedSamples.from_rows([("A", 0.5)])
+    s = from_rows([("A", 0.5)])
     joint = empirical_joint(s, make_grid(0, 1, 1))
     assert np.allclose(joint, [[1.0]])
 
@@ -62,8 +63,8 @@ def test_substitution_changes_l1_by_two_over_n():
     g = make_grid(0, 1, 4)
     base = [("A", 0.1), ("A", 0.4), ("B", 0.8), ("B", 0.9)]
     swapped = [("A", 0.1), ("A", 0.9), ("B", 0.8), ("B", 0.9)]
-    p = empirical_joint(GroupedSamples.from_rows(base, groups=("A", "B")), g)
-    q = empirical_joint(GroupedSamples.from_rows(swapped, groups=("A", "B")), g)
+    p = empirical_joint(from_rows(base, groups=("A", "B")), g)
+    q = empirical_joint(from_rows(swapped, groups=("A", "B")), g)
     assert np.abs(p - q).sum() == pytest.approx(2 / 4, abs=1e-12)
 
 
@@ -104,30 +105,41 @@ def test_laplace_rejects_bad_scale():
 
 
 def test_privatize_infinite_epsilon_is_identity():
+    """No noise, and the stream is left where it was."""
     joint = np.array([[0.25, 0.75]])
-    pp = PrivacyParams(epsilon=math.inf, n=4)
-    out = privatize_joint(joint, pp, np.random.default_rng(0))
-    assert np.array_equal(out, joint)
+    rng = np.random.default_rng(0)
+    out = privatize_joint(joint, 4, math.inf, rng)
+    assert np.array_equal(out, joint) and out is not joint
+    assert rng.random() == np.random.default_rng(0).random()
 
 
-def test_noise_scale_formula():
-    assert PrivacyParams(epsilon=0.5, n=1000).noise_scale == pytest.approx(0.004)
-    assert PrivacyParams(epsilon=math.inf, n=10).noise_scale == 0.0
+def test_privatize_draws_laplace_at_two_over_n_epsilon():
+    """On a zero joint the result is the noise itself: Laplace(2/(n*epsilon)),
+    scale 0.004 at n = 1000 and epsilon = 0.5, drawn as one vector."""
+    out = privatize_joint(np.zeros((2, 3)), 1000, 0.5, np.random.default_rng(9))
+    expected = sample_laplace_many(np.random.default_rng(9), 0.004, 6)
+    assert np.array_equal(out, expected.reshape(2, 3))
 
 
 def test_privatize_deterministic_under_seed():
     joint = np.full((2, 3), 1 / 6)
-    pp = PrivacyParams(epsilon=1.0, n=6)
-    a = privatize_joint(joint, pp, np.random.default_rng(77))
-    b = privatize_joint(joint, pp, np.random.default_rng(77))
+    a = privatize_joint(joint, 6, 1.0, np.random.default_rng(77))
+    b = privatize_joint(joint, 6, 1.0, np.random.default_rng(77))
     assert np.array_equal(a, b)
 
 
-def test_privacy_params_validation():
-    with pytest.raises(ValueError):
-        PrivacyParams(epsilon=0.0, n=5)
-    with pytest.raises(ValueError):
-        PrivacyParams(epsilon=1.0, n=0)
+def test_epsilon_and_sample_count_validation():
+    """epsilon is positive or +inf, never NaN, and the noise needs n >= 1 rows."""
+    for epsilon in (1e-300, 0.5, math.inf):
+        check_epsilon(epsilon)
+    for epsilon in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            check_epsilon(epsilon)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            privatize_joint(np.zeros((1, 2)), 5, epsilon, np.random.default_rng(0))
+    for epsilon in (1.0, math.inf):
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            privatize_joint(np.zeros((1, 2)), 0, epsilon, np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- group weights
@@ -142,7 +154,7 @@ def test_group_weights_plain_sum():
 
 
 def test_group_weights_match_empirical_fractions():
-    s = GroupedSamples.from_rows([("A", 0.1), ("A", 0.2), ("B", 0.9)])
+    s = from_rows([("A", 0.1), ("A", 0.2), ("B", 0.9)])
     joint = empirical_joint(s, make_grid(0, 1, 3))
     assert np.allclose(group_weights(joint), [2 / 3, 1 / 3])
 
@@ -243,7 +255,7 @@ def test_fast_isotonic_matches_literal_argmax(values):
 
 
 def test_estimate_noiseless_single_group():
-    s = GroupedSamples.from_rows([("A", 0.5), ("A", 0.45)])
+    s = from_rows([("A", 0.5), ("A", 0.45)])
     weights, pmfs = estimate_private_dists(s, make_grid(0, 1, 3), math.inf,
                                            np.random.default_rng(0))
     assert np.allclose(pmfs, [[0, 1, 0]])
@@ -252,7 +264,7 @@ def test_estimate_noiseless_single_group():
 
 def test_estimate_refuses_nan_scores_by_row():
     """A NaN score has no bin: it is refused, not put in the top bin."""
-    s = GroupedSamples.from_rows([("A", 0.2), ("A", 0.7), ("B", math.nan), ("B", math.nan)])
+    s = from_rows([("A", 0.2), ("A", 0.7), ("B", math.nan), ("B", math.nan)])
     for epsilon in (math.inf, 1.0):
         with pytest.raises(ValueError, match=r"^row 2: NaN has no bin$"):
             estimate_private_dists(s, make_grid(0, 1, 4), epsilon, np.random.default_rng(0))
@@ -262,7 +274,7 @@ def test_estimate_noiseless_matches_empirical_conditionals():
     rng = np.random.default_rng(3)
     rows = [("A", float(v)) for v in rng.random(40)] + \
            [("B", float(v)) for v in rng.random(25)]
-    s = GroupedSamples.from_rows(rows)
+    s = from_rows(rows)
     g = make_grid(0, 1, 6)
     weights, pmfs = estimate_private_dists(s, g, math.inf, np.random.default_rng(0))
     joint = empirical_joint(s, g)
@@ -274,7 +286,7 @@ def test_estimate_noiseless_matches_empirical_conditionals():
 
 def test_estimate_deterministic_bit_exact():
     rows = [("A", 0.1), ("A", 0.7), ("B", 0.4), ("B", 0.2)]
-    s = GroupedSamples.from_rows(rows)
+    s = from_rows(rows)
     g = make_grid(0, 1, 5)
     w1, p1 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
     w2, p2 = estimate_private_dists(s, g, 0.8, np.random.default_rng(11))
@@ -289,7 +301,7 @@ def test_estimate_output_always_valid(seed):
     n = int(rng.integers(1, 30))
     rows = [(f"g{int(rng.integers(0, 3))}", float(rng.normal(0.5, 0.4)))
             for _ in range(n)]
-    s = GroupedSamples.from_rows(rows)
+    s = from_rows(rows)
     g = make_grid(0, 1, int(rng.integers(1, 9)))
     eps = float(rng.choice([0.1, 1.0, math.inf]))
     weights, pmfs = estimate_private_dists(s, g, eps, np.random.default_rng(seed + 1))

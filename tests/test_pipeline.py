@@ -22,11 +22,12 @@ from fairpost.errors import UnknownGroupError
 from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import FairPostprocessor, estimate, fit, load
 from lp_oracles import ks_distance
+from sample_rows import from_rows
 
 
 def predict_rows(model, rows, rng, mode="sample"):
     """predict_batch over (group, score) rows."""
-    s = GroupedSamples.from_rows(rows)
+    s = from_rows(rows)
     return model.predict_batch(s.groups, s.group_idx, s.scores, rng, mode=mode)
 
 
@@ -34,7 +35,7 @@ def two_group_samples(n_a=300, n_b=200, seed=0):
     rng = np.random.default_rng(seed)
     rows = [("A", float(x)) for x in rng.beta(2, 5, n_a)]
     rows += [("B", float(x)) for x in rng.beta(5, 2, n_b)]
-    return GroupedSamples.from_rows(rows)
+    return from_rows(rows)
 
 
 def test_k_equals_one_is_exactly_fair():
@@ -81,7 +82,7 @@ def test_fewer_bins_favor_fairness_on_exact_populations():
 def test_single_group_gets_identity_kernel():
     rng = np.random.default_rng(1)
     rows = [("only", float(x)) for x in rng.random(100)]
-    model = fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 6, math.inf, 0), 0.3)
+    model = fit(estimate(from_rows(rows), (0, 1), 6, math.inf, 0), 0.3)
     assert np.allclose(model.kernels[0], np.eye(6), atol=1e-9)
 
 
@@ -89,7 +90,7 @@ def test_identical_groups_identity_kernels_zero_objective():
     rng = np.random.default_rng(2)
     ys = [float(x) for x in rng.random(80)]
     rows = [("A", y) for y in ys] + [("B", y) for y in ys]
-    model = fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 5, math.inf, 0), 0.0)
+    model = fit(estimate(from_rows(rows), (0, 1), 5, math.inf, 0), 0.0)
     assert model.objective == pytest.approx(0.0, abs=1e-9)
     for a in range(2):
         assert np.allclose(model.kernels[a], np.eye(5), atol=1e-7)
@@ -114,7 +115,7 @@ def test_predict_k1_constant():
 def test_predict_follows_deterministic_kernel_row():
     # opposed point masses, alpha = 0: group A bin 1 must map to the middle
     rows = [("A", 0.1)] * 30 + [("B", 0.9)] * 30
-    model = fit(estimate(GroupedSamples.from_rows(rows), (0, 1), 3, math.inf, 0), 0.0)
+    model = fit(estimate(from_rows(rows), (0, 1), 3, math.inf, 0), 0.0)
     rng = np.random.default_rng(0)
     assert model.predict("A", 0.05, rng) == pytest.approx(0.5)
     assert model.objective == pytest.approx(1 / 9, abs=1e-9)
@@ -174,7 +175,7 @@ def test_population_fairness_at_fitted_distributions():
     rng = np.random.default_rng(12)
     rows = [("A", float(x)) for x in rng.beta(2, 6, 200)]
     rows += [("B", float(x)) for x in rng.beta(6, 2, 150)]
-    samples = GroupedSamples.from_rows(rows, groups=("A", "B", "ghost"))
+    samples = from_rows(rows, groups=("A", "B", "ghost"))
     for alpha in (0.0, 0.05, 0.25):
         model = fit(estimate(samples, (0, 1), 6, math.inf, 0), alpha)
         outs = [model.pmfs[a] @ model.kernels[a]
@@ -206,7 +207,7 @@ def test_nan_scores_are_refused_not_binned():
         with pytest.raises(ValueError, match=r"^row 3: NaN has no bin$"):
             predict_rows(model, rows, rng, mode=mode)
     assert rng.bit_generator.state == state and model.out_of_range_count == 0
-    samples = GroupedSamples.from_rows([("A", 0.2), ("A", 0.6), ("B", math.nan)])
+    samples = from_rows([("A", 0.2), ("A", 0.6), ("B", math.nan)])
     with pytest.raises(ValueError, match=r"^row 2: NaN has no bin$"):
         fit(estimate(samples, (0, 1), 4, math.inf, 0), 0.1)
 

@@ -12,15 +12,16 @@ from fairpost.cli import _sweep_config, build_parser, main
 from fairpost.data_io import DatasetSchema, GroupedSamples, split_train_test
 from fairpost.grid import discretize_many, make_grid
 from fairpost.metrics import mse, statistical_parity_gap
-from fairpost.sweep import (SweepConfig, aggregate, cell_specs, lower_envelope, run_sweep,
+from fairpost.sweep import (SweepConfig, aggregate, lower_envelope, run_sweep,
                             write_outputs, write_results_csv)
+from sample_rows import from_rows
 
 
 def synthetic_samples(n=240, seed=0):
     rng = np.random.default_rng(seed)
     rows = [("A", float(x), float(x)) for x in rng.beta(2, 5, n // 2)]
     rows += [("B", float(x), float(x)) for x in rng.beta(5, 2, n - n // 2)]
-    return GroupedSamples.from_rows(rows)
+    return from_rows(rows)
 
 
 def write_synthetic_csv(tmp_path, n=240, seed=0, name="synth.csv"):
@@ -253,10 +254,15 @@ def test_label_less_samples_are_rejected_before_any_cell():
         run_sweep(config_for(), samples=unlabeled)
 
 
+def canonical_cells(cfg):
+    """The canonical cell order: alpha-major, then k, epsilon and seed."""
+    return list(itertools.product(cfg.alphas, cfg.ks, cfg.epsilons, range(cfg.seeds)))
+
+
 def test_rows_come_back_in_canonical_order():
-    cfg = config_for(alphas=(0.0, 0.5), ks=(2, 3), epsilons=(1.0,), seeds=2)
+    cfg = config_for(alphas=(0.0, 0.5), ks=(2, 3), epsilons=(1.0, math.inf), seeds=2)
     rows = run_sweep(cfg, samples=synthetic_samples(60))
-    expected = [(a, k, e, s) for _, a, k, e, s in cell_specs(cfg)]
+    expected = canonical_cells(cfg)
     assert [(r.alpha, r.k, r.epsilon, r.seed) for r in rows] == expected
 
 
@@ -512,7 +518,7 @@ def test_law_school_sweep_config_holds_the_paper_grid():
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "law_school_sweep.json"
     cfg = _sweep_config(build_parser().parse_args(
         ["sweep", "--config", str(path), "--out", "unused"]))
-    assert len(list(cell_specs(cfg))) == 3000
+    assert len(canonical_cells(cfg)) == 3000
     assert (cfg.data_path, cfg.schema.interval) == ("data/law_school.csv", (1.0, 4.0))
 
 

@@ -22,6 +22,7 @@ from fairpost.data_io import (BLOCK_ROWS, DatasetSchema, GroupedSamples, csv_cel
                               load_csv, write_csv)
 from fairpost.pipeline import estimate, fit, load
 from fairpost.sweep import SweepRow, aggregate, lower_envelope, write_outputs
+from sample_rows import from_rows
 
 
 def reference_apply(groups, score_text, preds, seed) -> str:
@@ -289,7 +290,7 @@ def test_to_document_matches_per_entry_reference(alpha, epsilon):
     rng = np.random.default_rng(3)
     rows = [(g, float(y)) for g, a, b in (("A", 2, 5), ("B", 5, 2), ("C", 1, 1))
             for y in rng.beta(a, b, 400)]
-    model = fit(estimate(GroupedSamples.from_rows(rows), (0.0, 1.0), 9, epsilon, 4), alpha)
+    model = fit(estimate(from_rows(rows), (0.0, 1.0), 9, epsilon, 4), alpha)
     doc = model.to_document()
     assert doc == reference_document(model)
     if math.isinf(alpha):
@@ -326,7 +327,7 @@ def test_save_writes_the_bytes_of_json_dump(tmp_path, k, alpha):
     rng = np.random.default_rng(k)
     labels = ["é", 'say "hi"', "back\\slash", "two\nlines"]
     rows = [(labels[i % 4], float(y)) for i, y in enumerate(rng.beta(2, 5, 800))]
-    model = fit(estimate(GroupedSamples.from_rows(rows), (0.0, 1.0), k, 1.0, 0), alpha)
+    model = fit(estimate(from_rows(rows), (0.0, 1.0), k, 1.0, 0), alpha)
     path = tmp_path / "model.json"
     model.save(path)
     assert path.read_bytes() == (json.dumps(model.to_document(), indent=1) + "\n").encode()
