@@ -37,9 +37,10 @@ def _parse_hyper(value) -> float:
 
 def _seed(text: str) -> int:
     """A ``--seed``: an integer as ``int`` reads it, and >= 0, as numpy's seeding takes."""
-    if (seed := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+    with contextlib.suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
 
 
 def _integer(value) -> int:
@@ -78,7 +79,7 @@ def _read_json(path: str, what: str):
     """The JSON document in ``path``; failing to read or parse it is a
     config error about the ``what`` file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k", type=int, required=True, help="number of bins")
     f.add_argument("--alpha", required=True, help="parity tolerance (number or 'inf')")
     f.add_argument("--epsilon", required=True, help="privacy budget (number or 'inf')")
-    f.add_argument("--seed", type=_seed, default=0)
+    f.add_argument("--seed", type=_seed, help="seed the noise; anyone who knows it can undo it")
     f.add_argument("--out", required=True, help="model JSON output path")
     f.set_defaults(func=_cmd_fit)
 

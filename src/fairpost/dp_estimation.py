@@ -22,9 +22,8 @@ from .grid import Grid, discretize_many
 
 @dataclass(frozen=True)
 class PrivateEstimate:
-    """Step 1's output: each group's private weight and PMF on the k-bin grid of
-    [0, 1], with the raw interval's transform, the group labels, the budget and
-    the integer seed (None for a generator).  Fits post-process it at no cost."""
+    """Step 1's output, which fits post-process at no cost: each group's private
+    weight and PMF on the k-bin grid of [0, 1], the raw interval's transform, labels and budget."""
 
     grid: Grid
     transform: AffineTransform
@@ -32,7 +31,6 @@ class PrivateEstimate:
     weights: np.ndarray   # (n_groups,), nonnegative
     pmfs: np.ndarray      # (n_groups, k), rows nonnegative and summing to 1
     epsilon: float
-    seed: int | None
 
 
 def empirical_joint(samples: GroupedSamples, grid: Grid,

@@ -95,7 +95,6 @@ class FairPostprocessor:
     kernels: np.ndarray  # (n_groups, k, k), rows stochastic
     alpha: float
     epsilon: float
-    seed: int | None
     weights: np.ndarray
     pmfs: np.ndarray
     targets: np.ndarray
@@ -178,7 +177,7 @@ class FairPostprocessor:
             "groups": list(self.groups),
             "kernels": _f2s_rows(self.kernels),
             "fit": {"alpha": _f2s(self.alpha), "epsilon": _f2s(self.epsilon),
-                    "k": self.grid.k, "seed": self.seed},
+                    "k": self.grid.k, "seed": None},
             "transform": {"offset": _f2s(self.transform.offset),
                           "scale": _f2s(self.transform.scale)},
             "diagnostics": {
@@ -207,20 +206,22 @@ def estimate(samples: GroupedSamples, interval: tuple[float, float], k: int,
     distributions of grouped raw scores at budget ``epsilon``.
 
     The raw ``interval`` [s, t] is mapped onto the k-bin grid on [0, 1] by
-    ``AffineTransform(s, t - s)``.  ``rng`` may be an integer seed (recorded
-    in the model metadata) or a ``numpy.random.Generator``.  The Laplace
-    mechanism is the only randomness a fit consumes.
+    ``AffineTransform(s, t - s)``.  ``rng`` is None (fresh OS entropy), a
+    ``numpy.random.Generator`` or an integer seed, which logs a warning at
+    finite epsilon: anyone who knows the seed can redraw the noise.  The
+    Laplace mechanism is the only randomness a fit consumes.
     """
     start = time.perf_counter()
     s, t = float(interval[0]), float(interval[1])
     transform = AffineTransform(offset=s, scale=t - s)
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
+    if isinstance(rng, (int, np.integer)) and 0 < epsilon < np.inf:
+        log.warning("anyone who knows this fit's seed can undo its noise (epsilon=%g)", epsilon)
     rng = np.random.default_rng(rng)  # a Generator comes back as it is
     grid = make_grid(0.0, 1.0, k)
     weights, pmfs = dp_estimation.estimate_private_dists(samples, grid, epsilon, rng, transform)
     log.debug("step 1 (private estimate, k=%d, epsilon=%g): %.3f ms", k, epsilon, _ms_since(start))
     return PrivateEstimate(grid=grid, transform=transform, groups=tuple(samples.groups),
-                           weights=weights, pmfs=pmfs, epsilon=float(epsilon), seed=seed)
+                           weights=weights, pmfs=pmfs, epsilon=float(epsilon))
 
 
 def fit(est: PrivateEstimate, alpha: float) -> FairPostprocessor:
@@ -236,7 +237,7 @@ def fit(est: PrivateEstimate, alpha: float) -> FairPostprocessor:
     log.debug("step 3 (kernels): %.3f ms", _ms_since(start))
     return FairPostprocessor(
         grid=est.grid, groups=est.groups, kernels=kernels,
-        alpha=float(alpha), epsilon=est.epsilon, seed=est.seed,
+        alpha=float(alpha), epsilon=est.epsilon,
         weights=est.weights, pmfs=est.pmfs, targets=sol.targets,
         barycenter=sol.barycenter, objective=sol.objective, transform=est.transform,
     )
@@ -303,16 +304,15 @@ def load(path) -> FairPostprocessor:
         if barycenter.shape != (k,):
             raise ValueError(f"barycenter must hold {k} entries")
         alpha, epsilon = float(fit_meta["alpha"]), float(fit_meta["epsilon"])
-        seed = fit_meta["seed"]
         if type(fit_meta["k"]) is not int or fit_meta["k"] != k:
             raise ValueError(f"fit k {fit_meta['k']!r} disagrees with the grid's k = {k}")
         barycenter_lp._check_alpha(alpha)
         dp_estimation.check_epsilon(epsilon)
-        if seed is not None and type(seed) is not int:
+        if (seed := fit_meta["seed"]) is not None and type(seed) is not int:
             raise ValueError(f"seed must be an integer or null, got {seed!r}")
         return FairPostprocessor(
             grid=grid, groups=groups, kernels=matrices,
-            alpha=alpha, epsilon=epsilon, seed=seed, weights=weights,
+            alpha=alpha, epsilon=epsilon, weights=weights,
             pmfs=_stochastic(d["pmfs"], n, k, k, "pmfs"),
             targets=_stochastic(d["targets"], n, k, k, "targets"), barycenter=barycenter,
             objective=float(d["objective"]),

@@ -43,7 +43,7 @@ def dists_from_pmfs(pmfs, weights=None) -> PrivateEstimate:
     return PrivateEstimate(grid=make_grid(0, 1, pmfs.shape[1]), transform=AffineTransform(),
                            groups=tuple(f"g{a}" for a in range(len(pmfs))),
                            weights=np.asarray(weights, dtype=float), pmfs=pmfs,
-                           epsilon=math.inf, seed=None)
+                           epsilon=math.inf)
 
 
 def ks_distance(p, q) -> float:

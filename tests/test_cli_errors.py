@@ -382,6 +382,23 @@ def test_inf_spellings_parse_as_inf(tmp_path, data):
     assert results[2].startswith("inf,2,inf,0,")
 
 
+def test_schema_and_config_may_start_with_a_byte_order_mark(tmp_path, data):
+    """A JSON file that starts with a UTF-8 byte-order mark (as some Windows
+    editors save it) reads as the same document, as a data CSV does."""
+    bom = b"\xef\xbb\xbf"
+    schema = tmp_path / "schema.json"
+    schema.write_bytes(bom + json.dumps({"interval": [0, 2]}).encode())
+    out = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--schema", str(schema), "--k", "3",
+                 "--alpha", "0.1", "--epsilon", "inf", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["transform"] == {"offset": "0", "scale": "2"}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_bytes(bom + json.dumps({"data": str(data), "alphas": [0.1], "ks": [2],
+                                      "epsilons": ["inf"], "seeds": 1}).encode())
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "results.csv").exists()
+
+
 def test_non_numbers_are_config_errors(tmp_path, data, capsys):
     assert main(["fit", "--data", str(data), "--k", "3", "--alpha", "infinite",
                  "--epsilon", "1", "--out", str(tmp_path / "m.json")]) == 2
@@ -420,11 +437,13 @@ def test_bad_sweep_hyperparameters_are_config_errors(tmp_path, data, capsys, fie
 
 @pytest.mark.parametrize("command, seed", [
     ("fit", "-1"), ("apply", "-1"), ("evaluate", "-3"), ("sweep", "-1"), ("sweep", None),
-], ids=["fit", "apply", "evaluate", "sweep", "master_seed"])
+    ("fit", "1.5"),
+], ids=["fit", "apply", "evaluate", "sweep", "master_seed", "fit_float"])
 def test_negative_seeds_are_config_errors(tmp_path, data, model, capsys, command, seed):
-    """numpy seeds no generator from a negative integer: a negative --seed is
-    argparse's error naming the flag, and a negative master_seed a config
-    error naming the key, each exit 2 before anything is written."""
+    """numpy seeds no generator from a negative integer: a negative (or
+    non-integer) --seed is argparse's error naming the flag, and a negative
+    master_seed a config error naming the key, each exit 2 before anything
+    is written."""
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"data": str(data), "alphas": [0.1], "ks": [2],
                                "epsilons": ["inf"], "seeds": 1, "master_seed": -2}))
@@ -441,5 +460,5 @@ def test_negative_seeds_are_config_errors(tmp_path, data, model, capsys, command
         with pytest.raises(SystemExit) as exc:
             main([command, *argv, "--seed", seed])
         assert exc.value.code == 2
-        assert f"argument --seed: must be >= 0, got {seed}\n" in capsys.readouterr().err
+        assert f"argument --seed: must be an integer >= 0, got {seed!r}\n" in capsys.readouterr().err
     assert not out.exists()

@@ -17,7 +17,9 @@ import fairpost.grid
 import fairpost.metrics
 import fairpost.pipeline
 import fairpost.transport
+from fairpost.cli import main
 from fairpost.data_io import AffineTransform, GroupedSamples
+from fairpost.dp_estimation import sample_laplace_many
 from fairpost.errors import UnknownGroupError
 from fairpost.metrics import statistical_parity_gap
 from fairpost.pipeline import FairPostprocessor, estimate, fit, load
@@ -343,7 +345,24 @@ def test_load_accepts_the_metadata_fit_writes(tmp_path):
     assert json.loads(path.read_text())["fit"] == {"alpha": "inf", "epsilon": "inf", "k": 4,
                                                    "seed": None}
     loaded = load(path)
-    assert (loaded.alpha, loaded.epsilon, loaded.seed) == (math.inf, math.inf, None)
+    assert (loaded.alpha, loaded.epsilon) == (math.inf, math.inf)
+
+
+def test_load_drops_a_stored_integer_seed(tmp_path):
+    """Version-1 files that fits once wrote with an integer seed still load:
+    they predict as the same file with a null seed does, and save back with
+    a null seed."""
+    path, doc = saved_document(tmp_path)
+    assert doc["fit"]["seed"] is None
+    doc["fit"]["seed"] = 7
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(doc, indent=1) + "\n")
+    rows = [("A", 0.3), ("B", 0.6)] * 25
+    assert np.array_equal(predict_rows(load(path), rows, np.random.default_rng(5)),
+                          predict_rows(load(seeded), rows, np.random.default_rng(5)))
+    resaved = tmp_path / "resaved.json"
+    load(seeded).save(resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_truncated_and_non_json_files(tmp_path):
@@ -478,3 +497,62 @@ def test_fit_consumes_data_only_through_private_estimates(monkeypatch):
     assert calls["args"] == (poisoned, 1.0)
     assert isinstance(model, FairPostprocessor)
     assert model.kernels.shape == (2, k, k)
+
+
+@pytest.mark.parametrize("epsilon, rng, warns", [
+    (1.0, 3, True), (0.5, np.int64(3), True), (math.inf, 3, False),
+    (1.0, np.random.default_rng(3), False), (1.0, None, False),
+], ids=["int", "numpy_int", "inf_epsilon", "generator", "none"])
+def test_a_seeded_finite_epsilon_estimate_warns_once(caplog, epsilon, rng, warns):
+    """An integer seed lets anyone who knows it redraw the Laplace noise, so
+    step 1 warns; a generator (the sweep's streams), OS entropy and a fit
+    without noise do not."""
+    with caplog.at_level(logging.WARNING, logger="fairpost.pipeline"):
+        estimate(two_group_samples(), (0, 1), 4, epsilon, rng)
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    expected = f"anyone who knows this fit's seed can undo its noise (epsilon={epsilon:g})"
+    assert messages == ([expected] if warns else [])
+
+
+def four_group_csv(path, sizes=(800, 600, 400, 200)) -> dict:
+    """Four Beta-distributed groups of the given sizes, interleaved; returns
+    each group's size by label."""
+    rng = np.random.default_rng(11)
+    labels = np.repeat(list("ABCD"), sizes)
+    scores = np.concatenate([rng.beta(a, b, n) for (a, b), n in zip(BETA_POPULATIONS, sizes)])
+    order = rng.permutation(len(labels))
+    path.write_text("group,score\n" + "".join(f"{g},{y!r}\n" for g, y in
+                                              zip(labels[order], scores[order].tolist())))
+    return dict(zip("ABCD", sizes))
+
+
+def recovered_group_sizes(doc: dict, n: int, seed: int) -> dict:
+    """The attack a known seed allows on a model document (n is public):
+    redraw step 1's Laplace noise from the seed and subtract each group's
+    noise from its stored weight."""
+    weights = np.array(doc["diagnostics"]["weights"], dtype=float)
+    k, epsilon = doc["fit"]["k"], float(doc["fit"]["epsilon"])
+    noise = sample_laplace_many(np.random.default_rng(seed), 2.0 / (n * epsilon),
+                                len(weights) * k).reshape(len(weights), k)
+    return dict(zip(doc["groups"], np.rint(n * (weights - noise.sum(axis=1))).astype(int)))
+
+
+def test_an_unseeded_fit_is_fresh_each_time_and_no_guessed_seed_undoes_it(tmp_path):
+    """fit --seed is opt-in.  Without it the noise comes from OS entropy: two
+    fits of one file hold different pmfs, and none of the seeds 0-9 rebuilds
+    the noise that recovers every group's exact size, as the seed of a
+    seeded fit does.  No model file holds a seed."""
+    data = tmp_path / "data.csv"
+    sizes = four_group_csv(data)
+    n = sum(sizes.values())
+    docs = {}
+    for name, seed in (("seeded", ["--seed", "3"]), ("a", []), ("b", [])):
+        out = tmp_path / f"{name}.json"
+        assert main(["fit", "--data", str(data), "--k", "36", "--alpha", "0.05",
+                     "--epsilon", "1", *seed, "--out", str(out)]) == 0
+        docs[name] = json.loads(out.read_text())
+    assert [doc["fit"]["seed"] for doc in docs.values()] == [None, None, None]
+    assert docs["a"]["diagnostics"]["pmfs"] != docs["b"]["diagnostics"]["pmfs"]
+    assert recovered_group_sizes(docs["seeded"], n, 3) == sizes
+    for seed in range(10):
+        assert recovered_group_sizes(docs["a"], n, seed) != sizes

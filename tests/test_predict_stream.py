@@ -33,7 +33,7 @@ def model_from_kernels(matrices, s=0.0, t=1.0):
     return FairPostprocessor(
         grid=make_grid(s, t, k), groups=tuple(f"g{a}" for a in range(n_groups)),
         kernels=matrices, alpha=0.1, epsilon=math.inf,
-        seed=None, weights=np.full(n_groups, 1.0 / n_groups), pmfs=flat,
+        weights=np.full(n_groups, 1.0 / n_groups), pmfs=flat,
         targets=flat, barycenter=flat[0], objective=0.0)
 
 

@@ -273,7 +273,7 @@ def reference_document(m) -> dict:
                  "midpoints": [f(v) for v in m.grid.midpoints]},
         "groups": list(m.groups),
         "kernels": [[f(x) for x in k.ravel()] for k in m.kernels],
-        "fit": {"alpha": f(m.alpha), "epsilon": f(m.epsilon), "k": m.grid.k, "seed": m.seed},
+        "fit": {"alpha": f(m.alpha), "epsilon": f(m.epsilon), "k": m.grid.k, "seed": None},
         "transform": {"offset": f(m.transform.offset), "scale": f(m.transform.scale)},
         "diagnostics": {
             "weights": [f(x) for x in m.weights],
