@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
@@ -23,7 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__, pipeline, sweep
-from .data_io import DatasetSchema, csv_cell, format_floats, load_csv, write_csv
+from .data_io import (DatasetSchema, csv_cell, csv_preamble, format_floats, index_labels,
+                      load_csv, read_blocks)
 from .errors import ConfigError, DataError, SolverFailure, UnknownGroupError
 
 
@@ -109,16 +111,38 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_scores(path: str, schema: DatasetSchema):
-    """The rows of ``path`` as ``fit`` and ``apply`` use them: the label
-    column is read only when it is also the score."""
-    return load_csv(path, dataclasses.replace(
-        schema, label_col=schema.label_col if schema.score_col is None else None))
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file to write ``path`` through: a temporary file beside it,
+    moved onto ``path`` once the block exits cleanly and removed if it does
+    not, so that a failed command leaves an existing ``path`` as it was.  A
+    path that exists but is not a regular file (a pipe, /dev/stdout) is
+    written in place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{path}.{os.getpid()}.tmp"
+    try:
+        with _writing(path):
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                yield fh
+            if not in_place:
+                os.replace(tmp, path)
+    except BaseException:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+
+
+def _scores_schema(schema: DatasetSchema) -> DatasetSchema:
+    """``schema`` as ``fit`` and ``apply`` read rows: the label column is
+    read only when it is also the score."""
+    return dataclasses.replace(
+        schema, label_col=schema.label_col if schema.score_col is None else None)
 
 
 def _cmd_fit(args) -> int:
     schema = _load_schema(args.schema)
-    samples = _load_scores(args.data, schema)
+    samples = load_csv(args.data, _scores_schema(schema))
     alpha = _parse_hyper(args.alpha)
     epsilon = _parse_hyper(args.epsilon)
     try:
@@ -133,17 +157,37 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    """Read, predict and write one block at a time, with one stream of
+    draws; after an unknown group the rest of the file is only read, so that
+    a data error anywhere comes first."""
     model = _load_model(args.model)
-    samples = _load_scores(args.data, _load_schema(args.schema))
-    preds = model.predict_batch(samples.groups, samples.group_idx, samples.scores,
-                                np.random.default_rng(args.seed), mode=args.mode)
-    # each label is quoted once, and each of the G * k prediction values formatted once
-    labels = list(map(csv_cell, samples.groups))
-    rows = zip(map(labels.__getitem__, samples.group_idx.tolist()), samples.score_text,
-               format_floats(preds))
-    with _writing(args.out):
-        write_csv(args.out, args.seed, ("group", "score", "prediction"), rows)
-    print(f"wrote {samples.n} predictions to {args.out}")
+    blocks = read_blocks(args.data, _scores_schema(_load_schema(args.schema)))
+    rng = np.random.default_rng(args.seed)
+    # each of the (at most G * k) outputs is formatted once, and each label quoted once
+    outputs = np.array([f",{text}\n" for text in format_floats(model.output_table(args.mode))],
+                       dtype=object)
+    index, n, unknown = {}, 0, None
+    with _replacing(args.out) as fh:
+        fh.write(csv_preamble(args.seed, ("group", "score", "prediction")))
+        for block in blocks:
+            group_idx = index_labels(index, block.labels)
+            quoted = np.array([csv_cell(g) + "," for g in index], dtype=object)
+            if unknown is None:
+                try:
+                    codes = model.output_codes(tuple(index), group_idx, block.numbers[0], rng,
+                                               args.mode, first_row=n)
+                except UnknownGroupError as exc:
+                    unknown = exc
+                else:
+                    text = [""] * (3 * len(codes))
+                    text[0::3] = quoted[group_idx].tolist()
+                    text[1::3] = block.score_text
+                    text[2::3] = outputs[codes].tolist()
+                    fh.write("".join(text))
+            n += len(group_idx)
+        if unknown is not None:
+            raise unknown
+    print(f"wrote {n} predictions to {args.out}")
     return 0
 
 
@@ -201,8 +245,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's refusals print one line, as every other failure does."""
+
+    def error(self, message):
+        self.exit(2, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="fairpost",
+    p = _Parser(prog="fairpost",
                                 description="Private post-processing for fair regression")
     p.add_argument("--version", action="version", version=f"fairpost {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -248,9 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the library's warnings reach stderr as "warning: ..." lines while a command runs
+    warnings = logging.StreamHandler()
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("fairpost")
+    logger.addHandler(warnings)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -261,6 +316,8 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        logger.removeHandler(warnings)
 
 
 if __name__ == "__main__":

@@ -8,17 +8,20 @@ canonical layout (or any layout described by a :class:`DatasetSchema`).
 Columns are returned in the units they were read in; a fitted model maps
 them onto its unit grid with the :class:`AffineTransform` it stores.
 
-Text I/O works on blocks, not on one row at a time.  :func:`load_csv`
-reads the file once as bytes and splits a regular one a block of lines at
-a time on its line breaks and delimiter (:func:`_split_regular`); any
-other, and so every file with an error, goes to ``csv.reader``, whose rows
-are checked, parsed and indexed a block at a time, and the rows of a block
-that fails a check are walked again one by one only to name its first bad
-row.  The stripped text of the score cells is kept beside the parsed
-scores, so that ``apply`` writes every score as it was read without
-formatting a float.  :func:`write_csv` writes every CSV file the commands
-produce, and :func:`format_floats` renders a float column for it with one
-call of the formatter per distinct value.
+Text I/O works on blocks, not on one row at a time.  :func:`read_blocks`
+reads the file once as bytes and yields its rows a block at a time: a
+regular file is cut into blocks of lines on its line breaks, and each block
+split on its delimiter (:func:`_split_regular`); any other, and so every
+file with an error, goes to ``csv.reader``, whose rows are checked and
+parsed a block at a time, and the rows of a block that fails a check are
+walked again one by one only to name its first bad row.  A block holds
+the stripped text of its score cells beside the parsed scores, so that
+``apply`` writes every score as it was read without formatting a float;
+:func:`load_csv` joins the blocks into columns for the commands that need
+the whole file.  :func:`write_csv` writes every CSV file the commands
+produce but ``apply``'s, which starts with its :func:`csv_preamble`, and
+:func:`format_floats` renders a float column for them with one call of the
+formatter per distinct value.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import io
 import logging
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from itertools import compress, islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -113,24 +116,19 @@ class GroupedSamples:
 
     ``groups`` lists the distinct group labels in first-appearance order
     (a repeated label is refused); ``group_idx`` indexes into it per row.
-    Scores and labels are in raw units.  ``score_text`` is an object array
-    of each score's cell text, stripped, as :func:`load_csv` read it;
-    samples built any other way have none.
+    Scores and labels are in raw units.
     """
 
     groups: tuple
     group_idx: np.ndarray
     scores: np.ndarray
     labels: np.ndarray | None = None
-    score_text: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.group_idx) != len(self.scores):
             raise ValueError("group_idx and scores length mismatch")
         if self.labels is not None and len(self.labels) != len(self.scores):
             raise ValueError("labels length mismatch")
-        if self.score_text is not None and len(self.score_text) != len(self.scores):
-            raise ValueError("score_text length mismatch")
         if len(set(self.groups)) != len(self.groups):
             raise ValueError(f"repeated group labels in {list(self.groups)}")
         if len(self.group_idx) and not (
@@ -149,12 +147,21 @@ class GroupedSamples:
             group_idx=self.group_idx[idx],
             scores=self.scores[idx],
             labels=None if self.labels is None else self.labels[idx],
-            score_text=None if self.score_text is None else self.score_text[idx],
         )
 
 
-def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
-    """Parse a delimited file into :class:`GroupedSamples` per ``schema``.
+class Block(NamedTuple):
+    """The kept rows of one block of a file, as :func:`read_blocks` yields
+    them: each row's group label, each number column read (the score's
+    first) parsed and finite, and the score cells' text, stripped."""
+
+    labels: list
+    numbers: list
+    score_text: list
+
+
+def read_blocks(path, schema: DatasetSchema) -> Iterator[Block]:
+    """The rows of a delimited file per ``schema``, in blocks of kept rows.
 
     Rows with an empty cell in any declared column are rejected (and
     counted); a non-empty cell that fails to parse, or parses to nan or
@@ -163,12 +170,16 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
     unparseable or non-finite cells, a file that is not UTF-8 CSV, or an
     empty result.
 
-    Unless :func:`_split_regular` splits the file, rows are taken from
-    ``csv.reader`` in blocks of :data:`BLOCK_ROWS`, and each check runs over
-    a whole column of a block.  The parsed rows of a block that fails a
-    check are walked again one by one, so the error names the same physical
-    line and cell as a row-at-a-time parser would.  The file is read once,
-    so a pipe works as well as a regular file.
+    The file is read, its header checked and, for a regular file, every
+    check of :func:`_regular_bounds` made before this returns; an error in
+    the rows is raised by the iterator at the block that holds it, and the
+    rejected-row warning is logged after the last block.  Unless the file
+    is regular, rows are taken from ``csv.reader`` in blocks of
+    :data:`BLOCK_ROWS`, and each check runs over a whole column of a block.
+    The parsed rows of a block that fails a check are walked again one by
+    one, so the error names the same physical line and cell as a
+    row-at-a-time parser would.  The file is read once, so a pipe works as
+    well as a regular file.
     """
     score_col = schema.score_col if schema.score_col is not None else schema.label_col
     # the group column, then each numeric column once: a label column that
@@ -194,49 +205,91 @@ def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
         raise DataError(f"{path}: missing column(s) {sorted(missing)}")
     if repeated := [c for c in columns if header.count(c) > 1]:
         raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-    regular = _split_regular(data, schema.delimiter, len(header), [position[c] for c in columns])
-    index, gi, values, score_text = regular or (
-        {}, array("q"), [array("d") for _ in columns[1:]], [])
-    rejected = 0
-    getters = [operator.itemgetter(position[c]) for c in columns]
-    width = 1 + max(position[c] for c in columns)
+    picks = [position[c] for c in columns]
+    blocks = _csv_blocks(path, reader, columns, picks)
+    bounds = _regular_bounds(data, schema.delimiter, len(header))
+    if bounds is not None:
+        blocks = _split_regular(data, bounds, schema.delimiter, len(header), picks, blocks)
+    return _counted(path, blocks)
+
+
+def _counted(path, blocks) -> Iterator[Block]:
+    """The nonempty blocks of ``blocks``, pairs of a rejected-row count and
+    a :class:`Block`; the count is logged, or the lack of any kept row
+    raised, after the last."""
+    kept = rejected = 0
+    for dropped, block in blocks:
+        rejected += dropped
+        if block.labels:
+            kept += len(block.labels)
+            yield block
+    if not kept:
+        raise DataError(f"{path}: no usable data rows")
+    if rejected:
+        log.warning("%s: rejected %d row(s) with empty cells", path, rejected)
+
+
+def load_csv(path, schema: DatasetSchema) -> GroupedSamples:
+    """The rows of :func:`read_blocks` as one :class:`GroupedSamples`, the
+    group labels indexed in first-appearance order."""
+    index, gis, numbers = {}, [], []
+    for block in read_blocks(path, schema):
+        gis.append(index_labels(index, block.labels))
+        numbers.append(block.numbers)
+    values = [np.concatenate(column) for column in zip(*numbers)]
+    return GroupedSamples(groups=tuple(index), group_idx=np.concatenate(gis), scores=values[0],
+                          labels=None if schema.label_col is None else values[-1])
+
+
+def index_labels(index: dict, labels) -> np.ndarray:
+    """Each of ``labels``' index in ``index``, to which the labels it lacks
+    are added in first-appearance order."""
+    if not index.keys() >= set(labels):
+        for g in dict.fromkeys(labels):
+            index.setdefault(g, len(index))
+    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
+def _block(labels, numbers) -> Block:
+    """The :class:`Block` of kept rows with these cells, ``numbers`` parsed;
+    raises ``ValueError`` for a bad number."""
+    values = [np.fromiter(map(float, cells), float, len(cells)) for cells in numbers]
+    if not all(np.isfinite(column).all() for column in values):
+        raise ValueError("non-finite cell")
+    return Block(labels, values, numbers[0])
+
+
+def _csv_blocks(path, reader, columns, picks):
+    """``csv.reader``'s rows, :data:`BLOCK_ROWS` at a time, as pairs of a
+    rejected-row count and a :class:`Block`, the cells at ``picks`` (the
+    group's position, then each number's).  The first bad row of a block,
+    or the error that ended its read, is raised as a :class:`DataError`
+    (:func:`_raise_first_bad_row`)."""
+    getters = [operator.itemgetter(p) for p in picks]
+    width = 1 + max(picks)
     line = reader.line_num
-    while regular is None:
+    while True:
         rows, stop = [], None
         try:
             rows.extend(islice(reader, BLOCK_ROWS))
         except (csv.Error, UnicodeDecodeError) as exc:
             stop = exc  # raised once the rows read before it pass
         if not rows and stop is None:
-            break
+            return
         try:
-            rejected += _parse_block(rows, getters, width, index, gi, values, score_text)
-            failed = stop is not None
+            parsed = _parse_block(rows, getters, width)
         except ValueError:
-            failed = True
-        if failed:
+            parsed = None
+        if parsed is None or stop is not None:
             _raise_first_bad_row(path, rows, line, columns, getters, width, stop)
         line = reader.line_num
-    del data, reader  # the file's bytes, freed before the columns are copied out
-
-    if not gi:
-        raise DataError(f"{path}: no usable data rows")
-    if rejected:
-        log.warning("%s: rejected %d row(s) with empty cells", path, rejected)
-
-    return GroupedSamples(
-        groups=tuple(index),
-        group_idx=np.frombuffer(gi, dtype=np.int64).astype(np.intp),
-        scores=np.frombuffer(values[0]),
-        labels=None if schema.label_col is None else np.frombuffer(values[-1]),
-        score_text=np.array(score_text, dtype=object),
-    )
+        yield parsed
 
 
-def _parse_block(rows, getters, width: int, index: dict, gi, values, score_text) -> int:
-    """Append a block's kept rows to the columns (:func:`_append_columns`),
+def _parse_block(rows, getters, width: int) -> tuple[int, Block]:
+    """A block's count of rejected rows and its :class:`Block` of kept rows,
     the cells picked by ``getters``: the group's, then each number's, the
-    score first.  Returns the block's count of rejected rows."""
+    score first."""
     rejected = 0
     if min(map(len, rows), default=width) < width:
         # blank rows are skipped, as csv.DictReader does; short rows are rejected
@@ -249,34 +302,18 @@ def _parse_block(rows, getters, width: int, index: dict, gi, values, score_text)
         keep = list(map(all, zip(labels, *numbers)))
         rejected += keep.count(False)  # a declared cell is empty
         labels, *numbers = [list(compress(col, keep)) for col in (labels, *numbers)]
-    _append_columns(labels, numbers, index, gi, values, score_text)
-    return rejected
+    return rejected, _block(labels, numbers)
 
 
-def _append_columns(labels, numbers, index: dict, gi, values, score_text) -> None:
-    """Append each label's index into ``index`` (first-appearance order) to
-    ``gi``, each column of ``numbers`` parsed to its array in ``values``, and
-    the score cells to ``score_text``; raises ``ValueError`` for a bad number."""
-    for column, cells in zip(values, numbers):
-        start = len(column)
-        column.extend(map(float, cells))
-        if not np.isfinite(np.frombuffer(column)[start:]).all():
-            raise ValueError("non-finite cell")
-    score_text.extend(numbers[0])
-    for g in dict.fromkeys(labels):
-        index.setdefault(g, len(index))
-    gi.extend(map(index.__getitem__, labels))
-
-
-def _split_regular(data: bytes, delimiter: str, ncol: int, picks):
-    """The columns ``(index, gi, values, score_text)`` that ``csv.reader``
-    gives for ``data``, a file of ``ncol`` columns, at the ``picks`` (the
-    group's position, then each number's); None unless the file is regular:
-    ASCII ending in a line break, none of :data:`_IRREGULAR` but the
-    delimiter, ``ncol - 1`` delimiters and no empty cell on each line, no
-    line over ``csv.field_size_limit()``, and every number finite.
-    ``csv.reader`` splits such lines on the delimiter alone, and stripping
-    their cells is a no-op.  Every block is checked before any is split."""
+def _regular_bounds(data: bytes, delimiter: str, ncol: int) -> list[int] | None:
+    """Where the blocks of ``data``, a file of ``ncol`` columns, start, and
+    where the last ends: after the header line, then at the first line end
+    :data:`BLOCK_BYTES` or more further on.  None unless the file is
+    regular: ASCII ending in a line break, none of :data:`_IRREGULAR` but
+    the delimiter, ``ncol - 1`` delimiters and no empty cell on each line,
+    and no line over ``csv.field_size_limit()``.  ``csv.reader`` splits
+    such lines on the delimiter alone, and stripping their cells is a
+    no-op.  Every block is checked before this returns."""
     code = ord(delimiter)
     if not (data.isascii() and code < 128 and data.endswith(b"\n")) or any(
             c in data for c in _IRREGULAR if c != delimiter.encode()):
@@ -286,20 +323,32 @@ def _split_regular(data: bytes, delimiter: str, ncol: int, picks):
         end = data.find(b"\n", bounds[-1] + BLOCK_BYTES) + 1 or len(data)
         block = np.frombuffer(data, np.uint8, end - bounds[-1], bounds[-1])
         ends = np.flatnonzero((block == code) | (block == 10))  # where each cell ends
-        if not (np.array_equal(block[ends] == 10, np.arange(len(ends)) % ncol == ncol - 1)
+        lines = ends[ncol - 1::ncol]  # where each line ends, if every ncol-th cell end does
+        if not (len(ends) % ncol == 0 and (block[lines] == 10).all()
+                and np.count_nonzero(block == 10) == len(lines)
                 and np.diff(ends, prepend=-1).min() > 1  # no empty cell
-                and np.diff(ends[ncol - 1::ncol], prepend=-1).max() <= csv.field_size_limit()):
+                and np.diff(lines, prepend=-1).max() <= csv.field_size_limit()):
             return None
         bounds.append(end)
-    index, gi, values, score_text = {}, array("q"), [array("d") for _ in picks[1:]], []
+    return bounds
+
+
+def _split_regular(data: bytes, bounds, delimiter: str, ncol: int, picks, csv_blocks):
+    """The blocks of the regular file ``data`` between ``bounds``
+    (:func:`_regular_bounds`), as :func:`_csv_blocks` pairs them, each line
+    split on the delimiter.  A number that does not parse or is not finite
+    is found again by ``csv_blocks``, which raises its error and yields
+    nothing, since the rows before it have been yielded here."""
     for start, end in zip(bounds, bounds[1:]):
         cells = data[start:end].decode("ascii").replace("\n", delimiter).split(delimiter)
         labels, *numbers = [cells[p:-1:ncol] for p in picks]
         try:
-            _append_columns(labels, numbers, index, gi, values, score_text)
+            block = _block(labels, numbers)
         except ValueError:
-            return None
-    return index, gi, values, score_text
+            for _ in csv_blocks:
+                pass
+            raise AssertionError("csv.reader finds no bad number in a regular file") from None
+        yield 0, block
 
 
 def _raise_first_bad_row(path, rows, line: int, columns, getters, width: int,
@@ -349,13 +398,19 @@ def csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
+def csv_preamble(seed: int, names) -> str:
+    """The ``# fairpost <version> master_seed=<seed>`` line and the header of
+    column ``names`` that every CSV file the commands write starts with."""
+    return f"# fairpost {__version__} master_seed={seed}\n{','.join(names)}\n"
+
+
 def write_csv(path, seed: int, names, rows) -> None:
-    """A ``# fairpost <version> master_seed=<seed>`` line, the header of column
-    ``names``, then ``rows`` (sequences of cell text, quoted by the caller as
-    needed: :func:`csv_cell`) joined by commas, :data:`BLOCK_ROWS` per write."""
+    """:func:`csv_preamble`, then ``rows`` (sequences of cell text, quoted by
+    the caller as needed: :func:`csv_cell`) joined by commas,
+    :data:`BLOCK_ROWS` per write."""
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fairpost {__version__} master_seed={seed}\n{','.join(names)}\n")
+        fh.write(csv_preamble(seed, names))
         while block := list(islice(rows, BLOCK_ROWS)):
             fh.write("\n".join(map(",".join, block)) + "\n")
 

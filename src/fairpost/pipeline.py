@@ -123,8 +123,8 @@ class FairPostprocessor:
         guarantee is void."""
         if a not in self.groups:
             raise UnknownGroupError(f"group {a!r} was not present at fit time")
-        idx = np.array([self.groups.index(a)])
-        return float(self._predict_indexed(idx, np.array([float(y)]), rng, mode)[0])
+        codes = self._codes(np.array([self.groups.index(a)]), np.array([float(y)]), rng, mode)
+        return float(self.output_table(mode)[codes[0]])
 
     def predict_batch(self, groups, group_idx, scores, rng: np.random.Generator,
                       mode: str = "sample") -> np.ndarray:
@@ -133,11 +133,29 @@ class FairPostprocessor:
         :class:`GroupedSamples`.  Sample mode draws one uniform per row, so
         outputs and stream state equal a loop of :meth:`predict`.  Unknown
         groups are reported with their row index before any draw."""
-        idx = self._model_rows(groups, np.asarray(group_idx, dtype=np.intp))
-        return self._predict_indexed(idx, np.asarray(scores, dtype=float), rng, mode)
+        codes = self.output_codes(groups, group_idx, scores, rng, mode)
+        return self.output_table(mode)[codes]
 
-    def _model_rows(self, groups, group_idx: np.ndarray) -> np.ndarray:
-        """Model group index of each row; each distinct label is looked up once."""
+    def output_table(self, mode: str = "sample") -> np.ndarray:
+        """The raw outputs that :meth:`output_codes` index: the k grid
+        midpoints, or in barycentric mode the G x k kernel row means, row by row."""
+        if mode == "barycentric":
+            return self.transform.to_raw(self._row_means).ravel()
+        return self.transform.to_raw(self.grid.midpoints)
+
+    def output_codes(self, groups, group_idx, scores, rng: np.random.Generator,
+                     mode: str = "sample", first_row: int = 0) -> np.ndarray:
+        """Each row's index into :meth:`output_table`, for rows laid out as
+        :meth:`predict_batch` takes them.  An unknown group is named by its
+        row's index plus ``first_row``, so that rows predicted in blocks are
+        numbered as one batch; split so, sample mode draws the stream of
+        one batch."""
+        idx = self._model_rows(groups, np.asarray(group_idx, dtype=np.intp), first_row)
+        return self._codes(idx, np.asarray(scores, dtype=float), rng, mode)
+
+    def _model_rows(self, groups, group_idx: np.ndarray, first_row: int) -> np.ndarray:
+        """Model group index of each row; each distinct label is looked up once,
+        and an unknown one named by its row's index plus ``first_row``."""
         bad = (group_idx < 0) | (group_idx >= len(groups))
         if bad.any():
             i = int(np.argmax(bad))
@@ -147,12 +165,16 @@ class FairPostprocessor:
         idx = lut[group_idx]
         if (idx < 0).any():
             i = int(np.argmax(idx < 0))
-            raise UnknownGroupError(
-                f"row {i}: group {groups[group_idx[i]]!r} was not present at fit time")
+            raise UnknownGroupError(f"row {first_row + i}: group {groups[group_idx[i]]!r} "
+                                    "was not present at fit time")
         return idx
 
-    def _predict_indexed(self, idx: np.ndarray, ys: np.ndarray,
-                         rng: np.random.Generator, mode: str) -> np.ndarray:
+    def _codes(self, idx: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
+               mode: str) -> np.ndarray:
+        """The sampler: the :meth:`output_table` index of each row of model
+        group ``idx`` and raw score ``ys``, the drawn bin in sample mode
+        (one uniform per row) and the kernel row ``idx * k + bin`` in
+        barycentric mode."""
         if mode not in ("sample", "barycentric"):
             raise ValueError(f"unknown mode {mode!r}")
         zs = self.transform.to_internal(ys)
@@ -164,9 +186,8 @@ class FairPostprocessor:
                             ys[outside][0], *self.transform.to_raw([self.grid.s, self.grid.t]))
             self.out_of_range_count += n_outside
         if mode == "barycentric":
-            return self.transform.to_raw(self._row_means[idx, j])
-        bins = transport.sample_bins(self._row_bands, idx, j, rng.random(len(ys)))
-        return self.transform.to_raw(self.grid.midpoints[bins])
+            return idx * self.grid.k + j
+        return transport.sample_bins(self._row_bands, idx, j, rng.random(len(ys)))
 
     def to_document(self) -> dict:
         return {

@@ -25,7 +25,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -208,8 +208,6 @@ def run_sweep(cfg: SweepConfig, samples: GroupedSamples | None = None) -> list[S
         samples = load_csv(cfg.data_path, cfg.schema)
     elif samples.labels is None:
         raise ValueError("sweep requires labeled samples for test MSE")
-    # a sweep writes no score: its splits and its workers skip the text
-    samples = replace(samples, score_text=None)
     # a fork pool starts all its workers up front: start no more than there are seeds
     workers = min(cfg.workers, cfg.seeds)
     if workers == 1:

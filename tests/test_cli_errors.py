@@ -462,3 +462,31 @@ def test_negative_seeds_are_config_errors(tmp_path, data, model, capsys, command
         assert exc.value.code == 2
         assert f"argument --seed: must be an integer >= 0, got {seed!r}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--seed", "-1"], ["fit", "--k", "1.5"], ["evaluate", "--no-such-flag"],
+], ids=["negative_seed", "float_k", "unknown_flag"])
+def test_argparse_refusals_print_one_line(tmp_path, data, model, capsys, argv):
+    """argparse's own refusals are config errors of one line, exit 2,
+    without its usage block."""
+    required = {"fit": ["--data", str(data), "--k", "2", "--alpha", "0.1", "--epsilon", "inf"],
+                "apply": ["--model", str(model), "--data", str(data)],
+                "evaluate": ["--model", str(model), "--data", str(data)]}[argv[0]]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *required, "--out", str(out), *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_warnings_carry_a_prefix(tmp_path, data, capsys):
+    """A seeded finite-epsilon fit warns on stderr as "warning: ..."; the
+    handler goes with the command, so a second command does not print twice."""
+    for out in ("m1.json", "m2.json"):
+        assert main(["fit", "--data", str(data), "--k", "2", "--alpha", "0.1", "--epsilon", "1",
+                     "--seed", "0", "--out", str(tmp_path / out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: anyone who knows this fit's seed can undo its noise (epsilon=1)\n")

@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import dataclasses
 import io
+import json
 import logging
 import os
 import tempfile
@@ -10,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csv_oracle import load_csv_rows
-from fairpost import data_io
+from csv_oracle import apply_rows, load_csv_rows, random_model
+from fairpost import data_io, pipeline
+from fairpost.cli import main
 from fairpost.data_io import (AffineTransform, DatasetSchema, GroupedSamples, load_csv,
                               split_train_test)
-from fairpost.errors import DataError
+from fairpost.errors import DataError, UnknownGroupError
 from fairpost.grid import make_grid
 from sample_rows import from_rows
 
@@ -265,16 +269,14 @@ class _Records(logging.Handler):
 
 def outcome(loader, path, schema):
     """Everything a caller can observe of one load: the samples bit for bit
-    and the score cells' text (or the DataError text) and the warnings
-    logged."""
+    (or the DataError text) and the warnings logged."""
     handler = _Records()
     logger = logging.getLogger("fairpost.data_io")
     logger.addHandler(handler)
     try:
         s = loader(path, schema)
         result = ("ok", s.groups, s.group_idx.dtype, s.group_idx.tolist(),
-                  s.scores.tobytes(), None if s.labels is None else s.labels.tobytes(),
-                  s.score_text.dtype, s.score_text.tolist())
+                  s.scores.tobytes(), None if s.labels is None else s.labels.tobytes())
     except DataError as exc:
         result = ("error", str(exc))
     finally:
@@ -282,11 +284,54 @@ def outcome(loader, path, schema):
     return result, handler.messages
 
 
+def apply_outcomes(path, schema):
+    """What ``fairpost apply`` does with the file at ``path`` read per
+    ``schema``, and what the oracle's :func:`apply_rows` says it must do:
+    each as the exit code, the output's text (None if no file is left) and
+    the stderr lines but the warnings.  The model has the groups the oracle
+    reads, sorted rather than in file order."""
+    read = dataclasses.replace(
+        schema, label_col=schema.label_col if schema.score_col is None else None)
+    try:
+        groups = load_csv_rows(path, read)[0].groups
+    except DataError:
+        groups = ("A",)
+    model_path, schema_path, out = (f"{path}.{name}" for name in ("model", "schema", "out"))
+    random_model(sorted(groups), 5, len(groups)).save(model_path)
+    with open(schema_path, "w", encoding="utf-8") as fh:
+        json.dump({"group": schema.group_col, "score": schema.score_col,
+                   "label": schema.label_col, "delimiter": schema.delimiter}, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["apply", "--model", model_path, "--data", str(path), "--schema", schema_path,
+                     "--seed", "7", "--out", out])
+    text = None
+    if os.path.exists(out):
+        with open(out, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        os.remove(out)
+    got = (code, text, [line for line in err.getvalue().splitlines()
+                        if not line.startswith("warning: ")])
+    try:
+        expected = (0, apply_rows(path, read, pipeline.load(model_path), 7), [])
+    except (DataError, UnknownGroupError) as exc:
+        expected = (3, None, [f"data error: {exc}"])
+    return got, expected
+
+
+def load_samples(path, schema):
+    return load_csv_rows(path, schema)[0]
+
+
 def assert_same_as_oracle(path, schema, block_rows=data_io.BLOCK_ROWS):
-    expected = outcome(load_csv_rows, path, schema)
+    """load_csv gives the oracle's samples, errors and warnings, and apply
+    writes the oracle's rows (or fails as it does)."""
+    expected = outcome(load_samples, path, schema)
     with mock.patch.object(data_io, "BLOCK_ROWS", block_rows):
         got = outcome(load_csv, path, schema)
+        applied, oracle = apply_outcomes(path, schema)
     assert got == expected
+    assert applied == oracle
     return got
 
 
@@ -497,23 +542,32 @@ def test_regular_files_are_split_as_the_oracle_reads_them(perturbation, data, bl
     one perturbation is declined, and the csv path gives what the oracle
     gives."""
     text, schema = data.draw(regular_cases(perturbation))
-    split = data_io._split_regular
-    taken = []
+    bounds, csv_blocks = data_io._regular_bounds, data_io._csv_blocks
+    regular, csv_read = [], []
 
-    def spy(*args):
-        columns = split(*args)
-        taken.append(columns is not None)
-        return columns
+    def bounds_spy(*args):
+        found = bounds(*args)
+        regular.append(found is not None)
+        return found
+
+    def csv_spy(*args):  # runs once the csv path's first block is asked for
+        csv_read.append(True)
+        yield from csv_blocks(*args)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/data.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        with mock.patch.object(data_io, "_split_regular", spy), \
+        with mock.patch.object(data_io, "_regular_bounds", bounds_spy), \
+                mock.patch.object(data_io, "_csv_blocks", csv_spy), \
                 mock.patch.object(data_io, "BLOCK_BYTES", block_bytes):
             got = outcome(load_csv, path, schema)
-        assert got == outcome(load_csv_rows, path, schema)
-    assert taken == [perturbation in (None, "bom")]
+            applied, oracle = apply_outcomes(path, schema)
+        assert got == outcome(load_samples, path, schema)
+        assert applied == oracle
+    # a bad number passes the block checks, and csv.reader finds it again
+    assert regular[0] == (perturbation in (None, "bom", "non-finite cell", "unparseable cell"))
+    assert bool(csv_read) == (perturbation not in (None, "bom"))
 
 
 def test_delimiters_are_counted_per_line(tmp_path):
@@ -523,3 +577,19 @@ def test_delimiters_are_counted_per_line(tmp_path):
     path = write(tmp_path, "group,score\nA,0.5,0.25\n0.75\nB,0.1\n")
     got, warnings = assert_same_as_oracle(path, DatasetSchema(label_col=None))
     assert got[1] == ("A", "B") and warnings[0].endswith("rejected 1 row(s) with empty cells")
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["regular", "crlf"])
+def test_blocks_before_a_bad_number_are_yielded_once(tmp_path, crlf):
+    """read_blocks yields a prefix of the file's rows, each once, then
+    raises at the bad number; the byte splitter's rows are not read again."""
+    end = "\r\n" if crlf else "\n"
+    rows = [f"{'AB'[i % 2]},{i / 64!r}" for i in range(60)]
+    rows[45] = "A,0.5.5"
+    path = write(tmp_path, end.join(["group,score", *rows]) + end)
+    scores = []
+    with mock.patch.multiple(data_io, BLOCK_BYTES=100, BLOCK_ROWS=7), \
+            pytest.raises(DataError, match="unparseable cell at row 47, column 'score'"):
+        for block in data_io.read_blocks(path, DatasetSchema(label_col=None)):
+            scores += block.score_text
+    assert 0 < len(scores) <= 45 and scores == [repr(i / 64) for i in range(len(scores))]

@@ -11,15 +11,16 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairpost import __version__
+from csv_oracle import random_model
+from fairpost import __version__, data_io
 from fairpost.cli import main
-from fairpost.data_io import (BLOCK_ROWS, DatasetSchema, GroupedSamples, csv_cell, format_floats,
-                              load_csv, write_csv)
+from fairpost.data_io import BLOCK_BYTES, BLOCK_ROWS, DatasetSchema, format_floats, load_csv
 from fairpost.pipeline import estimate, fit, load
 from fairpost.sweep import SweepRow, aggregate, lower_envelope, write_outputs
 from sample_rows import from_rows
@@ -35,34 +36,40 @@ def group_labels(samples) -> list:
     return [samples.groups[i] for i in samples.group_idx.tolist()]
 
 
-SPECIAL = [0.0, -0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
-       st.lists(st.floats(-2, 2, allow_subnormal=True), min_size=1, max_size=12),
+       st.sampled_from([("A", "B"), ("A", "b c", "é")]), st.sampled_from([1, 3, 8]),
+       st.sampled_from(["sample", "barycentric"]), st.sampled_from([1, 100, BLOCK_BYTES]),
        st.integers(0, 2**32 - 1))
-def test_apply_writer_matches_per_row_reference(n, pool, seed):
-    # predictions repeat a few values (k midpoints in sample mode, G x k row
-    # means in barycentric mode); scores are mostly distinct
+def test_apply_writer_matches_per_row_reference(n, labels, k, mode, block_bytes, seed):
+    """apply's bytes are the per-row reference's whatever the blocks: plain
+    labels take the byte splitter, a padded or non-ASCII one csv.reader.
+    Predictions repeat a few values (k midpoints in sample mode, G x k row
+    means in barycentric mode); scores are mostly distinct, some -0.0 and
+    some outside the fitted interval."""
     rng = np.random.default_rng(seed)
-    pool = np.array(pool + SPECIAL)
-    scores = rng.random(n)
+    scores = rng.random(n) * 1.2 - 0.1
     scores[rng.random(n) < 0.1] = -0.0
     text = [repr(y) for y in scores.tolist()]
-    samples = GroupedSamples(groups=("A", "b c", "é"), group_idx=rng.integers(0, 3, n),
-                             scores=scores, score_text=np.array(text, dtype=object))
-    preds = pool[rng.integers(0, len(pool), n)]
-    # the rows as apply builds them
-    labels = list(map(csv_cell, samples.groups))
-    rows = zip(map(labels.__getitem__, samples.group_idx.tolist()), samples.score_text,
-               format_floats(preds))
+    group_idx = rng.integers(0, len(labels), n)
+    groups = [labels[i] for i in group_idx.tolist()]
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "predictions.csv")
-        write_csv(path, seed, ("group", "score", "prediction"), rows)
-        with open(path, encoding="utf-8", newline="") as fh:
+        data, model_path, out = (os.path.join(tmp, name) for name in ("d.csv", "m.json", "p.csv"))
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("group,score\n" + "".join(f"{g},{y}\n" for g, y in zip(groups, text)))
+        random_model(labels, k, seed).save(model_path)
+        with mock.patch.object(data_io, "BLOCK_BYTES", block_bytes):
+            code = main(["apply", "--model", model_path, "--data", data, "--mode", mode,
+                         "--seed", str(seed), "--out", out])
+        if n == 0:  # no usable rows
+            assert code == 3 and not os.path.exists(out)
+            return
+        assert code == 0
+        with open(out, encoding="utf-8", newline="") as fh:
             written = fh.read()
-    assert written == reference_apply(group_labels(samples), text, preds.tolist(), seed)
+        preds = load(model_path).predict_batch(labels, group_idx, scores,
+                                               np.random.default_rng(seed), mode)
+    assert written == reference_apply(groups, text, preds.tolist(), seed)
 
 
 def read_back(path) -> tuple[str, list, list]:
