@@ -148,7 +148,7 @@ def _cmd_fit(args) -> int:
     try:
         model = pipeline.fit(
             pipeline.estimate(samples, schema.interval, args.k, epsilon, args.seed), alpha)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a bin count too large to allocate
         raise ConfigError(str(exc)) from exc
     with _writing(args.out):
         model.save(args.out)
@@ -223,7 +223,7 @@ def _sweep_config(args) -> sweep.SweepConfig:
             master_seed=args.seed if args.seed is not None else _integer(doc.get("master_seed", 0)),
             workers=args.workers,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise ConfigError(f"config {args.config}: {exc}") from exc
 
 

@@ -11,10 +11,10 @@ them onto its unit grid with the :class:`AffineTransform` it stores.
 Text I/O works on blocks, not on one row at a time.  :func:`read_blocks`
 reads the file once as bytes and yields its rows a block at a time: a
 regular file is cut into blocks of lines on its line breaks, and each block
-split on its delimiter (:func:`_split_regular`); any other, and so every
-file with an error, goes to ``csv.reader``, whose rows are checked and
-parsed a block at a time, and the rows of a block that fails a check are
-walked again one by one only to name its first bad row.  A block holds
+split on its delimiter (:func:`_split_regular`); any other goes to
+``csv.reader``, whose rows are checked and parsed a block at a time.  When
+a block fails, one ``csv.reader`` walks the bytes again from the first row
+to name the first bad row (:func:`_first_bad_row`).  A block holds
 the stripped text of its score cells beside the parsed scores, so that
 ``apply`` writes every score as it was read without formatting a float;
 :func:`load_csv` joins the blocks into columns for the commands that need
@@ -176,10 +176,10 @@ def read_blocks(path, schema: DatasetSchema) -> Iterator[Block]:
     rejected-row warning is logged after the last block.  Unless the file
     is regular, rows are taken from ``csv.reader`` in blocks of
     :data:`BLOCK_ROWS`, and each check runs over a whole column of a block.
-    The parsed rows of a block that fails a check are walked again one by
-    one, so the error names the same physical line and cell as a
-    row-at-a-time parser would.  The file is read once, so a pipe works as
-    well as a regular file.
+    When a block fails, :func:`_first_bad_row` walks the file again from its
+    first row, one row at a time, so the error names the same physical line
+    and cell as a row-at-a-time parser would.  The file is read once and its
+    bytes held, so a pipe works as well as a regular file.
     """
     score_col = schema.score_col if schema.score_col is not None else schema.label_col
     # the group column, then each numeric column once: a label column that
@@ -191,8 +191,7 @@ def read_blocks(path, schema: DatasetSchema) -> Iterator[Block]:
             data = fh.read().removeprefix(codecs.BOM_UTF8)  # as Excel's "CSV UTF-8" starts
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
-                        delimiter=schema.delimiter)
+    reader = _reader(data, schema.delimiter)
     try:
         header = next(reader, None)
     except (csv.Error, UnicodeDecodeError) as exc:
@@ -206,23 +205,33 @@ def read_blocks(path, schema: DatasetSchema) -> Iterator[Block]:
     if repeated := [c for c in columns if header.count(c) > 1]:
         raise DataError(f"{path}: column {repeated[0]!r} appears more than once in the header")
     picks = [position[c] for c in columns]
-    blocks = _csv_blocks(path, reader, columns, picks)
     bounds = _regular_bounds(data, schema.delimiter, len(header))
-    if bounds is not None:
-        blocks = _split_regular(data, bounds, schema.delimiter, len(header), picks, blocks)
-    return _counted(path, blocks)
+    blocks = (_csv_blocks(reader, picks) if bounds is None
+              else _split_regular(data, bounds, schema.delimiter, len(header), picks))
+    return _counted(path, blocks, lambda: _first_bad_row(path, data, schema.delimiter, columns,
+                                                         picks))
 
 
-def _counted(path, blocks) -> Iterator[Block]:
+def _reader(data: bytes, delimiter: str):
+    """A ``csv.reader`` over the UTF-8 text of ``data``."""
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                      delimiter=delimiter)
+
+
+def _counted(path, blocks, bad_row) -> Iterator[Block]:
     """The nonempty blocks of ``blocks``, pairs of a rejected-row count and
     a :class:`Block`; the count is logged, or the lack of any kept row
-    raised, after the last."""
+    raised, after the last.  An error in reading them is raised as the
+    :class:`DataError` that ``bad_row()`` returns."""
     kept = rejected = 0
-    for dropped, block in blocks:
-        rejected += dropped
-        if block.labels:
-            kept += len(block.labels)
-            yield block
+    try:
+        for dropped, block in blocks:
+            rejected += dropped
+            if block.labels:
+                kept += len(block.labels)
+                yield block
+    except (csv.Error, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
+        raise bad_row() from exc
     if not kept:
         raise DataError(f"{path}: no usable data rows")
     if rejected:
@@ -259,31 +268,14 @@ def _block(labels, numbers) -> Block:
     return Block(labels, values, numbers[0])
 
 
-def _csv_blocks(path, reader, columns, picks):
+def _csv_blocks(reader, picks):
     """``csv.reader``'s rows, :data:`BLOCK_ROWS` at a time, as pairs of a
-    rejected-row count and a :class:`Block`, the cells at ``picks`` (the
-    group's position, then each number's).  The first bad row of a block,
-    or the error that ended its read, is raised as a :class:`DataError`
-    (:func:`_raise_first_bad_row`)."""
+    rejected-row count and a :class:`Block` (:func:`_parse_block`), the
+    cells at ``picks``: the group's position, then each number's."""
     getters = [operator.itemgetter(p) for p in picks]
     width = 1 + max(picks)
-    line = reader.line_num
-    while True:
-        rows, stop = [], None
-        try:
-            rows.extend(islice(reader, BLOCK_ROWS))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            stop = exc  # raised once the rows read before it pass
-        if not rows and stop is None:
-            return
-        try:
-            parsed = _parse_block(rows, getters, width)
-        except ValueError:
-            parsed = None
-        if parsed is None or stop is not None:
-            _raise_first_bad_row(path, rows, line, columns, getters, width, stop)
-        line = reader.line_num
-        yield parsed
+    while rows := list(islice(reader, BLOCK_ROWS)):
+        yield _parse_block(rows, getters, width)
 
 
 def _parse_block(rows, getters, width: int) -> tuple[int, Block]:
@@ -333,48 +325,40 @@ def _regular_bounds(data: bytes, delimiter: str, ncol: int) -> list[int] | None:
     return bounds
 
 
-def _split_regular(data: bytes, bounds, delimiter: str, ncol: int, picks, csv_blocks):
+def _split_regular(data: bytes, bounds, delimiter: str, ncol: int, picks):
     """The blocks of the regular file ``data`` between ``bounds``
-    (:func:`_regular_bounds`), as :func:`_csv_blocks` pairs them, each line
-    split on the delimiter.  A number that does not parse or is not finite
-    is found again by ``csv_blocks``, which raises its error and yields
-    nothing, since the rows before it have been yielded here."""
+    (:func:`_regular_bounds`), paired as :func:`_csv_blocks` pairs them, each
+    line split on the delimiter."""
     for start, end in zip(bounds, bounds[1:]):
         cells = data[start:end].decode("ascii").replace("\n", delimiter).split(delimiter)
         labels, *numbers = [cells[p:-1:ncol] for p in picks]
-        try:
-            block = _block(labels, numbers)
-        except ValueError:
-            for _ in csv_blocks:
-                pass
-            raise AssertionError("csv.reader finds no bad number in a regular file") from None
-        yield 0, block
+        yield 0, _block(labels, numbers)
 
 
-def _raise_first_bad_row(path, rows, line: int, columns, getters, width: int,
-                         stop: Exception | None):
-    """Walk the parsed ``rows`` of a failed block and raise the
-    :class:`DataError` for its first bad row: a cell that is unparseable or
-    not finite, named by its physical file line.  ``line`` is the line
-    before the block; each row ends 1 line further on, plus 1 per line break
-    inside its cells (``\\r\\n``, ``\\n`` or a lone ``\\r``, as the file iterator
-    splits lines).  Without a bad row, ``stop`` (the error that ended the
-    block's read) is the problem."""
-    for row in rows:
-        line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
-        if len(row) < width or not all(map(str.strip, cells := [get(row) for get in getters])):
-            continue  # a blank or rejected row
-        for name, cell in zip(columns[1:], cells[1:]):
-            try:  # parsed stripped, as _parse_block parses it
-                problem = None if math.isfinite(float(cell.strip())) else "non-finite"
-            except ValueError:
-                problem = "unparseable"
-            if problem:
-                raise DataError(f"{path}: {problem} cell at row {line}, "
-                                f"column {name!r}: {cell!r}")
-    if stop is None:
-        raise AssertionError("a failed block holds no bad row")
-    raise _unreadable(path, stop) from stop
+def _first_bad_row(path, data: bytes, delimiter: str, columns, picks) -> DataError:
+    """The :class:`DataError` for the first bad row of the file ``data``,
+    whose ``columns`` are at ``picks``: a cell that does not parse or is not
+    finite, named by its physical file line, or else the error that stops
+    ``csv.reader``.  The rows after the header are walked one at a time,
+    skipped and parsed as :func:`_parse_block` skips and parses them."""
+    reader = _reader(data, delimiter)
+    width = 1 + max(picks)
+    try:
+        next(reader)  # the header
+        for row in reader:
+            if len(row) < width or not all(map(str.strip, cells := [row[p] for p in picks])):
+                continue  # a blank or rejected row
+            for name, cell in zip(columns[1:], cells[1:]):
+                try:
+                    problem = None if math.isfinite(float(cell.strip())) else "non-finite"
+                except ValueError:
+                    problem = "unparseable"
+                if problem:
+                    return DataError(f"{path}: {problem} cell at row {reader.line_num}, "
+                                     f"column {name!r}: {cell!r}")
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return _unreadable(path, exc)
+    raise AssertionError("a file that failed to read holds no bad row")
 
 
 def _unreadable(path, exc) -> DataError:

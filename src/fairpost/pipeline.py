@@ -286,7 +286,8 @@ def load(path) -> FairPostprocessor:
     """Load a model saved by :meth:`FairPostprocessor.save`.
 
     Raises OSError for an unreadable file and ValueError naming ``path`` for
-    anything but a well-formed model of this version: a grid or transform
+    anything but a well-formed model of this version: a grid whose k is not
+    an integer equal to its count of stored midpoints, a grid or transform
     whose interval breaks :func:`~fairpost.grid.check_interval`, group
     labels other than a nonempty list of distinct strings, kernels that are not
     G x k x k for the G groups, nonnegative, with rows summing to 1 within
@@ -305,10 +306,15 @@ def load(path) -> FairPostprocessor:
         if doc.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {doc.get('version')}")
         g = doc["grid"]
-        grid = make_grid(float(g["s"]), float(g["t"]), int(g["k"]))
-        if not np.array_equal(_floats(g["midpoints"]), grid.midpoints):
+        k, midpoints = g["k"], _floats(g["midpoints"])
+        if type(k) is not int:
+            raise TypeError(f"grid k must be an integer, got {k!r}")
+        if k > len(midpoints):  # checked before make_grid allocates k midpoints
+            raise ValueError(f"grid k {k} exceeds the {len(midpoints)} stored midpoints")
+        grid = make_grid(float(g["s"]), float(g["t"]), k)
+        if not np.array_equal(midpoints, grid.midpoints):
             raise ValueError("stored midpoints disagree with the grid parameters")
-        k, groups = grid.k, doc["groups"]
+        groups = doc["groups"]
         if not (isinstance(groups, list) and all(isinstance(g, str) for g in groups)):
             raise ValueError(f"groups must be a list of strings, got {groups!r}")
         groups = tuple(groups)

@@ -417,7 +417,10 @@ def test_non_numbers_are_config_errors(tmp_path, data, capsys):
     ("alphas", [-0.1], "--alpha", "alpha must be nonnegative, got -0.1"),
     ("epsilons", [-1], "--epsilon", "epsilon must be positive (or inf), got -1.0"),
     ("ks", [0], "--k", "invalid bin count: need k >= 1, got 0"),
-], ids=["split_ratio", "alpha_nan", "alpha_negative", "epsilon_negative", "k_zero"])
+    # a grid too large to allocate fails in its first np.arange, before using any memory
+    ("ks", [10**15], "--k", "Unable to allocate 7.11 PiB for an array with shape "
+     "(1000000000000000,) and data type int64"),
+], ids=["split_ratio", "alpha_nan", "alpha_negative", "epsilon_negative", "k_zero", "k_huge"])
 def test_bad_sweep_hyperparameters_are_config_errors(tmp_path, data, capsys, field, value,
                                                      fit_flag, message):
     """Checked once before any cell runs, with the message fit gives."""

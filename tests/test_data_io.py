@@ -392,6 +392,27 @@ def test_block_parser_matches_row_oracle(case, block_rows):
         assert_same_as_oracle(path, schema, block_rows)
 
 
+RAW_PIECE = st.sampled_from(["A", "B", "0.5", "0.25", "nan", "x", "1e999", "é", " ", "", ",",
+                             ",", "\n", "\r\n", "\r", '"'])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(RAW_PIECE, max_size=8).map("".join), max_size=25),
+       st.sampled_from(sorted(SCHEMAS)), st.sampled_from([1, 3, data_io.BLOCK_ROWS]),
+       st.sampled_from([1, 50, data_io.BLOCK_BYTES]), st.sampled_from([b"", b"\xff"]))
+def test_raw_text_matches_row_oracle(lines, schema, block_rows, block_bytes, bad_byte):
+    """Text no csv writer makes (a quote left open or inside a cell, a lone
+    carriage return, a byte that is not UTF-8 near the end) reads as the
+    oracle reads it, through either reader."""
+    data = "\n".join(["group,score,label", *lines, ""]).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/data.csv"
+        with open(path, "wb") as fh:
+            fh.write(data[:-1] + bad_byte + data[-1:])
+        with mock.patch.object(data_io, "BLOCK_BYTES", block_bytes):
+            assert_same_as_oracle(path, DatasetSchema(**SCHEMAS[schema]), block_rows)
+
+
 @pytest.mark.parametrize("where", [0, 1, data_io.BLOCK_ROWS - 1, data_io.BLOCK_ROWS,
                                    2 * data_io.BLOCK_ROWS - 1, 2 * data_io.BLOCK_ROWS + 5])
 @pytest.mark.parametrize("cell", ["nan", "-inf", "oops"])
@@ -435,6 +456,9 @@ OVERSIZE = "A,0." + "1" * 200_000 + ",0.5\n"  # over the csv module's field limi
     # a number padded with what str.strip removes but float refuses parses
     # stripped, so the bad cell after it is the one named
     "A,\x1c0.5,0.1\nB,0.25,0.2\nA,abc,0.3\n",
+    # a quote never closed runs to the end of the file, whose last line
+    # break is inside the cell: the row ends on the file's last line, 4
+    'A,0.1,0.2\nB,0.5,"0.1\nA,0.3,0.4\n',
 ])
 def test_first_problem_in_file_order_is_reported(tmp_path, body):
     path = write(tmp_path, "group,score,label\n" + body)
@@ -453,7 +477,7 @@ def test_decoding_error_after_good_rows(tmp_path, first, problem):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_bad_cell_in_a_pipe_is_reported(tmp_path):
-    # the file is read once: a bad row's line is found without reading it again
+    # the file is read once: the walk that names a bad row reads the bytes held
     text = "group,score,label\n" + "A,0.1,0.2\n" * (data_io.BLOCK_ROWS + 100) + "B,nan,0.4\n"
     fifo = tmp_path / "pipe.csv"
     os.mkfifo(fifo)
@@ -540,10 +564,11 @@ def test_regular_files_are_split_as_the_oracle_reads_them(perturbation, data, bl
     """A regular file, with or without a leading byte-order mark, takes the
     byte-splitting path and gives what the row oracle gives; a file with any
     one perturbation is declined, and the csv path gives what the oracle
-    gives."""
+    gives.  Only a run that fails walks the file again to name its error."""
     text, schema = data.draw(regular_cases(perturbation))
-    bounds, csv_blocks = data_io._regular_bounds, data_io._csv_blocks
-    regular, csv_read = [], []
+    bounds, csv_blocks, first_bad_row = (
+        data_io._regular_bounds, data_io._csv_blocks, data_io._first_bad_row)
+    regular, csv_read, walked = [], [], []
 
     def bounds_spy(*args):
         found = bounds(*args)
@@ -554,20 +579,32 @@ def test_regular_files_are_split_as_the_oracle_reads_them(perturbation, data, bl
         csv_read.append(True)
         yield from csv_blocks(*args)
 
+    def walk_spy(*args):
+        walked.append(True)
+        return first_bad_row(*args)
+
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/data.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         with mock.patch.object(data_io, "_regular_bounds", bounds_spy), \
                 mock.patch.object(data_io, "_csv_blocks", csv_spy), \
+                mock.patch.object(data_io, "_first_bad_row", walk_spy), \
                 mock.patch.object(data_io, "BLOCK_BYTES", block_bytes):
             got = outcome(load_csv, path, schema)
+            loads = (regular[:], csv_read[:], walked[:])
+            del regular[:], csv_read[:], walked[:]
             applied, oracle = apply_outcomes(path, schema)
         assert got == outcome(load_samples, path, schema)
         assert applied == oracle
-    # a bad number passes the block checks, and csv.reader finds it again
-    assert regular[0] == (perturbation in (None, "bom", "non-finite cell", "unparseable cell"))
-    assert bool(csv_read) == (perturbation not in (None, "bom"))
+    # a bad number passes the block checks, and the walk finds it
+    declined = perturbation not in (None, "bom", "non-finite cell", "unparseable cell")
+    # each run reads the file once: the csv path runs exactly for a declined
+    # file, and the walk exactly when the run fails
+    for (read_regular, read_csv, walk), failed in [(loads, got[0][0] == "error"),
+                                                   ((regular, csv_read, walked), applied[0] != 0)]:
+        assert read_regular == [not declined] and read_csv == ([True] if declined else [])
+        assert walk == ([True] if failed else [])
 
 
 def test_delimiters_are_counted_per_line(tmp_path):

@@ -275,6 +275,19 @@ def saved_document(tmp_path):
     (lambda d: d["grid"].__setitem__("t", "inf"), "invalid interval"),
     (lambda d: d["groups"].__setitem__(1, "A"), "repeated group labels"),
     (lambda d: d["grid"].__setitem__("k", 0), "invalid bin count"),
+    # k is checked before a grid of k midpoints is built: one of 10**15 cannot be
+    pytest.param(lambda d: d["grid"].__setitem__("k", 10**15),
+                 "grid k 1000000000000000 exceeds the 3 stored midpoints", id="grid_k_huge"),
+    pytest.param(lambda d: d["grid"].__setitem__("k", 2),
+                 "stored midpoints disagree with the grid parameters", id="grid_k_small"),
+    pytest.param(lambda d: d["grid"].__setitem__("k", "3"),
+                 "malformed model file .*grid k must be an integer, got '3'", id="grid_k_string"),
+    pytest.param(lambda d: d["grid"].__setitem__("k", 3.0),
+                 "malformed model file .*grid k must be an integer, got 3.0", id="grid_k_float"),
+    pytest.param(lambda d: d["grid"].__setitem__("k", 2.7),
+                 "malformed model file .*grid k must be an integer, got 2.7", id="grid_k_fraction"),
+    pytest.param(lambda d: d["grid"].__setitem__("k", True),
+                 "malformed model file .*grid k must be an integer, got True", id="grid_k_bool"),
     (lambda d: d["fit"].__setitem__("alpha", "x"), "could not convert string to float"),
     (lambda d: d["diagnostics"]["weights"].__setitem__(0, None), "malformed model file"),
     (lambda d: d["diagnostics"]["weights"].append("0.5"), "weights must be 2 finite entries"),
